@@ -60,7 +60,13 @@ class _Parser(argparse.ArgumentParser):
 _G: dict = {}
 
 
+def _pool_size(workers: int, cpus: int | None) -> int:
+    """Worker processes to start: the requested count, capped at the cores."""
+    return max(1, min(workers, cpus or 1))
+
+
 def _map_ordered(func, items, workers, initializer=None, initargs=()):
+    workers = _pool_size(workers, os.cpu_count())
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=initializer, initargs=initargs) as pool:
@@ -390,12 +396,23 @@ def _cmd_coverage(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, lexicon_flag=True):
     sub.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
-        help="worker processes; 1 forces sequential (default: all cores)",
+        help="worker processes, capped at the number of cores; 1 forces sequential "
+        "(default: all cores)",
     )
     if lexicon_flag:
         sub.add_argument("--lexicon", default=None, help="verb lexicon TSV (default: bundled)")
@@ -461,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ref",
         required=True,
         action="append",
-        help="reference file; repeat for multiple references (GLEU)",
+        help="reference file; repeat for multiple references: F0.5 uses only the "
+        "first, GLEU samples among all of them",
     )
     p.add_argument("--metric", choices=("f05", "gleu", "both"), default="both")
     p.add_argument("--seed", type=int, default=0, help="GLEU reference-sampling seed")

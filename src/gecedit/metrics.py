@@ -91,34 +91,45 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1))
 
 
-def _gleu_once(
-    sources: Sequence[Sequence[str]],
-    hypotheses: Sequence[Sequence[str]],
+def _reference_rows(
+    source: Sequence[str],
+    hypothesis: Sequence[str],
     refs: Sequence[Sequence[str]],
     n_max: int,
-) -> float:
-    hyp_len = 0
-    ref_len = 0
-    num = [0] * n_max
-    den = [0] * n_max
-    for src, hyp, ref in zip(sources, hypotheses, refs):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, n_max + 1):
-            h = _ngram_counts(hyp, n)
+) -> list[tuple[int, ...]]:
+    """One integer row per reference of a sentence: the reference length,
+    then for each order 1..n_max the hypothesis n-gram matches minus the
+    penalty, floored at 0.  The hypothesis and source n-grams are counted
+    once and shared by all references."""
+    orders = range(1, n_max + 1)
+    hyp_counts = [_ngram_counts(hypothesis, n) for n in orders]
+    src_counts = [_ngram_counts(source, n) for n in orders]
+    rows = []
+    for ref in refs:
+        row = [len(ref)]
+        for n, h, s in zip(orders, hyp_counts, src_counts):
             r = _ngram_counts(ref, n)
-            s = _ngram_counts(src, n)
             matches = sum((h & r).values())
             # n-grams the reference changed away from the source but the
             # hypothesis kept are penalized
             penalty = sum((h & (s - r)).values())
-            num[n - 1] += max(matches - penalty, 0)
-            den[n - 1] += max(len(hyp) + 1 - n, 0)
+            row.append(max(matches - penalty, 0))
+        rows.append(tuple(row))
+    return rows
+
+
+def _gleu_from_rows(
+    picked: Sequence[tuple[int, ...]], hyp_len: int, den: Sequence[int]
+) -> float:
+    """GLEU of one single-reference draw: ``picked`` holds the chosen
+    reference row of every sentence; ``hyp_len`` and ``den`` depend on the
+    hypotheses only."""
     if hyp_len == 0:
         return 0.0
+    ref_len, *num = (sum(column) for column in zip(*picked))
     log_sum = 0.0
     orders = 0
-    for n in range(n_max):
+    for n in range(len(den)):
         if den[n] == 0:
             continue
         if num[n] == 0:
@@ -144,8 +155,13 @@ def gleu(
     Modified n-gram precision with source-kept n-grams subtracted, geometric
     mean over orders 1..n_max, BLEU brevity penalty.  With multiple
     references per sentence the score is the mean over ``samples`` seeded
-    single-reference draws.
+    single-reference draws.  The n-gram statistics of every (sentence,
+    reference) pair are computed once; a draw only adds up integer rows.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if len(hypotheses) == 0:
         raise ValueError("empty hypothesis stream")
     if not (len(sources) == len(hypotheses) == len(references)):
@@ -153,13 +169,17 @@ def gleu(
     for i, refs in enumerate(references):
         if len(refs) < 1:
             raise ValueError(f"sentence {i} has no reference")
-    max_refs = max(len(refs) for refs in references)
-    if max_refs == 1:
-        chosen = [refs[0] for refs in references]
-        return _gleu_once(sources, hypotheses, chosen, n_max)
+    hyp_len = sum(len(hyp) for hyp in hypotheses)
+    den = [sum(max(len(hyp) + 1 - n, 0) for hyp in hypotheses) for n in range(1, n_max + 1)]
+    rows = [
+        _reference_rows(src, hyp, refs, n_max)
+        for src, hyp, refs in zip(sources, hypotheses, references)
+    ]
+    if all(len(r) == 1 for r in rows):
+        return _gleu_from_rows([r[0] for r in rows], hyp_len, den)
     rng = random.Random(seed)
     total = 0.0
     for _ in range(samples):
-        chosen = [refs[rng.randrange(len(refs))] for refs in references]
-        total += _gleu_once(sources, hypotheses, chosen, n_max)
+        picked = [r[rng.randrange(len(r))] for r in rows]
+        total += _gleu_from_rows(picked, hyp_len, den)
     return total / samples

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gecedit.cli import main
+from gecedit.cli import _pool_size, main
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
 from gecedit.tags import TagSet
 
@@ -54,6 +54,27 @@ def test_subcommand_help(command):
 def test_usage_error_exits_one():
     proc = run_cli("tag")  # missing required arguments
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(workdir, capsys, workers):
+    # rejected while parsing, before any input is read or worker started
+    assert main([
+        "tag", "--src-tgt", str(workdir / "missing.tsv"), "--out", str(workdir / "out.jsonl"),
+        "--workers", workers,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gecedit tag")
+    assert f"argument --workers: must be at least 1, got {workers}" in err
+    assert not (workdir / "out.jsonl").exists()
+
+
+def test_pool_size_capped_at_cores():
+    assert _pool_size(1, 8) == 1
+    assert _pool_size(3, 8) == 3
+    assert _pool_size(64, 8) == 8
+    assert _pool_size(4, 1) == 1
+    assert _pool_size(4, None) == 1  # core count unknown: sequential
 
 
 def test_data_error_exits_two(workdir):
@@ -223,6 +244,22 @@ def test_score_reports_metrics(workdir, capsys):
     assert report["P"] == 1.0 and report["R"] == 1.0 and report["F0.5"] == 1.0
     assert report["GLEU"] == pytest.approx(1.0)
     assert report["sentence_count"] == 2
+
+
+def test_score_f05_uses_only_the_first_reference(workdir, capsys):
+    (workdir / "src.txt").write_text("a b c\nd e f\n")
+    (workdir / "hyp.txt").write_text("a x c\nd e f\n")
+    (workdir / "ref.txt").write_text("a x c\nd e f\n")
+    (workdir / "ref2.txt").write_text("a b y\nd q f\n")
+    base = ["score", "--src", str(workdir / "src.txt"), "--hyp", str(workdir / "hyp.txt"),
+            "--ref", str(workdir / "ref.txt"), "--metric", "both", "--workers", "1"]
+    assert main(base) == 0
+    one = json.loads(capsys.readouterr().out)
+    assert main([*base, "--ref", str(workdir / "ref2.txt")]) == 0
+    two = json.loads(capsys.readouterr().out)
+    assert {k: two[k] for k in ("P", "R", "F0.5")} == {k: one[k] for k in ("P", "R", "F0.5")}
+    # the second reference disagrees with the hypothesis, so GLEU does see it
+    assert two["GLEU"] < one["GLEU"]
 
 
 def test_score_line_count_mismatch(workdir, capsys):

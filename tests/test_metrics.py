@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecedit.metrics import F05Accumulator, extract_spans, f_beta, f_half, gleu
 
@@ -180,8 +182,16 @@ class TestGleu:
         s2 = gleu([src], [hyp], refs, seed=5)
         s3 = gleu([src], [hyp], refs, seed=6)
         assert s1 == s2
-        assert 0.0 <= s1 <= 1.0
-        assert s1 != s3 or True  # different seeds may legitimately coincide
+        # only the first reference matches the hypothesis at every order
+        singles = [gleu([src], [hyp], [[ref]]) for ref in refs[0]]
+        assert singles == [1.0, 0.0, 0.0]
+        assert 0.0 < s1 < 1.0
+        # so the score is the share of the seed's draws that pick it
+        rng = random.Random(5)
+        picks = [rng.randrange(3) for _ in range(500)]
+        assert s1 == pytest.approx(picks.count(0) / 500, abs=1e-12)
+        # another seed draws another mix of the three references
+        assert s1 != s3
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -190,3 +200,111 @@ class TestGleu:
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
             gleu([["a"]], [["a"]], [[]])
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        refs = [["a b".split(), "a c".split()]]
+        with pytest.raises(ValueError, match="samples"):
+            gleu([["a", "b"]], [["a", "b"]], refs, samples=samples)
+
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_n_max_below_one_rejected(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            gleu([["a", "b"]], [["a", "b"]], [[["a", "b"]]], n_max=n_max)
+
+
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1))
+
+
+def reference_gleu_once(sources, hypotheses, refs, n_max):
+    """The per-draw GLEU that recounts every n-gram of every sentence."""
+    hyp_len = 0
+    ref_len = 0
+    num = [0] * n_max
+    den = [0] * n_max
+    for src, hyp, ref in zip(sources, hypotheses, refs):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, n_max + 1):
+            h = _ngrams(hyp, n)
+            r = _ngrams(ref, n)
+            s = _ngrams(src, n)
+            matches = sum((h & r).values())
+            penalty = sum((h & (s - r)).values())
+            num[n - 1] += max(matches - penalty, 0)
+            den[n - 1] += max(len(hyp) + 1 - n, 0)
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = 0
+    for n in range(n_max):
+        if den[n] == 0:
+            continue
+        if num[n] == 0:
+            return 0.0
+        log_sum += math.log(num[n] / den[n])
+        orders += 1
+    if orders == 0:
+        return 0.0
+    bp = min(0.0, 1.0 - ref_len / hyp_len)
+    return math.exp(bp + log_sum / orders)
+
+
+def reference_gleu(sources, hypotheses, references, n_max=4, seed=0, samples=500):
+    """Multi-reference GLEU that runs the whole per-draw recount per sample."""
+    if max(len(refs) for refs in references) == 1:
+        return reference_gleu_once(sources, hypotheses, [refs[0] for refs in references], n_max)
+    rng = random.Random(seed)
+    total = 0.0
+    for _ in range(samples):
+        chosen = [refs[rng.randrange(len(refs))] for refs in references]
+        total += reference_gleu_once(sources, hypotheses, chosen, n_max)
+    return total / samples
+
+
+# A small vocabulary so that hypotheses, sources and references share n-grams.
+_sentence = st.lists(st.sampled_from("a b c d e".split()), min_size=0, max_size=7)
+
+
+@st.composite
+def _corpora(draw):
+    size = draw(st.integers(1, 6))
+    sources = [draw(_sentence) for _ in range(size)]
+    hyps = [draw(_sentence) for _ in range(size)]
+    refs = [draw(st.lists(_sentence, min_size=1, max_size=4)) for _ in range(size)]
+    return sources, hyps, refs
+
+
+class TestGleuMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corpus=_corpora(),
+        n_max=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        samples=st.integers(1, 40),
+    )
+    def test_bit_identical(self, corpus, n_max, seed, samples):
+        sources, hyps, refs = corpus
+        ours = gleu(sources, hyps, refs, n_max=n_max, seed=seed, samples=samples)
+        assert ours == reference_gleu(sources, hyps, refs, n_max=n_max, seed=seed, samples=samples)
+
+    def test_default_samples_bit_identical(self):
+        rng = random.Random(41)
+        vocab = "the a cat sat on mat dog ran".split()
+
+        def variant(base):
+            # a few substitutions, so that sentences share n-grams of every order
+            out = list(base)
+            for _ in range(rng.randrange(0, 3)):
+                out[rng.randrange(len(out))] = rng.choice(vocab)
+            return out
+
+        bases = [[rng.choice(vocab) for _ in range(rng.randrange(5, 12))] for _ in range(8)]
+        sources = [variant(b) for b in bases]
+        hyps = [variant(b) for b in bases]
+        # uneven reference counts, sentences with a single reference among them
+        refs = [[variant(b) for _ in range(1 + k % 3)] for k, b in enumerate(bases)]
+        score = gleu(sources, hyps, refs, seed=9)
+        assert 0.0 < score < 1.0
+        assert score == reference_gleu(sources, hyps, refs, seed=9)
