@@ -65,10 +65,15 @@ def _pool_size(workers: int, cpus: int | None) -> int:
     return max(1, min(workers, cpus or 1))
 
 
+def _start_method(available: list[str]) -> str | None:
+    """Pool start method: ``fork`` where offered, else the platform default."""
+    return "fork" if "fork" in available else None
+
+
 def _map_ordered(func, items, workers, initializer=None, initargs=()):
     workers = _pool_size(workers, os.cpu_count())
     if workers > 1:
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
         with ctx.Pool(workers, initializer=initializer, initargs=initargs) as pool:
             yield from pool.imap(func, items, chunksize=_CHUNK)
     else:

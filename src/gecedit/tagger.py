@@ -374,6 +374,12 @@ def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> MultiHeadModel:
+    """Read a model dump written by ``save_model``.
+
+    Raises ``ValueError`` when the header's arrays are not the heads and
+    shapes of the model the header describes, or when weight data is missing
+    or follows the last array.
+    """
     with open(path, "rb") as fp:
         header = json.loads(fp.readline().decode("utf-8"))
         if header.get("format") != _MODEL_FORMAT or header.get("version") != 1:
@@ -381,9 +387,18 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         tagset = TagSet(header["tags"])
         encoder = FeatureEncoder(dim=header["dim"], templates=tuple(header["templates"]))
         model = MultiHeadModel(tagset, encoder, lam=header["lambda"], heads=header["heads"])
-        for name, rows, cols in header["arrays"]:
+        expected = [[name, *model.W[name].shape] for name in model.head_names]
+        if header["arrays"] != expected:
+            raise ValueError(
+                f"{path}: weight arrays {header['arrays']} do not match the heads and "
+                f"shapes of a {model.heads}-head model with {len(tagset)} tags and "
+                f"dim {encoder.dim}: expected {expected}"
+            )
+        for name, rows, cols in expected:
             raw = fp.read(rows * cols * 8)
             if len(raw) != rows * cols * 8:
                 raise ValueError(f"{path}: truncated weight data for head {name}")
             model.W[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        if fp.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last weight array")
     return model

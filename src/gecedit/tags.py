@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class TagError(ValueError):
@@ -263,8 +263,3 @@ def load_tagset(path: Union[str, Path]) -> TagSet:
         except TagError as exc:
             raise TagError(f"{path}:{lineno}: {exc}") from None
     return TagSet(tags)
-
-
-def tag_sequence(texts: Sequence[str]) -> list[EditTag]:
-    """Parse a whitespace-free tag string sequence."""
-    return [EditTag.parse(t) for t in texts]

@@ -1,11 +1,18 @@
-"""Alignment kernel tests: frozen examples, a brute-force cost oracle, and
-pure/compiled parity."""
+"""Alignment kernel tests: frozen examples, a brute-force cost oracle, the
+per-cell reference kernel, pure/compiled parity and the compiled sources' pin."""
 
+import hashlib
 import random
+from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gecedit
+from gecedit import _align_py
 from gecedit._align_py import OP_DEL, OP_INS, OP_KEEP, OP_SUB
 from gecedit.alignment import align, align_ops, available_backends
 
@@ -156,3 +163,154 @@ def test_similar_token_pairs_up_instead_of_delete_insert():
     ops = align_ops(["over", "all", "fine"], ["overall", "fine"])
     kinds = [op for op, _, _ in ops]
     assert kinds.count(OP_SUB) == 1 and kinds.count(OP_DEL) == 1
+
+
+# -- per-cell reference kernel -----------------------------------------------
+# The pure kernel before its per-call cost table: a full character LCS in every
+# DP cell.  The table must change nothing, so outputs are compared with ==.
+
+
+def reference_lcs_len(a: str, b: str) -> int:
+    la, lb = len(a), len(b)
+    prev = [0] * (lb + 1)
+    cur = [0] * (lb + 1)
+    for i in range(1, la + 1):
+        ai = a[i - 1]
+        cur[0] = 0
+        for j in range(1, lb + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                up = prev[j]
+                left = cur[j - 1]
+                cur[j] = up if up >= left else left
+        prev, cur = cur, prev
+    return prev[lb]
+
+
+def reference_sub_cost(a: str, b: str) -> float:
+    if a == b:
+        return 0.0
+    sim = 2.0 * reference_lcs_len(a, b) / (len(a) + len(b))
+    if sim >= 0.5:
+        return 1.0 - sim / 2.0
+    return 1.0
+
+
+def reference_align_ops(src, tgt):
+    n, m = len(src), len(tgt)
+    width = m + 1
+    opmat = bytearray((n + 1) * width)
+    for j in range(1, width):
+        opmat[j] = OP_INS
+    prev = [float(j) for j in range(width)]
+    cur = [0.0] * width
+    for i in range(1, n + 1):
+        si = src[i - 1]
+        cur[0] = float(i)
+        base = i * width
+        opmat[base] = OP_DEL
+        for j in range(1, width):
+            c = reference_sub_cost(si, tgt[j - 1])
+            best = prev[j - 1] + c
+            op = OP_KEEP if c == 0.0 else OP_SUB
+            t = prev[j] + 1.0
+            if t < best:
+                best = t
+                op = OP_DEL
+            t = cur[j - 1] + 1.0
+            if t < best:
+                best = t
+                op = OP_INS
+            cur[j] = best
+            opmat[base + j] = op
+        prev, cur = cur, prev
+
+    out = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        op = opmat[i * width + j]
+        if op == OP_INS:
+            j -= 1
+            out.append((OP_INS, -1, j))
+        elif op == OP_DEL:
+            i -= 1
+            out.append((OP_DEL, i, -1))
+        else:
+            i -= 1
+            j -= 1
+            out.append((op, i, j))
+    out.reverse()
+    return out
+
+
+# A few characters, so that tokens often share enough of them to reach the
+# similarity threshold: an astral letter and emoji, a combining acute accent,
+# and case traps ('ß'.upper() == 'SS', 'İ'.lower() == 'i̇').
+_CHARS = "abs\u00dfS\u0130i\u0301\U00010348\U0001f600"
+_token = st.one_of(st.text(_CHARS, max_size=7), st.text(max_size=5))
+
+
+@st.composite
+def _pairs(draw):
+    src = draw(st.lists(_token, max_size=7))
+    # target tokens repeat source tokens as well as drawing new ones
+    tgt_token = st.one_of(_token, st.sampled_from(src)) if src else _token
+    tgt = draw(st.lists(tgt_token, max_size=7))
+    return src, tgt
+
+
+class TestCostTableMatchesReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(pair=_pairs())
+    def test_identical_to_reference_kernel(self, pair):
+        src, tgt = pair
+        assert align_ops(src, tgt) == reference_align_ops(src, tgt)
+
+    @pytest.mark.parametrize(
+        "src, tgt",
+        [
+            # sim == 0.5 exactly, where the length bound is tight
+            (["a", "x"], ["abb"]),
+            # sim == 0.5 exactly, where the bag bound is tight and the length bound is not
+            (["ab", "x"], ["ac"]),
+        ],
+    )
+    def test_similarity_exactly_at_threshold(self, src, tgt):
+        ops = align_ops(src, tgt)
+        assert ops == reference_align_ops(src, tgt)
+        assert ops == [(OP_SUB, 0, 0), (OP_DEL, 1, -1)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=_token, b=_token)
+    def test_bit_parallel_lcs_equals_dp_lcs(self, a, b):
+        lcs = _align_py._lcs_bits(_align_py._char_masks(a), len(a), b)
+        assert lcs == reference_lcs_len(a, b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=_token, b=_token)
+    def test_bag_overlap_bounds_lcs(self, a, b):
+        index: dict = {}
+        overlap = (_align_py._bag_bits(a, index) & _align_py._bag_bits(b, index)).bit_count()
+        assert overlap == sum((Counter(a) & Counter(b)).values())
+        assert overlap >= reference_lcs_len(a, b)
+
+
+# -- compiled kernel sources -------------------------------------------------
+# Cython is not a test dependency, so the generated C cannot be rebuilt and
+# compared here; pinning both files catches a .pyx edited without its .c.
+
+_PINNED_SOURCES = {
+    "_align_fast.pyx": "16cf5e923df6f8e33e7dc94e5ebc88722397fce9a427043320cf9b9d52f679eb",
+    "_align_fast.c": "8c7a7f39cbe2355922591775e4ed01c6e12a140556c1279a98e2642053be5dd3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SOURCES))
+def test_compiled_kernel_sources_pinned(name):
+    path = Path(gecedit.__file__).with_name(name)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _PINNED_SOURCES[name], (
+        f"{name} changed: regenerate _align_fast.c from _align_fast.pyx with Cython "
+        "and update both sha256 values in _PINNED_SOURCES"
+    )

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gecedit.cli import _pool_size, main
+from gecedit.cli import _pool_size, _start_method, main
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
 from gecedit.tags import TagSet
 
@@ -75,6 +75,12 @@ def test_pool_size_capped_at_cores():
     assert _pool_size(64, 8) == 8
     assert _pool_size(4, 1) == 1
     assert _pool_size(4, None) == 1  # core count unknown: sequential
+
+
+def test_start_method_falls_back_without_fork():
+    assert _start_method(["fork", "spawn", "forkserver"]) == "fork"
+    assert _start_method(["spawn"]) is None  # platform default, e.g. on Windows
+    assert _start_method(["spawn", "forkserver"]) is None
 
 
 def test_data_error_exits_two(workdir):
@@ -230,6 +236,20 @@ def test_predict_min_error_prob_one_copies_input(workdir):
         "--min-error-prob", "1.0", "--workers", "1",
     ]) == 0
     assert out.read_bytes() == src.read_bytes()
+
+
+def test_predict_rejects_model_with_trailing_bytes(workdir, capsys):
+    model_path = workdir / "model.bin"
+    save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model_path)
+    with open(model_path, "ab") as fp:
+        fp.write(b"\x00")
+    src = workdir / "in.txt"
+    src.write_text("He lives in the city .\n")
+    assert main([
+        "predict", "--model", str(model_path), "--in", str(src),
+        "--out", str(workdir / "out.txt"), "--workers", "1",
+    ]) == 2
+    assert "trailing bytes" in capsys.readouterr().err
 
 
 def test_score_reports_metrics(workdir, capsys):

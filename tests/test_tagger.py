@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -301,3 +302,64 @@ class TestSerialization:
         path.write_bytes(b'{"format":"something-else"}\n')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def rewrite_model(path, edit_header=None, tail=b""):
+    """Rewrite a saved model's header line through ``edit_header`` and append ``tail``."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    if edit_header is not None:
+        edit_header(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body + tail)
+
+
+class TestLoadModelValidation:
+    @pytest.fixture
+    def saved(self, small_tagset, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(seeded_model(small_tagset, dim=16), path)
+        return path
+
+    def test_head_names_out_of_order_rejected(self, saved):
+        def swap(header):
+            arrays = header["arrays"]
+            arrays[1][0], arrays[2][0] = arrays[2][0], arrays[1][0]
+
+        rewrite_model(saved, swap)
+        with pytest.raises(ValueError, match="weight arrays"):
+            load_model(saved)
+
+    def test_unknown_head_name_rejected(self, saved):
+        def rename(header):
+            header["arrays"][-1][0] = "bogus"
+
+        rewrite_model(saved, rename)
+        with pytest.raises(ValueError, match="weight arrays"):
+            load_model(saved)
+
+    @pytest.mark.parametrize(
+        "index, shape",
+        [
+            (0, [3, 16]),  # correction rows differ from the tag count
+            (0, [10, 8]),  # correction columns differ from dim
+            (1, [3, 16]),  # an auxiliary head is not binary
+            (2, [2, 32]),  # auxiliary columns differ from dim
+        ],
+    )
+    def test_wrong_shape_rejected(self, saved, index, shape):
+        def reshape(header):
+            header["arrays"][index][1:] = shape
+
+        rewrite_model(saved, reshape)
+        with pytest.raises(ValueError, match="weight arrays"):
+            load_model(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        rewrite_model(saved, tail=b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(saved)
+
+    def test_truncated_weights_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            load_model(saved)
