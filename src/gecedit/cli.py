@@ -33,7 +33,7 @@ from gecedit.lexicon import (
     load_lexicon,
 )
 from gecedit.metrics import F05Accumulator, extract_spans, gleu
-from gecedit.noiser import Noiser, ProfileError, load_profile
+from gecedit.noiser import Noiser, ProfileError, corpus_stats, load_profile
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, TagError, TagFamily, load_tagset
 from gecedit.tagger import MultiHeadModel, load_model, predict_tags, save_model, train
@@ -96,16 +96,21 @@ def _init_tag(path, tagset_path, verbs, plurals):
     _G["lexicon"] = load_lexicon(verbs, plurals)
 
 
-def _tag_line(item):
+def _classified_pair(item):
+    """Source tokens and edit tags of one numbered pair line; errors carry file:line."""
     lineno, line = item
     try:
         src, tgt = parse_pair_line(line)
         if not src:
             raise CorpusFormatError("empty source sentence")
-        edits = seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
-        return to_json_line(src, derive_labels(src, edits))
+        return src, seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
     except (CorpusFormatError, ValueError) as exc:
         raise DataError(f"{_G['path']}:{lineno}: {exc}") from None
+
+
+def _tag_line(item):
+    src, edits = _classified_pair(item)
+    return to_json_line(src, derive_labels(src, edits))
 
 
 def _cmd_tag(args) -> int:
@@ -213,14 +218,7 @@ def _cmd_noise(args) -> int:
             realized.update(counts)
             sentences += 1
     if args.stats:
-        from gecedit.noiser import OPERATIONS
-
-        stats = {
-            "sentences": sentences,
-            "skipped_blank": blank[0],
-            "errors_total": sum(realized.values()),
-            "operations": {name: realized.get(name, 0) for name in OPERATIONS},
-        }
+        stats = corpus_stats(sentences, blank[0], realized)
         Path(args.stats).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -359,16 +357,8 @@ def _cmd_score(args) -> int:
 # -- coverage ----------------------------------------------------------------
 
 def _coverage_line(item):
-    lineno, line = item
-    try:
-        src, tgt = parse_pair_line(line)
-        if not src:
-            raise CorpusFormatError("empty source sentence")
-        edits = seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
-    except (CorpusFormatError, ValueError) as exc:
-        raise DataError(f"{_G['path']}:{lineno}: {exc}") from None
-    counts = Counter(tag.family.value for tag in edits)
-    return dict(counts)
+    _src, edits = _classified_pair(item)
+    return dict(Counter(tag.family.value for tag in edits))
 
 
 def _cmd_coverage(args) -> int:

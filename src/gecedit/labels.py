@@ -80,6 +80,8 @@ def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     labels = MultiHeadLabels(correction=correction, **streams)
     if any(len(labels.stream(n)) != len(correction) for n in BINARY_STREAMS):
         raise ValueError("label streams have inconsistent lengths")
+    if any(y not in (0, 1) for n in BINARY_STREAMS for y in labels.stream(n)):
+        raise ValueError("binary label streams must hold only 0 and 1")
     return tokens, labels
 
 

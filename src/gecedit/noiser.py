@@ -594,9 +594,14 @@ def generate_corpus(
         out_fp.write(format_pair_line(corrupted, tokens) + "\n")
         realized.update(counts)
         sentences += 1
+    return corpus_stats(sentences, skipped, realized)
+
+
+def corpus_stats(sentences: int, skipped_blank: int, realized: Counter) -> dict:
+    """The stats of a noised corpus: line counts and realized operation counts."""
     return {
         "sentences": sentences,
-        "skipped_blank": skipped,
+        "skipped_blank": skipped_blank,
         "errors_total": sum(realized.values()),
         "operations": {name: realized.get(name, 0) for name in OPERATIONS},
     }

@@ -16,7 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,7 +112,11 @@ class EncodedSentence:
 
 
 class MultiHeadModel:
-    """Linear softmax heads over hashed features; 5- or 7-head variants."""
+    """Linear softmax heads over hashed features; 5- or 7-head variants.
+
+    ``weights`` stacks the heads' rows in ``head_names`` order: ``len(tagset)``
+    correction rows, then two per auxiliary head.  ``W[name]`` views its rows.
+    """
 
     def __init__(
         self,
@@ -129,42 +134,47 @@ class MultiHeadModel:
         self.lam = float(lam)
         self.heads = heads
         self.aux_heads = AUX_HEADS_7 if heads == 7 else AUX_HEADS_5
-        self.W: dict[str, np.ndarray] = {
-            "correction": np.zeros((len(tagset), self.encoder.dim))
-        }
-        for name in self.aux_heads:
-            self.W[name] = np.zeros((2, self.encoder.dim))
+        self.weights = np.zeros((len(tagset) + 2 * len(self.aux_heads), self.encoder.dim))
+        self.W: Mapping[str, np.ndarray] = MappingProxyType(self.split(self.weights))
 
     @property
     def head_names(self) -> tuple[str, ...]:
         return ("correction",) + self.aux_heads
 
-    def head_weight(self, name: str) -> float:
-        return 1.0 if name == "correction" else self.lam
+    def split(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of each head's row block of an array laid out like ``weights``."""
+        n = len(self.tagset)
+        bounds = [0, *range(n, n + 2 * len(self.aux_heads) + 1, 2)]
+        return {name: rows[a:b] for name, a, b in zip(self.head_names, bounds, bounds[1:])}
 
     def copy(self) -> "MultiHeadModel":
         other = MultiHeadModel(self.tagset, self.encoder, self.lam, self.heads)
-        for name, W in self.W.items():
-            other.W[name] = W.copy()
+        other.weights[...] = self.weights
         return other
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
 
 
-def _head_probs(model: MultiHeadModel, name: str, enc: EncodedSentence) -> np.ndarray:
-    W = model.W[name]
-    if enc.idx.size and int(enc.idx.max()) >= W.shape[1]:
-        raise ValueError(
-            f"feature index {int(enc.idx.max())} out of range for head {name} "
-            f"with dimension {W.shape[1]}"
-        )
-    gathered = W[:, enc.idx]
-    logits = np.add.reduceat(gathered, enc.starts, axis=1).T
-    return _softmax(logits)
+def _logits(W: np.ndarray, enc: EncodedSentence) -> np.ndarray:
+    """Logits of every row of ``W`` for every token: (rows, tokens)."""
+    top = int(enc.idx.max()) if enc.idx.size else -1
+    if top >= W.shape[1]:
+        raise ValueError(f"feature index {top} out of range for weights of dimension {W.shape[1]}")
+    return np.add.reduceat(W[:, enc.idx], enc.starts, axis=1)
+
+
+def _probs(model: MultiHeadModel, enc: EncodedSentence) -> np.ndarray:
+    """Per-head probabilities, laid out like ``_logits``.  The correction block
+    is normalised along its slow axis: NumPy sums a contiguous axis pairwise."""
+    z = _logits(model.weights, enc)
+    _softmax(z[: len(model.tagset)], axis=0)
+    _softmax(z[len(model.tagset) :].reshape(len(model.aux_heads), 2, enc.n_tokens), axis=1)
+    return z
 
 
 def forward(
@@ -172,24 +182,22 @@ def forward(
 ) -> dict[str, np.ndarray]:
     """Per-token probability rows for every head; rows sum to 1."""
     enc = features if isinstance(features, EncodedSentence) else model.encoder.encode(features)
-    return {name: _head_probs(model, name, enc) for name in model.head_names}
-
-
-def _labels_for_head(model: MultiHeadModel, name: str, labels: MultiHeadLabels) -> np.ndarray:
-    if name == "correction":
-        return np.asarray([model.tagset.id_of(t) for t in labels.correction], dtype=np.int64)
-    return np.asarray(labels.stream(name), dtype=np.int64)
+    return {name: p.T for name, p in model.split(_probs(model, enc)).items()}
 
 
 Batch = Sequence[tuple[Sequence[str], MultiHeadLabels]]
 
 
-def _encode_batch(model: MultiHeadModel, batch: Batch) -> list[tuple[EncodedSentence, MultiHeadLabels]]:
+def _encode_batch(model: MultiHeadModel, batch: Batch) -> list[tuple[EncodedSentence, np.ndarray]]:
+    """Encode each sentence, with the weight row of each head's gold label per token."""
     out = []
     for tokens, labels in batch:
         if len(labels) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
-        out.append((model.encoder.encode(tokens), labels))
+        gold = [[model.tagset.id_of(t) for t in labels.correction]]
+        for j, name in enumerate(model.aux_heads):
+            gold.append([len(model.tagset) + 2 * j + y for y in labels.stream(name)])
+        out.append((model.encoder.encode(tokens), np.asarray(gold, dtype=np.int64)))
     return out
 
 
@@ -199,18 +207,15 @@ def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[st
         encoded = _encode_batch(model, batch)
     if not encoded:
         raise ValueError("empty batch")
-    sums = {name: 0.0 for name in model.head_names}
+    sums = np.zeros(len(model.head_names))
     total = 0
-    for enc, labels in encoded:
+    for enc, gold in encoded:
         total += enc.n_tokens
-        for name in model.head_names:
-            probs = _head_probs(model, name, enc)
-            y = _labels_for_head(model, name, labels)
-            picked = np.clip(probs[np.arange(enc.n_tokens), y], _CLIP, None)
-            sums[name] += float(-np.log(picked).sum())
+        picked = _probs(model, enc)[gold, np.arange(enc.n_tokens)]
+        sums += (-np.log(np.clip(picked, _CLIP, None))).sum(axis=1)
     if total == 0:
         raise ValueError("batch contains no tokens")
-    return {name: s / total for name, s in sums.items()}
+    return {name: float(s) / total for name, s in zip(model.head_names, sums)}
 
 
 def total_loss(model: MultiHeadModel, batch: Batch, *, encoded=None) -> float:
@@ -221,22 +226,30 @@ def total_loss(model: MultiHeadModel, batch: Batch, *, encoded=None) -> float:
     )
 
 
+def _sentence_grad(model: MultiHeadModel, enc: EncodedSentence, gold: np.ndarray, n: int):
+    """Gradient of one sentence's loss, averaged over ``n`` tokens, on its distinct
+    feature columns: the columns and a (weight rows, columns) block."""
+    delta = _probs(model, enc)
+    delta[gold, np.arange(enc.n_tokens)] -= 1.0
+    aux_rows = 2 * len(model.aux_heads)
+    delta *= (np.repeat([1.0, model.lam], [len(model.tagset), aux_rows]) / n)[:, None]
+    cols, inv = np.unique(enc.idx, return_inverse=True)
+    grad = np.zeros((delta.shape[0], cols.size))
+    np.add.at(grad, (slice(None), inv), delta[:, enc.tok_of])
+    return cols, grad
+
+
 def grad_total_loss(model: MultiHeadModel, batch: Batch) -> dict[str, np.ndarray]:
     """Analytic gradient of total_loss with respect to every head matrix."""
     encoded = _encode_batch(model, batch)
     if not encoded:
         raise ValueError("empty batch")
     total = sum(enc.n_tokens for enc, _ in encoded)
-    grads = {name: np.zeros_like(W) for name, W in model.W.items()}
-    for enc, labels in encoded:
-        for name in model.head_names:
-            probs = _head_probs(model, name, enc)
-            y = _labels_for_head(model, name, labels)
-            delta = probs
-            delta[np.arange(enc.n_tokens), y] -= 1.0
-            delta *= model.head_weight(name) / total
-            np.add.at(grads[name], (slice(None), enc.idx), delta.T[:, enc.tok_of])
-    return grads
+    grad = np.zeros_like(model.weights)
+    for enc, gold in encoded:
+        cols, block = _sentence_grad(model, enc, gold, total)
+        grad[:, cols] += block
+    return model.split(grad)
 
 
 def train(
@@ -257,11 +270,9 @@ def train(
     if optimizer not in ("sgd", "adagrad"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
     encoded = _encode_batch(model, dataset)
-    label_ids = [
-        {name: _labels_for_head(model, name, labels) for name in model.head_names}
-        for _, labels in encoded
-    ]
-    accum = {name: np.zeros_like(W) for name, W in model.W.items()} if optimizer == "adagrad" else None
+    if any(enc.n_tokens == 0 for enc, _ in encoded):
+        raise ValueError("every training example needs at least one token")
+    accum = np.zeros_like(model.weights) if optimizer == "adagrad" else None
     rng = np.random.default_rng(seed)
     order = np.arange(len(encoded))
     history: list[float] = []
@@ -269,23 +280,14 @@ def train(
     for epoch in range(epochs):
         rng.shuffle(order)
         for si in order:
-            enc, _ = encoded[si]
+            enc, gold = encoded[si]
             step += 1
-            cols, inv = np.unique(enc.idx, return_inverse=True)
-            for name in model.head_names:
-                probs = _head_probs(model, name, enc)
-                y = label_ids[si][name]
-                delta = probs
-                delta[np.arange(enc.n_tokens), y] -= 1.0
-                delta *= model.head_weight(name) / enc.n_tokens
-                gsub = np.zeros((model.W[name].shape[0], cols.size))
-                np.add.at(gsub, (slice(None), inv), delta.T[:, enc.tok_of])
-                if accum is not None:
-                    acc = accum[name]
-                    acc[:, cols] += gsub * gsub
-                    model.W[name][:, cols] -= lr * gsub / (np.sqrt(acc[:, cols]) + 1e-8)
-                else:
-                    model.W[name][:, cols] -= lr * gsub
+            cols, grad = _sentence_grad(model, enc, gold, enc.n_tokens)
+            if accum is not None:
+                accum[:, cols] += grad * grad
+                model.weights[:, cols] -= lr * grad / (np.sqrt(accum[:, cols]) + 1e-8)
+            else:
+                model.weights[:, cols] -= lr * grad
         epoch_loss = total_loss(model, dataset, encoded=encoded)
         if math.isnan(epoch_loss):
             raise TrainingDivergedError(step, epoch)
@@ -312,10 +314,10 @@ def predict_tags(
     keep_tag = model.tagset.tag_of(keep_id)
     enc = model.encoder.encode(tokens)
     if min_error_prob > 0.0:
-        p_err = _head_probs(model, "detection", enc)[:, 1]
+        p_err = _softmax(_logits(model.W["detection"], enc), axis=0)[1]
         if float(p_err.max()) < min_error_prob:
             return [keep_tag] * len(tokens)
-    probs = _head_probs(model, "correction", enc)
+    probs = _softmax(_logits(model.W["correction"], enc), axis=0).T
     probs[:, keep_id] += keep_bias
     probs /= probs.sum(axis=1, keepdims=True)
     ids = probs.argmax(axis=1)
@@ -331,23 +333,20 @@ def gradient_check(model: MultiHeadModel, batch: Batch, h: float = 1e-5) -> floa
     if model.encoder.dim > 200:
         raise ValueError("gradient_check expects feature dimension <= 200")
     encoded = _encode_batch(model, batch)
-    analytic = grad_total_loss(model, batch)
+    analytic = np.concatenate(list(grad_total_loss(model, batch).values()))  # stacked like weights
+    W = model.weights
     worst = 0.0
-    for name in model.head_names:
-        W = model.W[name]
-        rows, cols = W.shape
-        for r in range(rows):
-            for c in range(cols):
-                orig = W[r, c]
-                W[r, c] = orig + h
-                lp = total_loss(model, batch, encoded=encoded)
-                W[r, c] = orig - h
-                lm = total_loss(model, batch, encoded=encoded)
-                W[r, c] = orig
-                numeric = (lp - lm) / (2.0 * h)
-                a = analytic[name][r, c]
-                scale = max(1e-8, abs(numeric) + abs(a))
-                worst = max(worst, abs(numeric - a) / scale)
+    for r, c in np.ndindex(W.shape):
+        orig = W[r, c]
+        W[r, c] = orig + h
+        lp = total_loss(model, batch, encoded=encoded)
+        W[r, c] = orig - h
+        lm = total_loss(model, batch, encoded=encoded)
+        W[r, c] = orig
+        numeric = (lp - lm) / (2.0 * h)
+        a = analytic[r, c]
+        scale = max(1e-8, abs(numeric) + abs(a))
+        worst = max(worst, abs(numeric - a) / scale)
     return worst
 
 
@@ -364,41 +363,43 @@ def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
         "heads": model.heads,
         "templates": list(model.encoder.templates),
         "tags": [t.render() for t in model.tagset],
-        "arrays": [[name, *model.W[name].shape] for name in model.head_names],
+        "arrays": [[name, *W.shape] for name, W in model.W.items()],
     }
     with open(path, "wb") as fp:
         fp.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fp.write(b"\n")
-        for name in model.head_names:
-            fp.write(np.ascontiguousarray(model.W[name], dtype="<f8").tobytes())
+        # C order stacks the heads' rows, so this is the per-head arrays in turn
+        fp.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
 
 
 def load_model(path: Union[str, Path]) -> MultiHeadModel:
     """Read a model dump written by ``save_model``.
 
-    Raises ``ValueError`` when the header's arrays are not the heads and
-    shapes of the model the header describes, or when weight data is missing
-    or follows the last array.
+    Raises ``ValueError`` when the header lacks a key, when its arrays are not
+    the heads and shapes of the model it describes, or when weight data is
+    missing or follows the last array.
     """
     with open(path, "rb") as fp:
         header = json.loads(fp.readline().decode("utf-8"))
         if header.get("format") != _MODEL_FORMAT or header.get("version") != 1:
             raise ValueError(f"{path}: not a model file this version understands")
+        for key in ("tags", "dim", "lambda", "heads", "templates", "arrays"):
+            if key not in header:
+                raise ValueError(f"{path}: model header lacks the key {key!r}")
         tagset = TagSet(header["tags"])
         encoder = FeatureEncoder(dim=header["dim"], templates=tuple(header["templates"]))
         model = MultiHeadModel(tagset, encoder, lam=header["lambda"], heads=header["heads"])
-        expected = [[name, *model.W[name].shape] for name in model.head_names]
+        expected = [[name, *W.shape] for name, W in model.W.items()]
         if header["arrays"] != expected:
             raise ValueError(
                 f"{path}: weight arrays {header['arrays']} do not match the heads and "
                 f"shapes of a {model.heads}-head model with {len(tagset)} tags and "
                 f"dim {encoder.dim}: expected {expected}"
             )
-        for name, rows, cols in expected:
-            raw = fp.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise ValueError(f"{path}: truncated weight data for head {name}")
-            model.W[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        raw = fp.read(model.weights.nbytes)
+        if len(raw) != model.weights.nbytes:
+            raise ValueError(f"{path}: truncated weight data")
+        model.weights[...] = np.frombuffer(raw, dtype="<f8").reshape(model.weights.shape)
         if fp.read(1):
             raise ValueError(f"{path}: trailing bytes after the last weight array")
     return model

@@ -281,7 +281,7 @@ def _random_model(tagset, dim, lam, seed):
     model = MultiHeadModel(tagset, FeatureEncoder(dim=dim), lam=lam)
     rng = np.random.default_rng(seed)
     for name in model.head_names:
-        model.W[name] = rng.normal(0.0, 0.5, size=model.W[name].shape)
+        model.W[name][...] = rng.normal(0.0, 0.5, size=model.W[name].shape)
     return model
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import sys
 import pytest
 
 from gecedit.cli import _pool_size, _start_method, main
+from gecedit.lexicon import load_lexicon
+from gecedit.noiser import Noiser, generate_corpus, load_profile
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
 from gecedit.tags import TagSet
 
@@ -252,6 +255,23 @@ def test_predict_rejects_model_with_trailing_bytes(workdir, capsys):
     assert "trailing bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tags", "dim", "lambda", "heads", "templates", "arrays"])
+def test_predict_rejects_model_header_missing_a_key(workdir, capsys, key):
+    model_path = workdir / "model.bin"
+    save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model_path)
+    head, _, body = model_path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    del header[key]
+    model_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    src = workdir / "in.txt"
+    src.write_text("He lives in the city .\n")
+    assert main([
+        "predict", "--model", str(model_path), "--in", str(src),
+        "--out", str(workdir / "out.txt"), "--workers", "1",
+    ]) == 2
+    assert f"model header lacks the key {key!r}" in capsys.readouterr().err
+
+
 def test_score_reports_metrics(workdir, capsys):
     (workdir / "src.txt").write_text("a b c\nd e f\n")
     (workdir / "hyp.txt").write_text("a x c\nd e f\n")
@@ -318,3 +338,23 @@ def test_stats_file(workdir):
     assert stats["sentences"] == 120
     assert set(stats["operations"]) >= {"type_preposition", "type_determiner"}
     assert stats["errors_total"] == sum(stats["operations"].values())
+
+
+def test_noise_stats_equal_generate_corpus(workdir):
+    clean = workdir / "with_blanks.txt"
+    lines = (workdir / "clean.txt").read_text().splitlines(keepends=True)
+    clean.write_text("".join(lines[:40]) + "\n  \n" + "".join(lines[40:80]) + "\n")
+    stats_path = workdir / "stats.json"
+    assert main([
+        "noise", "--in", str(clean), "--profile", str(workdir / "profile.txt"),
+        "--out", str(workdir / "x.tsv"), "--seed", "5", "--stats", str(stats_path),
+        "--workers", "1",
+    ]) == 0
+    profile = load_profile(workdir / "profile.txt")
+    profile.rng_seed = 5
+    pairs = io.StringIO()
+    with open(clean, encoding="utf-8") as fp:
+        expected = generate_corpus(fp, Noiser(profile, lexicon=load_lexicon()), pairs)
+    assert expected["skipped_blank"] == 3 and expected["sentences"] == 80
+    assert stats_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert (workdir / "x.tsv").read_text() == pairs.getvalue()

@@ -101,3 +101,12 @@ def test_read_write_stream():
     buf.seek(0)
     records = list(read_labeled(buf))
     assert records == [(tokens, labels)]
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_binary_label_outside_zero_one_rejected(value):
+    line = to_json_line(["a", "b"], derive_labels(["a", "b"], [T("$DELETE"), T("$KEEP")]))
+    obj = json.loads(line)
+    obj["detection"][1] = value
+    with pytest.raises(ValueError, match="0 and 1"):
+        from_json_line(json.dumps(obj))

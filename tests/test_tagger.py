@@ -9,6 +9,7 @@ from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, TagSet
 from gecedit.tagger import (
+    _CLIP,
     AUX_HEADS_5,
     AUX_HEADS_7,
     FeatureEncoder,
@@ -25,7 +26,7 @@ from gecedit.tagger import (
     train,
 )
 
-from corpus_util import make_corpus
+from corpus_util import make_compound_corpus, make_corpus
 
 T = EditTag.parse
 
@@ -63,7 +64,7 @@ def seeded_model(small_tagset, dim=48, lam=0.5, heads=7, seed=0):
     model = MultiHeadModel(small_tagset, FeatureEncoder(dim=dim), lam=lam, heads=heads)
     rng = np.random.default_rng(seed)
     for name in model.head_names:
-        model.W[name] = rng.normal(0.0, 0.5, size=model.W[name].shape)
+        model.W[name][...] = rng.normal(0.0, 0.5, size=model.W[name].shape)
     return model
 
 
@@ -90,7 +91,7 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self, small_tagset):
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=64))
-        model.W["correction"] = model.W["correction"][:, :8]
+        model.encoder = FeatureEncoder(dim=4096)  # wider than the weights
         with pytest.raises(ValueError, match="dimension"):
             forward(model, ["a", "b", "c"])
 
@@ -226,12 +227,168 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, [], epochs=1, lr=0.1, seed=0)
 
+    def test_example_without_tokens_rejected(self, small_tagset):
+        model = MultiHeadModel(small_tagset, FeatureEncoder(dim=32))
+        batch = tiny_batch(small_tagset) + [([], derive_labels([], []))]
+        with pytest.raises(ValueError, match="at least one token"):
+            train(model, batch, epochs=1, lr=0.1, seed=0)
+
     def test_nan_loss_reported_with_step(self, small_tagset):
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=32))
         model.W["correction"][0, :] = np.nan
         with pytest.raises(TrainingDivergedError) as exc:
             train(model, tiny_batch(small_tagset), epochs=1, lr=0.1, seed=0)
         assert exc.value.step >= 1
+
+
+def reference_probs(W, enc):
+    """One head's probabilities from its own matrix, as the per-head tagger computed them."""
+    logits = np.add.reduceat(W[:, enc.idx], enc.starts, axis=1).T
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_labels(model, name, labels):
+    if name == "correction":
+        return np.asarray([model.tagset.id_of(t) for t in labels.correction], dtype=np.int64)
+    return np.asarray(labels.stream(name), dtype=np.int64)
+
+
+def reference_head_losses(model, weights, batch):
+    """Per-head mean cross-entropy from a dict of per-head matrices, head by head."""
+    sums = {name: 0.0 for name in model.head_names}
+    total = 0
+    for tokens, labels in batch:
+        enc = model.encoder.encode(tokens)
+        total += enc.n_tokens
+        for name in model.head_names:
+            probs = reference_probs(weights[name], enc)
+            y = reference_labels(model, name, labels)
+            picked = np.clip(probs[np.arange(enc.n_tokens), y], _CLIP, None)
+            sums[name] += float(-np.log(picked).sum())
+    return {name: s / total for name, s in sums.items()}
+
+
+def reference_train(model, weights, dataset, epochs, lr, seed, optimizer):
+    """Train a dict of per-head matrices in place with one update per head and sentence."""
+    encoded = [model.encoder.encode(tokens) for tokens, _ in dataset]
+    label_ids = [
+        {name: reference_labels(model, name, labels) for name in model.head_names}
+        for _, labels in dataset
+    ]
+    accum = {name: np.zeros_like(W) for name, W in weights.items()} if optimizer == "adagrad" else None
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(encoded))
+    history = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for si in order:
+            enc = encoded[si]
+            cols, inv = np.unique(enc.idx, return_inverse=True)
+            for name in model.head_names:
+                delta = reference_probs(weights[name], enc)
+                delta[np.arange(enc.n_tokens), label_ids[si][name]] -= 1.0
+                delta *= (1.0 if name == "correction" else model.lam) / enc.n_tokens
+                gsub = np.zeros((weights[name].shape[0], cols.size))
+                np.add.at(gsub, (slice(None), inv), delta.T[:, enc.tok_of])
+                if accum is not None:
+                    acc = accum[name]
+                    acc[:, cols] += gsub * gsub
+                    weights[name][:, cols] -= lr * gsub / (np.sqrt(acc[:, cols]) + 1e-8)
+                else:
+                    weights[name][:, cols] -= lr * gsub
+        losses = reference_head_losses(model, weights, dataset)
+        history.append(
+            losses["correction"] + model.lam * sum(losses[name] for name in model.aux_heads)
+        )
+    return history
+
+
+def reference_dump(model, weights):
+    """Model file bytes with one array per head, written head by head."""
+    header = {
+        "format": "gecedit-model",
+        "version": 1,
+        "dim": model.encoder.dim,
+        "lambda": model.lam,
+        "heads": model.heads,
+        "templates": list(model.encoder.templates),
+        "tags": [t.render() for t in model.tagset],
+        "arrays": [[name, *weights[name].shape] for name in model.head_names],
+    }
+    out = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    for name in model.head_names:
+        out += np.ascontiguousarray(weights[name], dtype="<f8").tobytes()
+    return out
+
+
+def reference_predict_tags(model, weights, tokens, keep_bias, min_error_prob):
+    keep_id = model.tagset.keep_id
+    enc = model.encoder.encode(tokens)
+    if min_error_prob > 0.0:
+        if float(reference_probs(weights["detection"], enc)[:, 1].max()) < min_error_prob:
+            return [model.tagset.tag_of(keep_id)] * len(tokens)
+    probs = reference_probs(weights["correction"], enc)
+    probs[:, keep_id] += keep_bias
+    probs /= probs.sum(axis=1, keepdims=True)
+    ids = probs.argmax(axis=1)
+    ids[probs[np.arange(len(tokens)), ids] == probs[:, keep_id]] = keep_id
+    return [model.tagset.tag_of(int(i)) for i in ids]
+
+
+def mixed_dataset(lexicon, tagset, seed):
+    """Noised toy sentences, plus sentences of 1 to 14 tokens with random tags."""
+    data = toy_dataset(lexicon, tagset, 30, seed=seed)
+    rng = np.random.default_rng(seed)
+    tags = list(tagset)
+    for length, clean in zip(range(1, 15), make_compound_corpus(14, seed=seed)):
+        tokens = (clean * 2)[:length]
+        edits = [tags[int(i)] for i in rng.integers(0, len(tags), size=length)]
+        data.append((tokens, derive_labels(tokens, edits)))
+    return data
+
+
+class TestMatchesPerHeadReference:
+    """The one stacked weight matrix reproduces the per-head tagger bit for bit."""
+
+    @pytest.mark.parametrize("heads", [5, 7])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_train_and_losses_identical(self, lexicon, patterns, tmp_path, heads, optimizer, lam):
+        ts = training_tagset(lexicon, patterns)
+        for seed in (0, 1, 2):
+            data = mixed_dataset(lexicon, ts, seed)
+            model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=lam, heads=heads)
+            weights = {name: np.zeros_like(W) for name, W in model.W.items()}
+            history = train(model, data, epochs=3, lr=0.5, seed=seed, optimizer=optimizer)
+            expected = reference_train(model, weights, data, 3, 0.5, seed, optimizer)
+            assert history == expected
+            for name in model.head_names:
+                assert np.array_equal(model.W[name], weights[name]), name
+            assert head_losses(model, data) == reference_head_losses(model, weights, data)
+            save_model(model, tmp_path / "m.bin")
+            assert (tmp_path / "m.bin").read_bytes() == reference_dump(model, weights)
+
+    def test_predict_identical(self, lexicon, patterns):
+        ts = training_tagset(lexicon, patterns)
+        data = mixed_dataset(lexicon, ts, 5)
+        model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=0.5, heads=7)
+        train(model, data, epochs=3, lr=0.5, seed=5)
+        weights = {name: W.copy() for name, W in model.W.items()}
+        for tokens, _ in data:
+            for keep_bias, min_error_prob in ((0.0, 0.0), (0.2, 0.0), (0.1, 0.5), (0.0, 0.9)):
+                assert predict_tags(model, tokens, keep_bias, min_error_prob) == (
+                    reference_predict_tags(model, weights, tokens, keep_bias, min_error_prob)
+                )
+
+    def test_heads_are_views_of_one_matrix(self, small_tagset):
+        model = MultiHeadModel(small_tagset, FeatureEncoder(dim=16), heads=5)
+        assert model.weights.shape == (len(small_tagset) + 2 * 4, 16)
+        model.W["detection"][1, 3] = 2.5
+        assert model.weights[-1, 3] == 2.5
+        with pytest.raises(TypeError):
+            model.W["detection"] = np.zeros((2, 16))
 
 
 class TestPredict:
