@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -111,11 +113,19 @@ class EncodedSentence:
     n_tokens: int
 
 
+def _aux_heads(heads: int) -> tuple[str, ...]:
+    if heads not in (5, 7):
+        raise ValueError("heads must be 5 or 7")
+    return AUX_HEADS_7 if heads == 7 else AUX_HEADS_5
+
+
 class MultiHeadModel:
     """Linear softmax heads over hashed features; 5- or 7-head variants.
 
     ``weights`` stacks the heads' rows in ``head_names`` order: ``len(tagset)``
     correction rows, then two per auxiliary head.  ``W[name]`` views its rows.
+    It is stored feature-major (Fortran order), so each feature column that a
+    sentence gathers or updates is contiguous.
     """
 
     def __init__(
@@ -125,16 +135,16 @@ class MultiHeadModel:
         lam: float = 0.5,
         heads: int = 7,
     ):
-        if heads not in (5, 7):
-            raise ValueError("heads must be 5 or 7")
+        self.aux_heads = _aux_heads(heads)
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
         self.tagset = tagset
         self.encoder = encoder if encoder is not None else FeatureEncoder()
         self.lam = float(lam)
         self.heads = heads
-        self.aux_heads = AUX_HEADS_7 if heads == 7 else AUX_HEADS_5
-        self.weights = np.zeros((len(tagset) + 2 * len(self.aux_heads), self.encoder.dim))
+        self.weights = np.zeros(
+            (len(tagset) + 2 * len(self.aux_heads), self.encoder.dim), order="F"
+        )
         self.W: Mapping[str, np.ndarray] = MappingProxyType(self.split(self.weights))
 
     @property
@@ -188,8 +198,47 @@ def forward(
 Batch = Sequence[tuple[Sequence[str], MultiHeadLabels]]
 
 
-def _encode_batch(model: MultiHeadModel, batch: Batch) -> list[tuple[EncodedSentence, np.ndarray]]:
-    """Encode each sentence, with the weight row of each head's gold label per token."""
+@dataclass
+class ScatterPlan:
+    """How one sentence's per-token gradients add up onto its feature columns.
+
+    ``cols`` are the sentence's distinct feature columns, ascending.  Layer r
+    of ``layers`` holds the r-th occurrence, in ``idx`` order, of each column
+    as (position in ``cols``, token) arrays.  A layer names each column at most
+    once, so adding the layers in turn with a fancy-index ``+=`` gives every
+    element the additions that ``np.add.at`` makes, in the same order.
+    (``np.add.reduceat`` would not: it does not sum long segments in order.)
+    """
+
+    cols: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, enc: EncodedSentence) -> "ScatterPlan":
+        by_col = np.argsort(enc.idx, kind="stable")  # each column's entries in idx order
+        sorted_idx = enc.idx[by_col]
+        first = np.diff(sorted_idx, prepend=-1) != 0
+        pos = np.cumsum(first) - 1
+        rank = np.arange(pos.size) - np.flatnonzero(first)[pos]
+        by_rank = np.argsort(rank, kind="stable")
+        pos, tok, rank = pos[by_rank], enc.tok_of[by_col[by_rank]], rank[by_rank]
+        cuts = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), rank.size]
+        return cls(sorted_idx[first], tuple((pos[a:b], tok[a:b]) for a, b in zip(cuts, cuts[1:])))
+
+    def scatter(self, delta: np.ndarray) -> np.ndarray:
+        """Sum the token columns of ``delta`` onto ``cols``: (rows, len(cols))."""
+        out = np.zeros((delta.shape[0], self.cols.size), order="F")
+        for pos, tok in self.layers:
+            out[:, pos] += delta[:, tok]
+        return out
+
+
+Encoded = list[tuple[EncodedSentence, np.ndarray, ScatterPlan]]
+
+
+def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
+    """Encode each sentence, with the weight row of each head's gold label per
+    token and the plan that scatters its gradient."""
     out = []
     for tokens, labels in batch:
         if len(labels) != len(tokens):
@@ -197,7 +246,8 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> list[tuple[EncodedSent
         gold = [[model.tagset.id_of(t) for t in labels.correction]]
         for j, name in enumerate(model.aux_heads):
             gold.append([len(model.tagset) + 2 * j + y for y in labels.stream(name)])
-        out.append((model.encoder.encode(tokens), np.asarray(gold, dtype=np.int64)))
+        enc = model.encoder.encode(tokens)
+        out.append((enc, np.asarray(gold, dtype=np.int64), ScatterPlan.of(enc)))
     return out
 
 
@@ -209,7 +259,7 @@ def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[st
         raise ValueError("empty batch")
     sums = np.zeros(len(model.head_names))
     total = 0
-    for enc, gold in encoded:
+    for enc, gold, _ in encoded:
         total += enc.n_tokens
         picked = _probs(model, enc)[gold, np.arange(enc.n_tokens)]
         sums += (-np.log(np.clip(picked, _CLIP, None))).sum(axis=1)
@@ -226,17 +276,24 @@ def total_loss(model: MultiHeadModel, batch: Batch, *, encoded=None) -> float:
     )
 
 
-def _sentence_grad(model: MultiHeadModel, enc: EncodedSentence, gold: np.ndarray, n: int):
-    """Gradient of one sentence's loss, averaged over ``n`` tokens, on its distinct
-    feature columns: the columns and a (weight rows, columns) block."""
+def _row_weights(model: MultiHeadModel) -> np.ndarray:
+    """Each weight row's factor in the total loss: 1 or lambda."""
+    return np.repeat([1.0, model.lam], [len(model.tagset), 2 * len(model.aux_heads)])
+
+
+def _sentence_grad(
+    model: MultiHeadModel,
+    enc: EncodedSentence,
+    gold: np.ndarray,
+    plan: ScatterPlan,
+    scale: np.ndarray,
+) -> np.ndarray:
+    """Gradient of one sentence's loss, with row ``r`` scaled by ``scale[r]``, on
+    the plan's columns: a (weight rows, columns) block."""
     delta = _probs(model, enc)
     delta[gold, np.arange(enc.n_tokens)] -= 1.0
-    aux_rows = 2 * len(model.aux_heads)
-    delta *= (np.repeat([1.0, model.lam], [len(model.tagset), aux_rows]) / n)[:, None]
-    cols, inv = np.unique(enc.idx, return_inverse=True)
-    grad = np.zeros((delta.shape[0], cols.size))
-    np.add.at(grad, (slice(None), inv), delta[:, enc.tok_of])
-    return cols, grad
+    delta *= scale[:, None]
+    return plan.scatter(delta)
 
 
 def grad_total_loss(model: MultiHeadModel, batch: Batch) -> dict[str, np.ndarray]:
@@ -244,11 +301,11 @@ def grad_total_loss(model: MultiHeadModel, batch: Batch) -> dict[str, np.ndarray
     encoded = _encode_batch(model, batch)
     if not encoded:
         raise ValueError("empty batch")
-    total = sum(enc.n_tokens for enc, _ in encoded)
+    total = sum(enc.n_tokens for enc, _, _ in encoded)
+    scale = _row_weights(model) / total
     grad = np.zeros_like(model.weights)
-    for enc, gold in encoded:
-        cols, block = _sentence_grad(model, enc, gold, total)
-        grad[:, cols] += block
+    for enc, gold, plan in encoded:
+        grad[:, plan.cols] += _sentence_grad(model, enc, gold, plan, scale)
     return model.split(grad)
 
 
@@ -270,9 +327,10 @@ def train(
     if optimizer not in ("sgd", "adagrad"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
     encoded = _encode_batch(model, dataset)
-    if any(enc.n_tokens == 0 for enc, _ in encoded):
+    if any(enc.n_tokens == 0 for enc, _, _ in encoded):
         raise ValueError("every training example needs at least one token")
     accum = np.zeros_like(model.weights) if optimizer == "adagrad" else None
+    row_weights = _row_weights(model)
     rng = np.random.default_rng(seed)
     order = np.arange(len(encoded))
     history: list[float] = []
@@ -280,12 +338,15 @@ def train(
     for epoch in range(epochs):
         rng.shuffle(order)
         for si in order:
-            enc, gold = encoded[si]
+            enc, gold, plan = encoded[si]
             step += 1
-            cols, grad = _sentence_grad(model, enc, gold, enc.n_tokens)
+            grad = _sentence_grad(model, enc, gold, plan, row_weights / enc.n_tokens)
+            cols = plan.cols
             if accum is not None:
-                accum[:, cols] += grad * grad
-                model.weights[:, cols] -= lr * grad / (np.sqrt(accum[:, cols]) + 1e-8)
+                acc = accum[:, cols]
+                acc += grad * grad
+                accum[:, cols] = acc
+                model.weights[:, cols] -= lr * grad / (np.sqrt(acc) + 1e-8)
             else:
                 model.weights[:, cols] -= lr * grad
         epoch_loss = total_loss(model, dataset, encoded=encoded)
@@ -351,6 +412,16 @@ def gradient_check(model: MultiHeadModel, batch: Batch, h: float = 1e-5) -> floa
 
 
 _MODEL_FORMAT = "gecedit-model"
+_DUMP_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(rows: int, dim: int):
+    """Row ranges of about ``_DUMP_BLOCK_BYTES`` of weights each (at least one row):
+    dumps are written and read a block at a time, so the C-order copy of the
+    feature-major weights stays small."""
+    step = max(1, _DUMP_BLOCK_BYTES // (8 * dim))
+    for a in range(0, rows, step):
+        yield a, min(a + step, rows)
 
 
 def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
@@ -369,37 +440,71 @@ def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
         fp.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fp.write(b"\n")
         # C order stacks the heads' rows, so this is the per-head arrays in turn
-        fp.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
+        for a, b in _row_blocks(*model.weights.shape):
+            fp.write(np.ascontiguousarray(model.weights[a:b], dtype="<f8"))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def load_model(path: Union[str, Path]) -> MultiHeadModel:
     """Read a model dump written by ``save_model``.
 
-    Raises ``ValueError`` when the header lacks a key, when its arrays are not
-    the heads and shapes of the model it describes, or when weight data is
-    missing or follows the last array.
+    Raises ``ValueError`` when the header lacks a key or holds a value of the
+    wrong type, when its arrays are not the heads and shapes of the model it
+    describes, or when weight data is missing or follows the last array.  When
+    the path is a regular file, missing data is found from its size before the
+    weights are allocated; a pipe is read until it ends.
     """
     with open(path, "rb") as fp:
-        header = json.loads(fp.readline().decode("utf-8"))
-        if header.get("format") != _MODEL_FORMAT or header.get("version") != 1:
+        info = os.fstat(fp.fileno())
+        line = fp.readline()
+        header = json.loads(line.decode("utf-8"))
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != _MODEL_FORMAT
+            or header.get("version") != 1
+        ):
             raise ValueError(f"{path}: not a model file this version understands")
         for key in ("tags", "dim", "lambda", "heads", "templates", "arrays"):
             if key not in header:
                 raise ValueError(f"{path}: model header lacks the key {key!r}")
+        lam = header["lambda"]
+        for key, ok, kind in (
+            ("tags", _is_strings(header["tags"]), "a list of strings"),
+            ("dim", _is_int(header["dim"]), "an integer"),
+            ("lambda", _is_int(lam) or isinstance(lam, float), "a number"),
+            ("heads", _is_int(header["heads"]), "an integer"),
+            ("templates", _is_strings(header["templates"]), "a list of strings"),
+        ):
+            if not ok:
+                raise ValueError(f"{path}: model header {key!r} must be {kind}: {header[key]!r}")
         tagset = TagSet(header["tags"])
         encoder = FeatureEncoder(dim=header["dim"], templates=tuple(header["templates"]))
-        model = MultiHeadModel(tagset, encoder, lam=header["lambda"], heads=header["heads"])
-        expected = [[name, *W.shape] for name, W in model.W.items()]
+        aux_heads = _aux_heads(header["heads"])
+        expected = [["correction", len(tagset), encoder.dim]]
+        expected += [[name, 2, encoder.dim] for name in aux_heads]
         if header["arrays"] != expected:
             raise ValueError(
                 f"{path}: weight arrays {header['arrays']} do not match the heads and "
-                f"shapes of a {model.heads}-head model with {len(tagset)} tags and "
+                f"shapes of a {header['heads']}-head model with {len(tagset)} tags and "
                 f"dim {encoder.dim}: expected {expected}"
             )
-        raw = fp.read(model.weights.nbytes)
-        if len(raw) != model.weights.nbytes:
-            raise ValueError(f"{path}: truncated weight data")
-        model.weights[...] = np.frombuffer(raw, dtype="<f8").reshape(model.weights.shape)
+        rows = len(tagset) + 2 * len(aux_heads)
+        truncated = f"{path}: truncated weight data"
+        if stat.S_ISREG(info.st_mode) and info.st_size - len(line) < rows * encoder.dim * 8:
+            raise ValueError(truncated)
+        model = MultiHeadModel(tagset, encoder, lam=lam, heads=header["heads"])
+        for a, b in _row_blocks(rows, encoder.dim):
+            raw = fp.read((b - a) * encoder.dim * 8)
+            if len(raw) != (b - a) * encoder.dim * 8:
+                raise ValueError(truncated)
+            model.weights[a:b] = np.frombuffer(raw, dtype="<f8").reshape(b - a, encoder.dim)
         if fp.read(1):
             raise ValueError(f"{path}: trailing bytes after the last weight array")
     return model

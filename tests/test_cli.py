@@ -272,6 +272,54 @@ def test_predict_rejects_model_header_missing_a_key(workdir, capsys, key):
     assert f"model header lacks the key {key!r}" in capsys.readouterr().err
 
 
+def _set_header(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+
+    return edit
+
+
+def _huge_dim(header):
+    header["dim"] = 10_000_000
+    for array in header["arrays"]:
+        array[2] = 10_000_000
+    return header
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_header("dim", "16"), "'dim' must be an integer"),
+        (_set_header("dim", True), "'dim' must be an integer"),
+        (_set_header("heads", 7.0), "'heads' must be an integer"),
+        (_set_header("lambda", "x"), "'lambda' must be a number"),
+        (_set_header("lambda", False), "'lambda' must be a number"),
+        (_set_header("tags", 5), "'tags' must be a list of strings"),
+        (_set_header("tags", ["$KEEP", 5]), "'tags' must be a list of strings"),
+        (_set_header("templates", 5), "'templates' must be a list of strings"),
+        (_set_header("dim", 10_000_000), "weight arrays"),
+        (_huge_dim, "truncated weight data"),  # checked before the weights are allocated
+        (lambda header: [header], "not a model file"),
+    ],
+    ids=["dim-str", "dim-bool", "heads-float", "lambda-str", "lambda-bool", "tags-int",
+         "tags-item-int", "templates-int", "dim-huge", "dim-huge-arrays", "header-list"],
+)
+def test_predict_rejects_malformed_model_header(workdir, capsys, edit, message):
+    model_path = workdir / "model.bin"
+    save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model_path)
+    head, _, body = model_path.read_bytes().partition(b"\n")
+    header = edit(json.loads(head))
+    model_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    src = workdir / "in.txt"
+    src.write_text("He lives in the city .\n")
+    assert main([
+        "predict", "--model", str(model_path), "--in", str(src),
+        "--out", str(workdir / "out.txt"), "--workers", "1",
+    ]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_score_reports_metrics(workdir, capsys):
     (workdir / "src.txt").write_text("a b c\nd e f\n")
     (workdir / "hyp.txt").write_text("a x c\nd e f\n")

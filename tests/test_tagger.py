@@ -1,8 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecedit.labels import derive_labels
 from gecedit.noiser import NoiseProfile, Noiser
@@ -12,8 +15,10 @@ from gecedit.tagger import (
     _CLIP,
     AUX_HEADS_5,
     AUX_HEADS_7,
+    EncodedSentence,
     FeatureEncoder,
     MultiHeadModel,
+    ScatterPlan,
     TrainingDivergedError,
     forward,
     gradient_check,
@@ -101,6 +106,40 @@ class TestForward:
         b = enc.encode(["He", "lives", "here"])
         assert all(np.array_equal(x.idx, y.idx) for x, y in ((a, b),))
         assert np.array_equal(a.starts, b.starts)
+
+
+@st.composite
+def _scatter_cases(draw):
+    """A sentence whose tokens name a few columns many times, and gradient rows."""
+    dim = draw(st.integers(1, 6))
+    features = draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=12), max_size=10))
+    sizes = np.asarray([len(f) for f in features], dtype=np.int64)
+    enc = EncodedSentence(
+        idx=np.asarray([c for f in features for c in f], dtype=np.int64),
+        starts=np.cumsum(sizes) - sizes,
+        tok_of=np.repeat(np.arange(len(features), dtype=np.int64), sizes),
+        n_tokens=len(features),
+    )
+    magnitude = st.floats(1e-300, 1e300)
+    value = st.one_of(magnitude, magnitude.map(lambda x: -x), st.sampled_from([0.0, -0.0]))
+    rows = draw(st.integers(1, 4))
+    delta = draw(st.lists(value, min_size=rows * enc.n_tokens, max_size=rows * enc.n_tokens))
+    return enc, np.asarray(delta, dtype=float).reshape(rows, enc.n_tokens)
+
+
+class TestScatterPlan:
+    @settings(max_examples=500, deadline=None)
+    @given(case=_scatter_cases())
+    def test_layers_add_like_add_at(self, case):
+        enc, delta = case
+        cols, inv = np.unique(enc.idx, return_inverse=True)
+        want = np.zeros((delta.shape[0], cols.size))
+        np.add.at(want, (slice(None), inv), delta[:, enc.tok_of])
+        plan = ScatterPlan.of(enc)
+        got = plan.scatter(delta)
+        assert np.array_equal(plan.cols, cols)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestLoss:
@@ -520,3 +559,28 @@ class TestLoadModelValidation:
         saved.write_bytes(saved.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_model(saved)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(0, None), (-8, "truncated"), (None, "trailing bytes")],
+        ids=["whole", "truncated", "trailing"],
+    )
+    def test_read_from_a_pipe(self, small_tagset, tmp_path, cut, message):
+        # a pipe has no size to check up front, so its end is found by reading
+        model = seeded_model(small_tagset, dim=16)
+        saved = tmp_path / "m.bin"
+        save_model(model, saved)
+        data = saved.read_bytes()
+        data = data + b"\0" if cut is None else data[: len(data) + cut]
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            if message is None:
+                loaded = load_model(f"/dev/fd/{r}")
+                assert np.array_equal(loaded.weights, model.weights)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    load_model(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
