@@ -2,14 +2,20 @@
 
 Every subcommand streams line-by-line and is deterministic given its flags
 and seeds.  Line-parallel commands take ``--workers`` (order-preserving; the
-output is byte-identical for any worker count).  Exit codes: 0 success, 1
-usage error, 2 data error, 3 internal error.
+output is byte-identical for any worker count).  Each command loads and
+checks its shared inputs (tagset, lexicon, profile, model) before any worker
+starts, so a bad file fails the command once instead of inside every worker.
+
+Exit codes: 0 success; 1 usage error (a bad flag or flag value); 2 data
+error, with ``file:line`` in the message where the fault has a line; 3
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -23,20 +29,22 @@ from gecedit.core import (
     parse_pair_line,
     tokenize,
 )
-from gecedit.edit2seq import TagApplicationError, edit2seq, refine
-from gecedit.labels import derive_labels, to_json_line
-from gecedit.lexicon import (
-    LexiconError,
-    PatternDataError,
-    default_profile_path,
-    default_tagset_path,
-    load_lexicon,
-)
+from gecedit.edit2seq import edit2seq, refine
+from gecedit.labels import derive_labels, from_json_line, to_json_line
+from gecedit.lexicon import default_profile_path, default_tagset_path, load_lexicon
 from gecedit.metrics import F05Accumulator, extract_spans, gleu
-from gecedit.noiser import Noiser, ProfileError, corpus_stats, load_profile
+from gecedit.noiser import Noiser, corpus_stats, load_profile
 from gecedit.seq2edit import seq2edit
-from gecedit.tags import EditTag, TagError, TagFamily, load_tagset
-from gecedit.tagger import MultiHeadModel, load_model, predict_tags, save_model, train
+from gecedit.tags import EditTag, TagFamily, load_tagset
+from gecedit.tagger import (
+    FeatureEncoder,
+    MultiHeadModel,
+    TrainingDivergedError,
+    load_model,
+    predict_tags,
+    save_model,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,8 +64,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Per-process state for worker pools, filled by the _init_* functions.
+# The running command's shared inputs, read by the line functions; set only by
+# _set_state, in this process and in each pool worker.
 _G: dict = {}
+
+
+def _set_state(state: dict) -> None:
+    """Make ``state`` the shared inputs of the line functions; the pool initializer."""
+    _G.clear()
+    _G.update(state)
 
 
 def _pool_size(workers: int, cpus: int | None) -> int:
@@ -70,15 +85,17 @@ def _start_method(available: list[str]) -> str | None:
     return "fork" if "fork" in available else None
 
 
-def _map_ordered(func, items, workers, initializer=None, initargs=()):
+def _map_ordered(func, items, workers, state):
+    """``func`` over ``items`` in order, with ``state`` loaded and checked by the
+    caller.  Forked workers inherit it; other start methods pickle it once per
+    worker."""
+    _set_state(state)
     workers = _pool_size(workers, os.cpu_count())
     if workers > 1:
         ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
-        with ctx.Pool(workers, initializer=initializer, initargs=initargs) as pool:
+        with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
             yield from pool.imap(func, items, chunksize=_CHUNK)
     else:
-        if initializer is not None:
-            initializer(*initargs)
         yield from map(func, items)
 
 
@@ -90,10 +107,12 @@ def _numbered_lines(path):
 
 # -- tag ---------------------------------------------------------------------
 
-def _init_tag(path, tagset_path, verbs, plurals):
-    _G["path"] = path
-    _G["tagset"] = load_tagset(tagset_path)
-    _G["lexicon"] = load_lexicon(verbs, plurals)
+def _tag_state(args) -> dict:
+    return {
+        "path": str(args.src_tgt),
+        "tagset": load_tagset(args.tagset),
+        "lexicon": load_lexicon(args.lexicon, args.plurals),
+    }
 
 
 def _classified_pair(item):
@@ -104,7 +123,7 @@ def _classified_pair(item):
         if not src:
             raise CorpusFormatError("empty source sentence")
         return src, seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
-    except (CorpusFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{_G['path']}:{lineno}: {exc}") from None
 
 
@@ -114,37 +133,26 @@ def _tag_line(item):
 
 
 def _cmd_tag(args) -> int:
+    state = _tag_state(args)
     items = _numbered_lines(args.src_tgt)
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(
-            _tag_line,
-            items,
-            args.workers,
-            _init_tag,
-            (str(args.src_tgt), str(args.tagset), args.lexicon, args.plurals),
-        ):
+        for line in _map_ordered(_tag_line, items, args.workers, state):
             out.write(line + "\n")
     return EXIT_OK
 
 
 # -- apply -------------------------------------------------------------------
 
-def _init_apply(src_path, edits_path, verbs, plurals):
-    _G["src_path"] = src_path
-    _G["edits_path"] = edits_path
-    _G["lexicon"] = load_lexicon(verbs, plurals)
-
-
 def _apply_line(item):
     lineno, src_line, edits_line = item
     tokens = tokenize(src_line)
     try:
         edits = [EditTag.parse(t) for t in edits_line.split()]
-    except TagError as exc:
+    except ValueError as exc:
         raise DataError(f"{_G['edits_path']}:{lineno}: {exc}") from None
     try:
         return detokenize(edit2seq(tokens, edits, _G["lexicon"]))
-    except (TagApplicationError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{_G['src_path']}:{lineno}: {exc}") from None
 
 
@@ -164,27 +172,19 @@ def _paired_lines(src_path, edits_path):
 
 
 def _cmd_apply(args) -> int:
-    items = _paired_lines(str(args.src), str(args.edits))
+    state = {
+        "src_path": str(args.src),
+        "edits_path": str(args.edits),
+        "lexicon": load_lexicon(args.lexicon, args.plurals),
+    }
+    items = _paired_lines(state["src_path"], state["edits_path"])
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(
-            _apply_line,
-            items,
-            args.workers,
-            _init_apply,
-            (str(args.src), str(args.edits), args.lexicon, args.plurals),
-        ):
+        for line in _map_ordered(_apply_line, items, args.workers, state):
             out.write(line + "\n")
     return EXIT_OK
 
 
 # -- noise -------------------------------------------------------------------
-
-def _init_noise(profile_path, seed, verbs, plurals):
-    profile = load_profile(profile_path)
-    if seed is not None:
-        profile.rng_seed = seed
-    _G["noiser"] = Noiser(profile, lexicon=load_lexicon(verbs, plurals))
-
 
 def _noise_line(item):
     idx, tokens = item
@@ -193,6 +193,10 @@ def _noise_line(item):
 
 
 def _cmd_noise(args) -> int:
+    profile = load_profile(args.profile)
+    if args.seed is not None:
+        profile.rng_seed = args.seed
+    state = {"noiser": Noiser(profile, lexicon=load_lexicon(args.lexicon, args.plurals))}
     blank = [0]
 
     def items():
@@ -207,13 +211,7 @@ def _cmd_noise(args) -> int:
     realized: Counter = Counter()
     sentences = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for pair_line, counts in _map_ordered(
-            _noise_line,
-            items(),
-            args.workers,
-            _init_noise,
-            (str(args.profile), args.seed, args.lexicon, args.plurals),
-        ):
+        for pair_line, counts in _map_ordered(_noise_line, items(), args.workers, state):
             out.write(pair_line + "\n")
             realized.update(counts)
             sentences += 1
@@ -227,11 +225,16 @@ def _cmd_noise(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     tagset = load_tagset(args.tagset)
-    from gecedit.labels import read_labeled
-    from gecedit.tagger import FeatureEncoder
-
-    with open(args.data, encoding="utf-8") as fp:
-        dataset = list(read_labeled(fp))
+    dataset = []
+    for lineno, line in _numbered_lines(args.data):
+        if line.strip():
+            try:
+                tokens, labels = from_json_line(line)
+                for tag in labels.correction:
+                    tagset.id_of(tag)
+            except ValueError as exc:
+                raise DataError(f"{args.data}:{lineno}: {exc}") from None
+            dataset.append((tokens, labels))
     if not dataset:
         raise DataError(f"{args.data}: no training examples")
     model = MultiHeadModel(
@@ -260,14 +263,6 @@ def _cmd_train_toy(args) -> int:
 
 # -- predict -----------------------------------------------------------------
 
-def _init_predict(model_path, verbs, plurals, iters, keep_bias, min_error_prob):
-    _G["model"] = load_model(model_path)
-    _G["lexicon"] = load_lexicon(verbs, plurals)
-    _G["iters"] = iters
-    _G["keep_bias"] = keep_bias
-    _G["min_error_prob"] = min_error_prob
-
-
 def _predict_line(item):
     _lineno, line = item
     tokens = tokenize(line)
@@ -283,22 +278,16 @@ def _predict_line(item):
 
 
 def _cmd_predict(args) -> int:
+    state = {
+        "model": load_model(args.model),
+        "lexicon": load_lexicon(args.lexicon, args.plurals),
+        "iters": args.iters,
+        "keep_bias": args.keep_bias,
+        "min_error_prob": args.min_error_prob,
+    }
     items = _numbered_lines(args.inp)
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(
-            _predict_line,
-            items,
-            args.workers,
-            _init_predict,
-            (
-                str(args.model),
-                args.lexicon,
-                args.plurals,
-                args.iters,
-                args.keep_bias,
-                args.min_error_prob,
-            ),
-        ):
+        for line in _map_ordered(_predict_line, items, args.workers, state):
             out.write(line + "\n")
     return EXIT_OK
 
@@ -313,10 +302,6 @@ def _score_line(item):
     hyp_edits = extract_spans(src, tokenize(hyp_line))
     ref_edits = extract_spans(src, tokenize(ref_line))
     return hyp_edits, ref_edits
-
-
-def _init_score(src_path):
-    _G["src_path"] = src_path
 
 
 def _read_lines(path):
@@ -340,9 +325,8 @@ def _cmd_score(args) -> int:
             (i + 1, s, h, r)
             for i, (s, h, r) in enumerate(zip(src_lines, hyp_lines, ref_files[0]))
         )
-        for hyp_edits, ref_edits in _map_ordered(
-            _score_line, items, args.workers, _init_score, (str(args.src),)
-        ):
+        state = {"src_path": str(args.src)}
+        for hyp_edits, ref_edits in _map_ordered(_score_line, items, args.workers, state):
             acc.add(hyp_edits, ref_edits)
         report.update(acc.result())
     if args.metric in ("gleu", "both"):
@@ -362,16 +346,11 @@ def _coverage_line(item):
 
 
 def _cmd_coverage(args) -> int:
+    state = _tag_state(args)
     items = _numbered_lines(args.src_tgt)
     families: Counter = Counter()
     pairs = 0
-    for counts in _map_ordered(
-        _coverage_line,
-        items,
-        args.workers,
-        _init_tag,
-        (str(args.src_tgt), str(args.tagset), args.lexicon, args.plurals),
-    ):
+    for counts in _map_ordered(_coverage_line, items, args.workers, state):
         families.update(counts)
         pairs += 1
     tokens = sum(families.values())
@@ -398,6 +377,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
@@ -447,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled JSON-lines file from `tag`")
     p.add_argument("--tagset", default=str(default_tagset_path()))
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--lambda", type=float, default=0.5, help="auxiliary loss weight")
+    p.add_argument("--lambda", type=_finite_float, default=0.5, help="auxiliary loss weight")
     p.add_argument("--heads", type=int, choices=(5, 7), default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--lr", type=_finite_float, default=0.5)
     p.add_argument("--dim", type=int, default=4096, help="hashed feature dimension")
     p.add_argument("--optimizer", choices=("sgd", "adagrad"), default="adagrad")
     p.set_defaults(func=_cmd_train_toy)
@@ -460,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, default=4, help="max refinement passes")
-    p.add_argument("--keep-bias", type=float, default=0.0)
-    p.add_argument("--min-error-prob", type=float, default=0.0)
+    p.add_argument("--iters", type=_positive_int, default=4, help="max refinement passes")
+    p.add_argument("--keep-bias", type=_finite_float, default=0.0)
+    p.add_argument("--min-error-prob", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -498,17 +487,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        DataError,
-        CorpusFormatError,
-        TagError,
-        TagApplicationError,
-        LexiconError,
-        PatternDataError,
-        ProfileError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:  # every data error is a ValueError
         print(f"gecedit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -38,8 +38,9 @@ def check_sentence(tokens: Sequence[str]) -> None:
 def parse_pair_line(line: str) -> tuple[list[str], list[str]]:
     """Parse one ``source<TAB>target`` parallel-corpus line."""
     line = line.rstrip("\n")
-    if "\t" not in line:
-        raise CorpusFormatError("expected source<TAB>target")
+    tabs = line.count("\t")
+    if tabs != 1:
+        raise CorpusFormatError(f"expected source<TAB>target, found {tabs} tabs")
     src, _, tgt = line.partition("\t")
     return tokenize(src), tokenize(tgt)
 

@@ -73,11 +73,21 @@ def to_json_line(tokens: Sequence[str], labels: MultiHeadLabels) -> str:
 
 
 def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
+    """Parse one record; raises ``ValueError`` for any malformed record."""
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("tokens", "correction", *BINARY_STREAMS):
+        if not isinstance(obj.get(key), list):
+            raise ValueError(f"key {key!r} must hold a list")
+    if not all(isinstance(t, str) for t in obj["tokens"] + obj["correction"]):
+        raise ValueError("tokens and correction tags must be strings")
     tokens = list(obj["tokens"])
     correction = tuple(EditTag.parse(t) for t in obj["correction"])
     streams = {name: tuple(obj[name]) for name in BINARY_STREAMS}
     labels = MultiHeadLabels(correction=correction, **streams)
+    if len(tokens) != len(correction):
+        raise ValueError(f"{len(tokens)} tokens but {len(correction)} correction tags")
     if any(len(labels.stream(n)) != len(correction) for n in BINARY_STREAMS):
         raise ValueError("label streams have inconsistent lengths")
     if any(y not in (0, 1) for n in BINARY_STREAMS for y in labels.stream(n)):

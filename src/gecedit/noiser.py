@@ -63,6 +63,15 @@ class ProfileError(ValueError):
     """Malformed noise-profile file or inconsistent configuration."""
 
 
+def _checked(what: str, value: float, upper: float = math.inf) -> float:
+    """``value`` if it is finite and in ``[0, upper]``; a NaN would hang the
+    Poisson sampler, which stops only when a running product falls below
+    ``exp(-expected_errors)``."""
+    if not (math.isfinite(value) and 0.0 <= value <= upper):
+        raise ProfileError(f"{what} must be a finite number in [0, {upper:g}], got {value}")
+    return value
+
+
 @dataclass
 class NoiseProfile:
     """Per-operation weights plus the sentence-level error-count parameter."""
@@ -76,10 +85,8 @@ class NoiseProfile:
         for name, value in self.weights.items():
             if name not in OPERATIONS:
                 raise ProfileError(f"unknown operation {name!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ProfileError(f"weight for {name} must be in [0,1], got {value}")
-        if self.expected_errors < 0:
-            raise ProfileError("expected_errors must be non-negative")
+            _checked(f"weight for {name}", value, 1.0)
+        _checked("expected_errors", self.expected_errors)
 
     def active_operations(self) -> list[tuple[str, float]]:
         return [(name, w) for name, w in self.weights.items() if w > 0.0]
@@ -102,13 +109,13 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
         key, value = key.strip(), value.strip()
         try:
             if key == "expected_errors":
-                expected = float(value)
+                expected = _checked(key, float(value))
             elif key == "rng_seed":
                 seed = int(value)
             elif key == "edit_dict":
                 edit_dict = (path.parent / value).resolve()
             elif key in OPERATIONS:
-                weights[key] = float(value)
+                weights[key] = _checked(f"weight for {key}", float(value), 1.0)
             else:
                 raise ProfileError(f"unknown key {key!r}")
         except ValueError as exc:

@@ -147,6 +147,16 @@ class MultiHeadModel:
         )
         self.W: Mapping[str, np.ndarray] = MappingProxyType(self.split(self.weights))
 
+    # A mapping proxy does not pickle, so ``W`` is rebuilt from ``weights``.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["W"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.W = MappingProxyType(self.split(self.weights))
+
     @property
     def head_names(self) -> tuple[str, ...]:
         return ("correction",) + self.aux_heads
@@ -464,13 +474,16 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
     with open(path, "rb") as fp:
         info = os.fstat(fp.fileno())
         line = fp.readline()
-        header = json.loads(line.decode("utf-8"))
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            header = None
         if (
             not isinstance(header, dict)
             or header.get("format") != _MODEL_FORMAT
             or header.get("version") != 1
         ):
-            raise ValueError(f"{path}: not a model file this version understands")
+            raise ValueError(f"{path}:1: not a model file this version understands")
         for key in ("tags", "dim", "lambda", "heads", "templates", "arrays"):
             if key not in header:
                 raise ValueError(f"{path}: model header lacks the key {key!r}")

@@ -262,4 +262,7 @@ def load_tagset(path: Union[str, Path]) -> TagSet:
             tags.append(EditTag.parse(line))
         except TagError as exc:
             raise TagError(f"{path}:{lineno}: {exc}") from None
-    return TagSet(tags)
+    try:
+        return TagSet(tags)
+    except TagError as exc:  # a duplicate names its lines, a missing tag has none
+        raise TagError(f"{path}: {exc}") from None

@@ -1,10 +1,14 @@
 import io
 import json
+import pickle
 import subprocess
 import sys
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
+from gecedit import cli
 from gecedit.cli import _pool_size, _start_method, main
 from gecedit.lexicon import load_lexicon
 from gecedit.noiser import Noiser, generate_corpus, load_profile
@@ -406,3 +410,203 @@ def test_noise_stats_equal_generate_corpus(workdir):
     assert expected["skipped_blank"] == 3 and expected["sentences"] == 80
     assert stats_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
     assert (workdir / "x.tsv").read_text() == pairs.getvalue()
+
+
+# -- the exit-code contract ---------------------------------------------------
+# Each case writes its inputs into the work directory and returns the argv;
+# every command runs in this process, the line-parallel ones with one worker.
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+_LABEL = json.dumps({
+    "tokens": ["a"], "correction": ["$DELETE"], "deletion": [1], "insertion": [0],
+    "substitution": [0], "merge": [0], "transformation": [0], "detection": [1],
+})
+
+
+def _tag(pairs="a b\ta c\n", tagset=None, **flags):
+    def argv(d):
+        out = ["tag", "--src-tgt", _write(d / "pairs.tsv", pairs), "--out", str(d / "o.jsonl")]
+        out += ["--tagset", _write(d / "x.tagset", tagset or "".join(t + "\n" for t in SMALL_TAGS))]
+        for flag, text in flags.items():
+            out += [f"--{flag}", _write(d / f"{flag}.tsv", text)]
+        return out
+    return argv
+
+
+def _noise(profile):
+    return lambda d: ["noise", "--in", _write(d / "in.txt", "a b\n"),
+                      "--profile", _write(d / "p.profile", profile), "--out", str(d / "o.tsv")]
+
+
+def _train(labels, *flags):
+    return lambda d: ["train-toy", "--data", _write(d / "labels.jsonl", labels),
+                      "--tagset", _write(d / "x.tagset", "".join(t + "\n" for t in SMALL_TAGS)),
+                      "--out", str(d / "m.bin"), "--dim", "16", *flags]
+
+
+def _predict(model="not a model\n", *flags):
+    return lambda d: ["predict", "--model", _write(d / "model.bin", model),
+                      "--in", _write(d / "in.txt", "a b\n"), "--out", str(d / "o.txt"), *flags]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (_tag("a b\ta b\na b\tc\td\n"), 2, "pairs.tsv:2: expected source<TAB>target, found 2 tabs"),
+        (_tag("a b\n"), 2, "pairs.tsv:1: expected source<TAB>target"),
+        (_tag(tagset="$KEEP\n$DELETE\n$UNKNOWN\n$BOGUS\n"), 2, "x.tagset:4: "),
+        (_tag(tagset="$KEEP\n$DELETE\n"), 2, "x.tagset: tagset must contain $UNKNOWN"),
+        (_tag(lexicon="go\twent\n"), 2, "lexicon.tsv:1: expected 5 columns"),
+        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "\tb\n")], 2,
+         "pairs.tsv:1: empty source sentence"),
+        (lambda d: ["apply", "--src", _write(d / "s.txt", "a b\n"),
+                    "--edits", _write(d / "e.txt", "$KEEP $NOPE\n"), "--out", str(d / "o.txt")],
+         2, "e.txt:1: "),
+        (_noise("expected_errors = x\n"), 2, "p.profile:1: could not convert"),
+        (_noise("rng_seed = 2\nexpected_errors = inf\n"), 2, "p.profile:2: expected_errors"),
+        (_noise("type_preposition = -1\n"), 2, "p.profile:1: weight for type_preposition"),
+        (_train("[1, 2]\n"), 2, "labels.jsonl:1: expected a JSON object"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"deletion"', '"del"') + "\n"), 2,
+         "labels.jsonl:2: key 'deletion' must hold a list"),
+        (_train(_LABEL.replace("$DELETE", "$APPEND_zzz") + "\n"), 2,
+         "labels.jsonl:1: tag $APPEND_zzz not in tagset"),
+        pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
+                     "loss became NaN at update step 1",
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        (_train(_LABEL + "\n", "--epochs", "0"), 1, "argument --epochs: must be at least 1"),
+        (_train(_LABEL + "\n", "--lr", "nan"), 1, "argument --lr: must be a finite number"),
+        (_train(_LABEL + "\n", "--lambda", "inf"), 1, "argument --lambda: must be a finite"),
+        (_predict(), 2, "model.bin:1: not a model file"),
+        (_predict("\xff\n"), 2, "model.bin:1: not a model file"),
+        (_predict("x", "--iters", "0"), 1, "argument --iters: must be at least 1"),
+        (_predict("x", "--keep-bias", "nan"), 1, "argument --keep-bias: must be a finite"),
+        (_predict("x", "--min-error-prob", "inf"), 1, "argument --min-error-prob: must be a"),
+        (lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
+                    "--hyp", _write(d / "hyp.txt", "a\nb\n"),
+                    "--ref", _write(d / "ref.txt", "a\nb\n")], 2, "src.txt:2: empty source"),
+    ],
+    ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
+         "coverage-empty-source", "apply-bad-tag", "noise-expected-x", "noise-expected-inf",
+         "noise-negative-weight", "train-not-object", "train-missing-stream",
+         "train-tag-not-in-tagset", "train-diverges", "train-epochs-0", "train-lr-nan",
+         "train-lambda-inf", "predict-not-model", "predict-not-utf8", "predict-iters-0",
+         "predict-keep-bias-nan", "predict-min-error-prob-inf", "score-empty-source"],
+)
+def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):
+    argv = argv(tmp_path)
+    if argv[0] != "train-toy":
+        argv += ["--workers", "1"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 2:
+        assert err.startswith("gecedit: error: ") and "Traceback" not in err
+
+
+# -- shared inputs are loaded before any worker starts -------------------------
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_tag(tagset="$KEEP\n$DELETE\n"), "x.tagset: tagset must contain $UNKNOWN"),
+        (_tag(tagset="$KEEP\n$KEEP\n"), "x.tagset: duplicate tag $KEEP"),
+        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "a\tb\n"),
+                    "--plurals", _write(d / "plurals.tsv", "child\n")],
+         "plurals.tsv:1: expected singular<TAB>plural"),
+        (lambda d: ["apply", "--src", _write(d / "s.txt", "a\n"),
+                    "--edits", _write(d / "e.txt", "$KEEP\n"), "--out", str(d / "o.txt"),
+                    "--lexicon", _write(d / "verbs.tsv", "Go\twent\tgoing\tgone\tgoes\n")],
+         "verbs.tsv:1: lemma must be non-empty lowercase"),
+        (_noise("expected_errors = x\n"), "p.profile:1: could not convert"),
+        (_noise("expected_errors = nan\n"), "p.profile:1: expected_errors"),
+        (_predict(), "model.bin:1: not a model file"),
+        (lambda d: ["score", "--src", _write(d / "src.txt", "a\n"),
+                    "--hyp", _write(d / "hyp.txt", "a\nb\n"),
+                    "--ref", _write(d / "ref.txt", "a\n")], "hyp stream has 2 lines"),
+    ],
+    ids=["tag-tagset", "tag-duplicate-tag", "coverage-plurals", "apply-lexicon",
+         "noise-profile", "noise-profile-nan", "predict-model", "score-line-count"],
+)
+def test_shared_input_error_exits_before_the_worker_pool(tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+    entered = []
+
+    def refuse(*args):
+        entered.append(args)
+        raise AssertionError("_map_ordered entered")
+
+    monkeypatch.setattr(cli, "_map_ordered", refuse)
+    assert main([*argv(tmp_path), "--workers", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert not entered
+
+
+# -- the state each command hands its workers ----------------------------------
+
+@pytest.fixture()
+def trained_model(workdir):
+    pairs, labels, model = workdir / "pairs.tsv", workdir / "labels.jsonl", workdir / "m.bin"
+    tagset = str(workdir / "small.tagset")
+    assert main(["noise", "--in", str(workdir / "clean.txt"), "--out", str(pairs),
+                 "--profile", str(workdir / "profile.txt"), "--workers", "1"]) == 0
+    assert main(["tag", "--src-tgt", str(pairs), "--tagset", tagset, "--out", str(labels),
+                 "--workers", "1"]) == 0
+    assert main(["train-toy", "--data", str(labels), "--tagset", tagset, "--out", str(model),
+                 "--epochs", "2", "--dim", "256"]) == 0
+    return model
+
+
+def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatch, capsys):
+    """Under a start method other than fork each worker gets the state pickled:
+    every line function must give the same results from the unpickled copy."""
+    calls = []
+
+    def record(func, items, workers, state):
+        calls.append((func, list(items), state))
+        return iter(())
+
+    monkeypatch.setattr(cli, "_map_ordered", record)
+    pairs, src = str(workdir / "pairs.tsv"), workdir / "src.txt"
+    src.write_text("".join(line.split("\t")[0] + "\n" for line in open(pairs)))
+    edits = workdir / "edits.txt"
+    edits.write_text("".join(" ".join(["$KEEP"] * len(line.split())) + "\n" for line in open(src)))
+    tail = ["--workers", "2"]
+    for argv in (
+        ["tag", "--src-tgt", pairs, "--tagset", str(workdir / "small.tagset"),
+         "--out", str(workdir / "o.jsonl")],
+        ["coverage", "--src-tgt", pairs, "--tagset", str(workdir / "small.tagset")],
+        ["apply", "--src", str(src), "--edits", str(edits), "--out", str(workdir / "o.txt")],
+        ["noise", "--in", str(workdir / "clean.txt"), "--profile", str(workdir / "profile.txt"),
+         "--out", str(workdir / "o.tsv"), "--seed", "4"],
+        ["predict", "--model", str(trained_model), "--in", str(src),
+         "--out", str(workdir / "o.txt"), "--keep-bias", "0.2"],
+        ["score", "--src", str(src), "--hyp", str(src), "--ref", pairs, "--metric", "f05"],
+    ):
+        assert main([*argv, *tail]) == 0, argv
+    capsys.readouterr()
+    assert [func.__name__ for func, _, _ in calls] == [
+        "_tag_line", "_coverage_line", "_apply_line", "_noise_line", "_predict_line",
+        "_score_line",
+    ]
+
+    for func, items, state in calls:
+        assert items, func.__name__
+        cli._set_state(state)
+        expected = [func(item) for item in items]
+        cli._set_state(pickle.loads(pickle.dumps(state)))
+        assert [func(item) for item in items] == expected, func.__name__
+
+    model = calls[4][2]["model"]
+    assert np.abs(model.weights).sum() > 0  # trained, not the zero initialisation
+    restored = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(restored.weights, model.weights)
+    assert restored.weights.flags.f_contiguous
+    assert isinstance(restored.W, MappingProxyType)
+    assert list(restored.W) == list(model.W)
+    for name, rows in restored.W.items():
+        assert np.shares_memory(rows, restored.weights), name
+        assert np.array_equal(rows, model.W[name]), name

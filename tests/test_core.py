@@ -34,6 +34,11 @@ def test_pair_line_requires_tab():
         parse_pair_line("no tab here")
 
 
+def test_pair_line_rejects_a_second_tab():
+    with pytest.raises(CorpusFormatError, match="found 2 tabs"):
+        parse_pair_line("a b\tc\td")
+
+
 def test_check_sentence():
     check_sentence(["ok", "fine"])
     with pytest.raises(CorpusFormatError):

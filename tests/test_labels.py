@@ -110,3 +110,36 @@ def test_binary_label_outside_zero_one_rejected(value):
     obj["detection"][1] = value
     with pytest.raises(ValueError, match="0 and 1"):
         from_json_line(json.dumps(obj))
+
+
+def _without(key):
+    obj = json.loads(to_json_line(["a"], derive_labels(["a"], [T("$DELETE")])))
+    del obj[key]
+    return json.dumps(obj)
+
+
+def _with(key, value):
+    obj = json.loads(to_json_line(["a"], derive_labels(["a"], [T("$DELETE")])))
+    obj[key] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "expected a JSON object"),
+        ("7", "expected a JSON object"),
+        (_without("deletion"), "'deletion' must hold a list"),
+        (_without("tokens"), "'tokens' must hold a list"),
+        (_with("merge", 0), "'merge' must hold a list"),
+        (_with("tokens", ["a", 1]), "must be strings"),
+        (_with("correction", [None]), "must be strings"),
+        (_with("tokens", ["a", "b"]), "2 tokens but 1 correction tags"),
+        ("{", "Expecting"),
+    ],
+    ids=["list", "number", "no-stream", "no-tokens", "stream-int", "token-int",
+         "tag-null", "token-count", "not-json"],
+)
+def test_malformed_record_is_a_value_error(line, message):
+    with pytest.raises(ValueError, match=message):
+        from_json_line(line)

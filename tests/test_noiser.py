@@ -39,6 +39,32 @@ class TestProfile:
         with pytest.raises(ProfileError):
             NoiseProfile({"type_preposition": 1.5})
 
+    # A NaN mean would make the Poisson sampler loop forever, so it must be
+    # refused when the profile is read, before any sentence is corrupted.
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "expected_errors = nan",
+            "expected_errors = inf",
+            "expected_errors = -1",
+            "type_preposition = nan",
+            "type_preposition = -inf",
+            "type_preposition = -0.5",
+        ],
+    )
+    def test_non_finite_or_negative_value_names_its_line(self, tmp_path, line):
+        p = tmp_path / "p.profile"
+        p.write_text(f"rng_seed = 1\n{line}\n")
+        with pytest.raises(ProfileError, match=rf"^{p}:2: .* must be a finite number"):
+            load_profile(p)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_values_rejected_by_the_profile_itself(self, value):
+        with pytest.raises(ProfileError, match="expected_errors"):
+            NoiseProfile(expected_errors=value)
+        with pytest.raises(ProfileError, match="type_preposition"):
+            NoiseProfile({"type_preposition": value})
+
     def test_token_dict_requires_dictionary(self, lexicon):
         with pytest.raises(ProfileError, match="dictionary"):
             Noiser(NoiseProfile({"token_dict": 1.0}), lexicon=lexicon)
