@@ -2,7 +2,9 @@
 
 The hot kernel lives in the compiled extension ``_align_fast`` when it was
 built, with ``_align_py`` as the drop-in pure-Python fallback; the active
-backend is chosen once at import and reported in ``BACKEND``.
+backend is chosen once at import and reported in ``BACKEND``.  Every caller
+goes through ``align_ops``, which trims the common token suffix before the
+kernel runs.
 """
 
 from __future__ import annotations
@@ -10,17 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from gecedit._align_py import OP_DEL, OP_INS
+from gecedit._align_py import OP_DEL, OP_INS, OP_KEEP
 from gecedit._align_py import align_ops as _align_ops_py
 
 try:  # pragma: no cover - depends on how the package was built
     from gecedit._align_fast import align_ops as _align_ops_fast
 
-    align_ops = _align_ops_fast
     BACKEND = "cython"
 except ImportError:  # pragma: no cover
     _align_ops_fast = None
-    align_ops = _align_ops_py
     BACKEND = "python"
 
 
@@ -30,6 +30,41 @@ def available_backends() -> dict[str, Callable]:
     if _align_ops_fast is not None:
         backends["cython"] = _align_ops_fast
     return backends
+
+
+def _suffix_trimmed(kernel: Callable) -> Callable:
+    """``kernel`` with the longest common token suffix aligned by KEEP ops
+    outside the DP.
+
+    The result equals ``kernel``'s on the whole pair.  Where ``src[i-1] ==
+    tgt[j-1]`` the kernel records KEEP unless a delete or an insert is strictly
+    cheaper, and neither can be: by induction over the DP, in floating point
+    as in exact arithmetic, ``D[i-1][j-1] <= D[i-1][j] + 1`` and
+    ``D[i-1][j-1] <= D[i][j-1] + 1``.  So the backtrace from the last cell walks
+    the common suffix diagonally into the cell where both prefixes end, and the
+    DP up to that cell is the kernel's DP on the prefixes.  A common prefix cannot be trimmed the same
+    way, because the kernel breaks ties toward the end of the pair:
+    ``["a", "a"] -> ["a"]`` deletes the first ``"a"``, not the second.
+    """
+
+    def align_ops(src: Sequence[str], tgt: Sequence[str]) -> list[tuple[int, int, int]]:
+        """Minimal-cost monotone edit script between two token sequences:
+        (op, src_index, tgt_index) triples, -1 for the side an op does not touch."""
+        n, m = len(src), len(tgt)
+        k = 0
+        while k < n and k < m and src[n - 1 - k] == tgt[m - 1 - k]:
+            k += 1
+        if not k:
+            return kernel(src, tgt)
+        ops = kernel(src[: n - k], tgt[: m - k])
+        ops.extend((OP_KEEP, i, j) for i, j in zip(range(n - k, n), range(m - k, m)))
+        return ops
+
+    return align_ops
+
+
+# What every caller uses: the active kernel, trimmed.
+align_ops = _suffix_trimmed(_align_ops_fast or _align_ops_py)
 
 
 @dataclass(frozen=True)

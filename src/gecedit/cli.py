@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 from gecedit.core import (
@@ -27,6 +28,7 @@ from gecedit.core import (
     detokenize,
     format_pair_line,
     parse_pair_line,
+    text_lines,
     tokenize,
 )
 from gecedit.edit2seq import edit2seq, refine
@@ -75,9 +77,10 @@ def _set_state(state: dict) -> None:
     _G.update(state)
 
 
-def _pool_size(workers: int, cpus: int | None) -> int:
-    """Worker processes to start: the requested count, capped at the cores."""
-    return max(1, min(workers, cpus or 1))
+def _pool_size(workers: int, cpus: int | None, chunks: int) -> int:
+    """Worker processes to start: the requested count, capped at the cores and
+    at the number of ``_CHUNK``-line chunks in the input."""
+    return max(1, min(workers, cpus or 1, chunks))
 
 
 def _start_method(available: list[str]) -> str | None:
@@ -85,12 +88,31 @@ def _start_method(available: list[str]) -> str | None:
     return "fork" if "fork" in available else None
 
 
+def _raise_after(items, exc):
+    """``items``, then ``exc`` raised."""
+    yield from items
+    raise exc
+
+
 def _map_ordered(func, items, workers, state):
     """``func`` over ``items`` in order, with ``state`` loaded and checked by the
     caller.  Forked workers inherit it; other start methods pickle it once per
     worker."""
     _set_state(state)
-    workers = _pool_size(workers, os.cpu_count())
+    cpus = os.cpu_count()
+    workers = _pool_size(workers, cpus, workers)  # the cores' cap alone, for now
+    if workers > 1:
+        # Read ahead just far enough to tell how many workers the input keeps busy.
+        items, head = iter(items), []
+        try:
+            for item in islice(items, workers * _CHUNK):
+                head.append(item)
+        except ValueError as exc:  # a fault of the input itself
+            # Raised again after the items before it, as a run without read-ahead does.
+            workers, items = 1, _raise_after(head, exc)
+        else:
+            workers = _pool_size(workers, cpus, math.ceil(len(head) / _CHUNK))
+            items = chain(head, items)
     if workers > 1:
         ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
         with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
@@ -100,9 +122,8 @@ def _map_ordered(func, items, workers, state):
 
 
 def _numbered_lines(path):
-    with open(path, encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            yield lineno, line.rstrip("\n")
+    for lineno, line in enumerate(text_lines(path), start=1):
+        yield lineno, line.rstrip("\n")
 
 
 # -- tag ---------------------------------------------------------------------
@@ -157,18 +178,12 @@ def _apply_line(item):
 
 
 def _paired_lines(src_path, edits_path):
-    with open(src_path, encoding="utf-8") as fs, open(edits_path, encoding="utf-8") as fe:
-        lineno = 0
-        while True:
-            s = fs.readline()
-            e = fe.readline()
-            if not s and not e:
-                return
-            lineno += 1
-            if not s or not e:
-                short = src_path if not s else edits_path
-                raise DataError(f"{short}:{lineno}: file ended early")
-            yield lineno, s.rstrip("\n"), e.rstrip("\n")
+    pairs = zip_longest(text_lines(src_path), text_lines(edits_path))
+    for lineno, (s, e) in enumerate(pairs, start=1):
+        if s is None or e is None:
+            short = src_path if s is None else edits_path
+            raise DataError(f"{short}:{lineno}: file ended early")
+        yield lineno, s.rstrip("\n"), e.rstrip("\n")
 
 
 def _cmd_apply(args) -> int:
@@ -200,13 +215,12 @@ def _cmd_noise(args) -> int:
     blank = [0]
 
     def items():
-        with open(args.inp, encoding="utf-8") as fp:
-            for idx, line in enumerate(fp):
-                tokens = tokenize(line)
-                if tokens:
-                    yield idx, tokens
-                else:
-                    blank[0] += 1
+        for idx, line in enumerate(text_lines(args.inp)):
+            tokens = tokenize(line)
+            if tokens:
+                yield idx, tokens
+            else:
+                blank[0] += 1
 
     realized: Counter = Counter()
     sentences = 0
@@ -305,8 +319,7 @@ def _score_line(item):
 
 
 def _read_lines(path):
-    with open(path, encoding="utf-8") as fp:
-        return [line.rstrip("\n") for line in fp]
+    return [line.rstrip("\n") for line in text_lines(path)]
 
 
 def _cmd_score(args) -> int:

@@ -25,6 +25,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
+from gecedit.core import read_text
+
 VERB_FORM_NAMES = ("VB", "VBD", "VBG", "VBN", "VBZ")
 
 
@@ -76,8 +78,7 @@ class Lexicon:
 
 
 def _read_lines(path: Path, keep_empty: bool = False) -> list[str]:
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not keep_empty:
@@ -158,7 +159,7 @@ def load_patterns(directory: Union[str, Path, None] = None) -> PatternInventorie
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise PatternDataError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = json.loads(read_text(manifest_path))
     expected = manifest.get("files", {})
     for name in PATTERN_FILES:
         path = directory / name

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from gecedit.alignment import AlignedPair, align
-from gecedit.core import format_pair_line, tokenize
+from gecedit.core import format_pair_line, parse_pair_line, read_text, text_lines, tokenize
 from gecedit.lexicon import Lexicon, PatternInventories, load_lexicon, load_patterns
 from gecedit.transforms import pluralize, singularize
 
@@ -99,7 +99,7 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
     expected = 1.0
     seed = 0
     edit_dict: Optional[Path] = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -158,16 +158,13 @@ def build_edit_dictionary(pairs: Iterable[AlignedPair]) -> EditDictionary:
 
 
 def build_edit_dictionary_from_file(path: Union[str, Path]) -> EditDictionary:
-    from gecedit.core import parse_pair_line
-
     def pairs():
-        with open(path, encoding="utf-8") as fp:
-            for line in fp:
-                if not line.strip():
-                    continue
-                src, tgt = parse_pair_line(line)
-                if src:
-                    yield align(src, tgt)
+        for line in text_lines(path):
+            if not line.strip():
+                continue
+            src, tgt = parse_pair_line(line)
+            if src:
+                yield align(src, tgt)
 
     return build_edit_dictionary(pairs())
 

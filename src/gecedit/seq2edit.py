@@ -8,6 +8,7 @@ apply side a strict inverse by construction.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 from gecedit.alignment import AlignedPair, align
@@ -26,20 +27,81 @@ from gecedit.tags import (
 )
 from gecedit.transforms import apply_suffix, apply_transform
 
-# Candidate (name, tag, rendered) triples, fixed once so per-token
-# classification does no tag construction or validation.
-def _candidates(names, family):
-    return tuple((n, EditTag(family, n), EditTag(family, n).render()) for n in names)
+_VERB_NAMES = tuple(n for n in TRANSFORM_NAMES if n.startswith("VERB_"))
 
 
-_CASE = _candidates(("CASE_CAPITAL", "CASE_LOWER", "CASE_UPPER"), TagFamily.TRANSFORM)
-_SPLIT = _candidates(("SPLIT_HYPHEN",), TagFamily.TRANSFORM)
-_AGREEMENT_AND_VERB = _candidates(
-    ("AGREEMENT_PLURAL", "AGREEMENT_SINGULAR")
-    + tuple(n for n in TRANSFORM_NAMES if n.startswith("VERB_")),
-    TagFamily.TRANSFORM,
-)
-_SUFFIX = _candidates(SUFFIX_NAMES, TagFamily.SUFFIXTRANSFORM)
+def _suffix_ends(name: str) -> tuple[str, str]:
+    """``(old, new)``: ``apply_suffix(name, stem + old)`` is ``stem + new`` or None."""
+    if name.startswith("REMOVE_"):
+        return name[len("REMOVE_"):], ""
+    if name.startswith("APPEND_"):
+        return "", name[len("APPEND_"):]
+    old, _, new = name.partition("_TO_")
+    return old.lower(), new.lower()
+
+
+class _Rules:
+    """The transform and suffix rules of one tagset, indexed for ``classify_edit``.
+
+    Only the rules the tagset contains are kept, in priority order.  Verb rules
+    carry their source form, so a token is tried only against the rules its
+    lexicon readings can satisfy.  Suffix rules are indexed by the
+    ``(old ending, new ending)`` pair they rewrite, so a (token, target) pair
+    looks up the few ways to split both after a shared stem instead of trying
+    every rule.  A rule found either way is still accepted only when applying
+    it reproduces the target.  The rules depend on the tagset alone; the
+    lexicon is read at classification time.
+    """
+
+    def __init__(self, tagset: TagSet):
+        def present(family, names):
+            tags = ((name, EditTag(family, name)) for name in names)
+            return tuple((name, tag) for name, tag in tags if tag in tagset)
+
+        transform = TagFamily.TRANSFORM
+        self.case = present(transform, ("CASE_CAPITAL", "CASE_LOWER", "CASE_UPPER"))
+        self.split = present(transform, ("SPLIT_HYPHEN",))
+        self.agreement = present(transform, ("AGREEMENT_PLURAL", "AGREEMENT_SINGULAR"))
+        self.verb = tuple(
+            (name.split("_")[1], name, tag) for name, tag in present(transform, _VERB_NAMES)
+        )
+        self.suffix: dict[tuple[str, str], list[tuple[int, str, EditTag]]] = {}
+        suffix_rules = present(TagFamily.SUFFIXTRANSFORM, SUFFIX_NAMES)
+        for priority, (name, tag) in enumerate(suffix_rules):
+            self.suffix.setdefault(_suffix_ends(name), []).append((priority, name, tag))
+        self.longest_old = max((len(old) for old, _new in self.suffix), default=0)
+        self.longest_new = max((len(new) for _old, new in self.suffix), default=0)
+
+    def suffix_candidates(self, token: str, target: str) -> list[tuple[int, str, EditTag]]:
+        """Suffix rules that may rewrite ``token`` to ``target``, in priority order.
+
+        A rule ``(old, new)`` can only fit when ``token = stem + old`` and
+        ``target = stem + new``, so the stem is a common prefix of both, and
+        ``old`` and ``new`` are no longer than the longest in the tagset.
+        """
+        found = []
+        p = max(0, len(token) - self.longest_old, len(target) - self.longest_new)
+        end = min(len(token), len(target))
+        if p <= end and token[:p] == target[:p]:
+            suffix = self.suffix
+            while True:
+                found.extend(suffix.get((token[p:], target[p:]), ()))
+                if p == end or token[p] != target[p]:
+                    break
+                p += 1
+            found.sort()
+        return found
+
+
+# The rules of each tagset, built on its first classification.
+_RULES: "weakref.WeakKeyDictionary[TagSet, _Rules]" = weakref.WeakKeyDictionary()
+
+
+def _rules_of(tagset: TagSet) -> _Rules:
+    rules = _RULES.get(tagset)
+    if rules is None:
+        rules = _RULES[tagset] = _Rules(tagset)
+    return rules
 
 
 def classify_edit(
@@ -60,26 +122,32 @@ def classify_edit(
     if not span:
         return DELETE_TAG
 
+    rules = _rules_of(tagset)
     if len(span) == 1:
         target = span[0]
-        for name, tag, rendered in _CASE:
-            if rendered in tagset and apply_transform(name, src_token, lexicon) == [target]:
+        for name, tag in rules.case:
+            if apply_transform(name, src_token, lexicon) == span:
                 return tag
-    if len(span) == 2:
-        name, tag, rendered = _SPLIT[0]
-        if rendered in tagset and apply_transform(name, src_token, lexicon) == span:
-            return tag
-    if len(span) == 1:
-        target = span[0]
-        for name, tag, rendered in _AGREEMENT_AND_VERB:
-            if rendered in tagset and apply_transform(name, src_token, lexicon) == [target]:
+        for name, tag in rules.agreement:
+            if apply_transform(name, src_token, lexicon) == span:
                 return tag
-        for name, tag, rendered in _SUFFIX:
-            if rendered in tagset and apply_suffix(name, src_token) == target:
+        readings = lexicon.forms_of(src_token)
+        if readings and rules.verb:
+            forms = {form for _lemma, form in readings}
+            for form, name, tag in rules.verb:
+                if form in forms and apply_transform(name, src_token, lexicon) == span:
+                    return tag
+        for _priority, name, tag in rules.suffix_candidates(src_token, target):
+            if apply_suffix(name, src_token) == target:
                 return tag
         if target in tagset.replace_inventory:
             return EditTag(TagFamily.REPLACE, target)
-    if len(span) >= 2 and span[0] == src_token and span[1] in tagset.append_inventory:
+        return UNKNOWN_TAG
+    if len(span) == 2:
+        for name, tag in rules.split:
+            if apply_transform(name, src_token, lexicon) == span:
+                return tag
+    if span[0] == src_token and span[1] in tagset.append_inventory:
         # Only the first inserted token is encoded; iterative refinement
         # recovers the rest.
         return EditTag(TagFamily.APPEND, span[1])
@@ -114,11 +182,13 @@ def edits_from_alignment(pair: AlignedPair, lexicon: Lexicon, tagset: TagSet) ->
     have_space = MERGE_SPACE_TAG in tagset
     have_hyphen = MERGE_HYPHEN_TAG in tagset
     if have_space or have_hyphen:
+        spans, target = pair.spans, pair.target
         i = 0
         while i < n - 1:
-            combined = pair.span_tokens(i) + pair.span_tokens(i + 1)
-            if combined:
-                head = combined[0]
+            # the spans of tokens i and i + 1 are adjacent: together target[start:end]
+            start, end = spans[i][0], spans[i + 1][1]
+            if start < end:
+                head = target[start]
                 merged = None
                 if have_space and head == source[i] + source[i + 1]:
                     merged = MERGE_SPACE_TAG
@@ -126,7 +196,7 @@ def edits_from_alignment(pair: AlignedPair, lexicon: Lexicon, tagset: TagSet) ->
                     merged = MERGE_HYPHEN_TAG
                 if merged is not None:
                     tags[i] = merged
-                    rest = combined[1:]
+                    rest = list(target[start + 1 : end])
                     tags[i + 1] = (
                         KEEP_TAG if not rest else classify_edit(source[i + 1], rest, lexicon, tagset)
                     )

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
+from gecedit.core import read_text
+
 
 class TagError(ValueError):
     """Malformed tag string or invalid tagset file."""
@@ -202,29 +204,63 @@ MERGE_SPACE_TAG = EditTag(TagFamily.MERGE, "SPACE")
 MERGE_HYPHEN_TAG = EditTag(TagFamily.MERGE, "HYPHEN")
 
 
-class TagSet:
-    """The enumerated edit space: dense id <-> tag mapping in file order."""
+# Families whose payload is any token: nearly every line of a large tagset.
+# TagSet builds these tags without EditTag.parse and its per-tag validation.
+_TOKEN_FAMILIES = {"$APPEND": TagFamily.APPEND, "$REPLACE": TagFamily.REPLACE}
 
-    def __init__(self, tags: Iterable[Union[EditTag, str]]):
-        resolved = tuple(t if isinstance(t, EditTag) else EditTag.parse(t) for t in tags)
+
+class TagSet:
+    """The enumerated edit space: dense id <-> tag mapping in file order.
+
+    ``origin``, a file name, starts each error message: ``origin:line:`` for a
+    malformed tag, ``origin:`` for a fault of the set as a whole.
+    """
+
+    def __init__(self, tags: Iterable[Union[EditTag, str]], origin: str | None = None):
+        resolved: list[EditTag] = []
         index: dict[str, int] = {}
-        for i, tag in enumerate(resolved):
-            key = tag.render()
-            if key in index:
-                raise TagError(f"duplicate tag {key} (lines {index[key] + 1} and {i + 1})")
-            index[key] = i
+        appends: list[str] = []
+        replaces: list[str] = []
+        duplicate = None
+        new_tag, set_field = object.__new__, object.__setattr__
+        for i, item in enumerate(tags):
+            if isinstance(item, EditTag):
+                tag, key = item, item.render()
+            else:
+                # A valid tag string is its own rendering, so it is the key.
+                key = item
+                head, _, payload = item.partition("_")
+                family = _TOKEN_FAMILIES.get(head)
+                if family is not None and payload.split() == [payload]:
+                    # non-empty and no whitespace: what EditTag checks for these families
+                    tag = new_tag(EditTag)
+                    set_field(tag, "family", family)
+                    set_field(tag, "payload", payload)
+                else:
+                    try:
+                        tag = EditTag.parse(item)
+                    except TagError as exc:
+                        raise TagError(f"{origin}:{i + 1}: {exc}" if origin else str(exc)) from None
+            resolved.append(tag)
+            family = tag.family
+            if family is TagFamily.APPEND:
+                appends.append(tag.payload)
+            elif family is TagFamily.REPLACE:
+                replaces.append(tag.payload)
+            if index.setdefault(key, i) != i and duplicate is None:
+                duplicate = f"duplicate tag {key} (lines {index[key] + 1} and {i + 1})"
+        # Set-wide faults come after every tag parsed: a malformed line is reported first.
+        fault = duplicate
         for required in ("$KEEP", "$DELETE", "$UNKNOWN"):
-            if required not in index:
-                raise TagError(f"tagset must contain {required}")
-        self.tags = resolved
+            if fault is None and required not in index:
+                fault = f"tagset must contain {required}"
+        if fault is not None:
+            raise TagError(f"{origin}: {fault}" if origin else fault)
+        self.tags = tuple(resolved)
         self._index = index
         self.keep_id = index["$KEEP"]
-        self.append_inventory = frozenset(
-            t.payload for t in resolved if t.family is TagFamily.APPEND
-        )
-        self.replace_inventory = frozenset(
-            t.payload for t in resolved if t.family is TagFamily.REPLACE
-        )
+        self.append_inventory = frozenset(appends)
+        self.replace_inventory = frozenset(replaces)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -252,17 +288,7 @@ class TagSet:
 
 def load_tagset(path: Union[str, Path]) -> TagSet:
     """Read a tagset file; rejects duplicates and malformed tag strings."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    tags = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            tags.append(EditTag.parse(line))
-        except TagError as exc:
-            raise TagError(f"{path}:{lineno}: {exc}") from None
-    try:
-        return TagSet(tags)
-    except TagError as exc:  # a duplicate names its lines, a missing tag has none
-        raise TagError(f"{path}: {exc}") from None
+    return TagSet(lines, origin=str(path))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gecedit
-from gecedit import _align_py
+from gecedit import _align_py, alignment
 from gecedit._align_py import OP_DEL, OP_INS, OP_KEEP, OP_SUB
 from gecedit.alignment import align, align_ops, available_backends
 
@@ -260,6 +260,14 @@ def _pairs(draw):
     return src, tgt
 
 
+@st.composite
+def _suffix_pairs(draw):
+    """Pairs that often end in the same tokens, also where the rest is empty."""
+    src, tgt = draw(_pairs())
+    tail = draw(st.lists(st.one_of(_token, st.sampled_from(src)) if src else _token, max_size=5))
+    return src + tail, tgt + tail
+
+
 class TestCostTableMatchesReference:
     @settings(max_examples=1500, deadline=None)
     @given(pair=_pairs())
@@ -280,6 +288,17 @@ class TestCostTableMatchesReference:
         ops = align_ops(src, tgt)
         assert ops == reference_align_ops(src, tgt)
         assert ops == [(OP_SUB, 0, 0), (OP_DEL, 1, -1)]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(pair=_suffix_pairs())
+    def test_suffix_trim_matches_every_raw_kernel(self, pair):
+        src, tgt = pair
+        for name, kernel in sorted(available_backends().items()):
+            assert alignment._suffix_trimmed(kernel)(src, tgt) == kernel(src, tgt), name
+
+    def test_prefix_is_not_trimmed(self):
+        # the kernel's tie-breaking deletes the first of two equal tokens
+        assert align_ops(["a", "a"], ["a"]) == [(OP_DEL, 0, -1), (OP_KEEP, 1, 0)]
 
     @settings(max_examples=500, deadline=None)
     @given(a=_token, b=_token)

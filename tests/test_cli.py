@@ -77,11 +77,19 @@ def test_workers_below_one_is_a_usage_error(workdir, capsys, workers):
 
 
 def test_pool_size_capped_at_cores():
-    assert _pool_size(1, 8) == 1
-    assert _pool_size(3, 8) == 3
-    assert _pool_size(64, 8) == 8
-    assert _pool_size(4, 1) == 1
-    assert _pool_size(4, None) == 1  # core count unknown: sequential
+    assert _pool_size(1, 8, 64) == 1
+    assert _pool_size(3, 8, 64) == 3
+    assert _pool_size(64, 8, 64) == 8
+    assert _pool_size(4, 1, 64) == 1
+    assert _pool_size(4, None, 64) == 1  # core count unknown: sequential
+
+
+def test_pool_size_capped_at_input_chunks():
+    assert _pool_size(4, 8, 3) == 3
+    assert _pool_size(4, 8, 4) == 4
+    assert _pool_size(4, 8, 1) == 1  # the input fills one chunk: in-process
+    assert _pool_size(4, 8, 0) == 1  # empty input
+    assert _pool_size(8, 2, 3) == 2
 
 
 def test_start_method_falls_back_without_fork():
@@ -505,6 +513,51 @@ def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, me
     assert message in err
     if code == 2:
         assert err.startswith("gecedit: error: ") and "Traceback" not in err
+
+
+def _apply(d):
+    return ["apply", "--src", _write(d / "s.txt", "a b\n"),
+            "--edits", _write(d / "e.txt", "$KEEP $KEEP\n"), "--out", str(d / "o.txt")]
+
+
+def _score(d):
+    return ["score", "--src", _write(d / "src.txt", "a\n"),
+            "--hyp", _write(d / "hyp.txt", "a\n"), "--ref", _write(d / "ref.txt", "a\n")]
+
+
+@pytest.mark.parametrize(
+    "argv, name, newline",
+    [
+        (_tag(), "x.tagset", b"\n"),
+        (_tag(), "pairs.tsv", b"\n"),
+        (_tag(), "pairs.tsv", b"\r\n"),
+        (_tag(), "pairs.tsv", b"\r"),
+        (_tag(lexicon="go\twent\tgoing\tgone\tgoes\n"), "lexicon.tsv", b"\n"),
+        (_tag(plurals="child\tchildren\n"), "plurals.tsv", b"\n"),
+        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "a\tb\n")], "pairs.tsv",
+         b"\n"),
+        (_noise("rng_seed = 2\n"), "p.profile", b"\n"),
+        (_noise("rng_seed = 2\n"), "in.txt", b"\n"),
+        (_train(_LABEL + "\n"), "labels.jsonl", b"\n"),
+        (_apply, "s.txt", b"\n"),
+        (_apply, "e.txt", b"\n"),
+        (_score, "src.txt", b"\n"),
+        (_score, "ref.txt", b"\n"),
+    ],
+    ids=["tag-tagset", "tag-pairs", "tag-pairs-crlf", "tag-pairs-cr", "tag-lexicon",
+         "tag-plurals", "coverage-pairs", "noise-profile", "noise-in", "train-data",
+         "apply-src", "apply-edits", "score-src", "score-ref"],
+)
+def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, name, newline):
+    argv = argv(tmp_path)
+    if argv[0] != "train-toy":
+        argv += ["--workers", "1"]
+    path = tmp_path / name
+    first = path.read_bytes().split(b"\n")[0]
+    path.write_bytes(first + newline + b"\xff" + newline)  # line 2 is the byte 0xff
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"gecedit: error: {path}:2: not valid UTF-8: invalid start byte 0xff\n"
 
 
 # -- shared inputs are loaded before any worker starts -------------------------

@@ -1,17 +1,163 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecedit.edit2seq import edit2seq
+from gecedit.lexicon import load_lexicon
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import classify_edit, seq2edit
-from gecedit.tags import TagFamily, TagSet, load_tagset
+from gecedit.tags import (
+    DELETE_TAG,
+    KEEP_TAG,
+    SUFFIX_NAMES,
+    TRANSFORM_NAMES,
+    UNKNOWN_TAG,
+    EditTag,
+    TagFamily,
+    TagSet,
+    load_tagset,
+)
+from gecedit.transforms import apply_suffix, apply_transform
 
 from corpus_util import make_corpus
 
 
 def render(tags):
     return [t.render() for t in tags]
+
+
+# -- reference classifier -------------------------------------------------------
+# The classifier before rule tables: every candidate rule the tagset contains
+# is tried on every token, in priority order.
+
+def _candidates(names, family):
+    return tuple((n, EditTag(family, n), EditTag(family, n).render()) for n in names)
+
+
+_CASE = _candidates(("CASE_CAPITAL", "CASE_LOWER", "CASE_UPPER"), TagFamily.TRANSFORM)
+_SPLIT = _candidates(("SPLIT_HYPHEN",), TagFamily.TRANSFORM)
+_AGREEMENT_AND_VERB = _candidates(
+    ("AGREEMENT_PLURAL", "AGREEMENT_SINGULAR")
+    + tuple(n for n in TRANSFORM_NAMES if n.startswith("VERB_")),
+    TagFamily.TRANSFORM,
+)
+_SUFFIX = _candidates(SUFFIX_NAMES, TagFamily.SUFFIXTRANSFORM)
+
+
+def reference_classify_edit(src_token, tgt_span, lexicon, tagset):
+    span = list(tgt_span)
+    if span == [src_token]:
+        return KEEP_TAG
+    if not span:
+        return DELETE_TAG
+
+    if len(span) == 1:
+        target = span[0]
+        for name, tag, rendered in _CASE:
+            if rendered in tagset and apply_transform(name, src_token, lexicon) == [target]:
+                return tag
+    if len(span) == 2:
+        name, tag, rendered = _SPLIT[0]
+        if rendered in tagset and apply_transform(name, src_token, lexicon) == span:
+            return tag
+    if len(span) == 1:
+        target = span[0]
+        for name, tag, rendered in _AGREEMENT_AND_VERB:
+            if rendered in tagset and apply_transform(name, src_token, lexicon) == [target]:
+                return tag
+        for name, tag, rendered in _SUFFIX:
+            if rendered in tagset and apply_suffix(name, src_token) == target:
+                return tag
+        if target in tagset.replace_inventory:
+            return EditTag(TagFamily.REPLACE, target)
+    if len(span) >= 2 and span[0] == src_token and span[1] in tagset.append_inventory:
+        return EditTag(TagFamily.APPEND, span[1])
+    return UNKNOWN_TAG
+
+
+# Tokens: lexicon verb forms (homographs such as "lay" have several readings),
+# words that the suffix and agreement rules rewrite, case traps ('ß'.upper() ==
+# 'SS', 'İ'.lower() == 'i̇'), and arbitrary Unicode.
+_LEXICON = load_lexicon()
+_VERB_FORMS = sorted({f for forms in _LEXICON.verb_forms.values() for f in forms.values()})
+_ENDINGS = sorted({
+    part
+    for name in SUFFIX_NAMES
+    for part in name.lower().removeprefix("remove_").removeprefix("append_").split("_to_")
+})
+_WORDS = ["book", "easy", "nation", "city", "cities", "he", "usa", "well-known", "a-", "-b",
+          "child", "children", "ß", "SS", "straße", "İstanbul", "i̇", "café"]
+_CHARS = "abeilnstyßSİIi\u0301-\U00010348"
+
+
+@st.composite
+def _classified_pairs(draw):
+    token = draw(st.one_of(
+        st.sampled_from(_VERB_FORMS),
+        st.sampled_from(_WORDS),
+        st.text(_CHARS, min_size=1, max_size=7),
+        st.text(min_size=1, max_size=5),
+    ))
+    if draw(st.booleans()):  # a suffix variant of a word
+        token = token[: len(token) - draw(st.integers(0, 2))] + draw(st.sampled_from(_ENDINGS))
+        token = token or "x"
+    other = st.one_of(
+        st.sampled_from(_VERB_FORMS + _WORDS), st.text(_CHARS, min_size=1, max_size=7)
+    )
+    kind = draw(st.sampled_from(("rule", "rule", "rule", "ending", "any", "append")))
+    span = None
+    if kind == "rule":  # the output of a rule that applies to the token
+        outputs = [apply_transform(name, token, _LEXICON) for name in TRANSFORM_NAMES]
+        outputs += [[apply_suffix(name, token)] for name in SUFFIX_NAMES]
+        outputs = [out for out in outputs if out and out[0] is not None and all(out)]
+        span = draw(st.sampled_from(outputs)) if outputs else None
+    elif kind == "ending":
+        cut = draw(st.integers(0, min(5, len(token) - 1)))
+        span = [token[: len(token) - cut] + draw(st.sampled_from(_ENDINGS))]
+    elif kind == "append":
+        span = [token, draw(st.one_of(st.sampled_from(["the", "in", "a"]), other))]
+    if span is None:
+        span = draw(st.lists(other, max_size=3))
+    return token, span
+
+
+@pytest.fixture(scope="module")
+def rule_tagsets(default_tagset):
+    """The bundled tagset, the benchmark's compact one, and one with every other rule."""
+    compact = ["$KEEP", "$DELETE", "$UNKNOWN", "$TRANSFORM_VERB_VB_VBZ", "$TRANSFORM_VERB_VBZ_VB"]
+    for word in ("in", "at", "on", "to", "with", "the", "a", "an", "that", "this"):
+        compact += [f"$REPLACE_{word}", f"$APPEND_{word}"]
+    rules = [t.render() for t in default_tagset if t.family in (
+        TagFamily.TRANSFORM, TagFamily.SUFFIXTRANSFORM)]
+    alternate = compact + [r for r in rules[::2] if r not in compact]
+    return default_tagset, TagSet(compact), TagSet(alternate)
+
+
+def test_rule_tables_match_reference_on_every_verb_form(lexicon, rule_tagsets):
+    """Every lexicon surface form against every verb rule's output, so that a
+    rule reached only through a homograph's later reading is tried too."""
+    verb_names = [n for n in TRANSFORM_NAMES if n.startswith("VERB_")]
+    for surface in _VERB_FORMS:
+        for name in verb_names:
+            out = apply_transform(name, surface, lexicon)
+            if out is None:
+                continue
+            for tagset in rule_tagsets:
+                assert classify_edit(surface, out, lexicon, tagset) == reference_classify_edit(
+                    surface, out, lexicon, tagset
+                ), (surface, name)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(pair=_classified_pairs())
+def test_rule_tables_match_reference_classifier(lexicon, rule_tagsets, pair):
+    token, span = pair
+    for tagset in rule_tagsets:
+        assert classify_edit(token, span, lexicon, tagset) == reference_classify_edit(
+            token, span, lexicon, tagset
+        )
 
 
 class TestClassifyEdit:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecedit.lexicon import default_tagset_path
 from gecedit.tags import (
@@ -114,3 +116,102 @@ def test_tagset_from_strings():
     assert "$REPLACE_b" not in ts
     with pytest.raises(TagError):
         ts.id_of("$REPLACE_b")
+
+
+# -- the one-pass parse against EditTag.parse ------------------------------------
+
+def reference_tagset(lines, origin=None):
+    """(tags, ids, append payloads, replace payloads) as built by parsing every
+    line with EditTag.parse first and checking the set after, or the TagError."""
+    tags = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            tags.append(EditTag.parse(line))
+        except TagError as exc:
+            raise TagError(f"{origin}:{lineno}: {exc}" if origin else str(exc)) from None
+    ids = {}
+    fault = None
+    for i, tag in enumerate(tags):
+        key = tag.render()
+        if key in ids:
+            fault = f"duplicate tag {key} (lines {ids[key] + 1} and {i + 1})"
+            break
+        ids[key] = i
+    for required in ("$KEEP", "$DELETE", "$UNKNOWN"):
+        if fault is None and required not in ids:
+            fault = f"tagset must contain {required}"
+    if fault is not None:
+        raise TagError(f"{origin}: {fault}" if origin else fault)
+    appends = frozenset(t.payload for t in tags if t.family is TagFamily.APPEND)
+    replaces = frozenset(t.payload for t in tags if t.family is TagFamily.REPLACE)
+    return tuple(tags), ids, appends, replaces
+
+
+# Payloads with every kind of whitespace str.split and str.isspace know, and
+# characters that are not whitespace though they look empty.
+_PAYLOAD = st.text(
+    "ab_$ßİ\u0301\U0001f600 \t\x0b\x0c\x1c\x85\xa0\u2028\u3000\u200b\ufeff", max_size=4
+)
+_LINE = st.one_of(
+    st.builds(lambda head, payload: head + payload, st.sampled_from([
+        "$REPLACE_", "$APPEND_", "$REPLACE", "$APPEND", "$REPLACE__", "$KEEP_", "$MERGE_",
+        "$TRANSFORM_", "$SUFFIXTRANSFORM_", "$UNKNOWN_", "$BOGUS_", "REPLACE_", "$replace_",
+    ]), _PAYLOAD),
+    st.sampled_from(["$KEEP", "$DELETE", "$UNKNOWN", "$MERGE_SPACE", "$MERGE_HYPHEN",
+                     "$TRANSFORM_CASE_LOWER", "$SUFFIXTRANSFORM_ING_TO_ED", "$REPLACE_a",
+                     "$APPEND_a", "", "$", "$KEEP "]),
+    st.text(max_size=6),
+)
+
+
+_VALID_LINE = st.one_of(
+    st.builds(lambda head, payload: head + payload, st.sampled_from(["$REPLACE_", "$APPEND_"]),
+              st.text("ab_$ßİ\u0301\U0001f600\u200b\ufeff", min_size=1, max_size=4)),
+    st.sampled_from([t.render() for t in load_tagset(default_tagset_path())][3:40]),
+)
+
+
+@st.composite
+def _tagset_lines(draw):
+    """Mostly valid sets; about a quarter each lack a required tag, repeat a tag,
+    or have malformed lines."""
+    sometimes = st.sampled_from([False, False, False, True])
+    lines = draw(st.lists(_VALID_LINE, max_size=12, unique=True))
+    if lines and draw(sometimes):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if draw(sometimes):
+        for line in draw(st.lists(_LINE, min_size=1, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    missing = draw(st.sampled_from([None] * 9 + ["$KEEP", "$DELETE", "$UNKNOWN"]))
+    for tag in ("$KEEP", "$DELETE", "$UNKNOWN"):
+        if tag != missing:
+            lines.insert(draw(st.integers(0, len(lines))), tag)
+    return lines
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lines=_tagset_lines(), origin=st.sampled_from([None, "x.tagset"]))
+def test_one_pass_parse_matches_edit_tag_parse(lines, origin):
+    try:
+        expected = reference_tagset(lines, origin)
+    except TagError as exc:
+        with pytest.raises(TagError) as raised:
+            TagSet(lines, origin=origin)
+        assert str(raised.value) == str(exc)
+        return
+    tagset = TagSet(lines, origin=origin)
+    tags, ids, appends, replaces = expected
+    assert tagset.tags == tags
+    assert [type(t) for t in tagset.tags] == [EditTag] * len(tags)
+    assert tagset._index == ids
+    assert tagset.append_inventory == appends
+    assert tagset.replace_inventory == replaces
+    assert tagset.keep_id == ids["$KEEP"]
+
+
+def test_load_tagset_parses_the_bundled_file_as_edit_tag_parse_does():
+    path = default_tagset_path()
+    tags, ids, appends, replaces = reference_tagset(path.read_text(encoding="utf-8").splitlines())
+    tagset = load_tagset(path)
+    assert tagset.tags == tags and tagset._index == ids
+    assert tagset.append_inventory == appends and tagset.replace_inventory == replaces
