@@ -16,14 +16,12 @@ from gecedit.lexicon import (
     load_lexicon,
     load_patterns,
 )
-from gecedit.metrics import extract_spans, f_half, gleu
+from gecedit.metrics import extract_spans, gleu
 from gecedit.noiser import (
     EditDictionary,
     NoiseProfile,
     Noiser,
     build_edit_dictionary,
-    corrupt_sentence,
-    generate_corpus,
     load_profile,
 )
 from gecedit.seq2edit import classify_edit, seq2edit
@@ -63,14 +61,11 @@ __all__ = [
     "available_backends",
     "build_edit_dictionary",
     "classify_edit",
-    "corrupt_sentence",
     "derive_labels",
     "detokenize",
     "edit2seq",
     "extract_spans",
-    "f_half",
     "forward",
-    "generate_corpus",
     "gleu",
     "gradient_check",
     "load_lexicon",

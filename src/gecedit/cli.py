@@ -251,12 +251,15 @@ def _cmd_train_toy(args) -> int:
             dataset.append((tokens, labels))
     if not dataset:
         raise DataError(f"{args.data}: no training examples")
-    model = MultiHeadModel(
-        tagset,
-        FeatureEncoder(dim=args.dim),
-        lam=getattr(args, "lambda"),
-        heads=args.heads,
-    )
+    try:
+        model = MultiHeadModel(
+            tagset,
+            FeatureEncoder(dim=args.dim),
+            lam=getattr(args, "lambda"),
+            heads=args.heads,
+        )
+    except MemoryError as exc:
+        raise DataError(f"--dim {args.dim}: {exc}") from None
     history = train(
         model,
         dataset,
@@ -383,24 +386,25 @@ def _cmd_coverage(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(_finite_float, lambda v: v > 0.0, "greater than 0")
+_unit_float = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _add_common(sub, lexicon_flag=True):
@@ -449,12 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled JSON-lines file from `tag`")
     p.add_argument("--tagset", default=str(default_tagset_path()))
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--lambda", type=_finite_float, default=0.5, help="auxiliary loss weight")
+    p.add_argument("--lambda", type=_unit_float, default=0.5, help="auxiliary loss weight")
     p.add_argument("--heads", type=int, choices=(5, 7), default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=_positive_int, default=10)
-    p.add_argument("--lr", type=_finite_float, default=0.5)
-    p.add_argument("--dim", type=int, default=4096, help="hashed feature dimension")
+    p.add_argument("--lr", type=_positive_float, default=0.5)
+    p.add_argument(
+        "--dim",
+        type=_checked(int, lambda v: v >= 2, "at least 2"),
+        default=4096,
+        help="hashed feature dimension",
+    )
     p.add_argument("--optimizer", choices=("sgd", "adagrad"), default="adagrad")
     p.set_defaults(func=_cmd_train_toy)
 

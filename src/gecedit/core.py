@@ -67,15 +67,6 @@ def detokenize(tokens: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
-def check_sentence(tokens: Sequence[str]) -> None:
-    """Validate token invariants: non-empty, no internal whitespace."""
-    for i, tok in enumerate(tokens):
-        if not tok:
-            raise CorpusFormatError(f"empty token at position {i}")
-        if any(ch.isspace() for ch in tok):
-            raise CorpusFormatError(f"token {tok!r} at position {i} contains whitespace")
-
-
 def parse_pair_line(line: str) -> tuple[list[str], list[str]]:
     """Parse one ``source<TAB>target`` parallel-corpus line."""
     line = line.rstrip("\n")

@@ -104,14 +104,11 @@ def refine(
     predictor: Callable[[list[str]], Sequence[EditTag]],
     max_iters: int = 4,
     lexicon: Optional[Lexicon] = None,
-    *,
-    strict: bool = False,
 ) -> tuple[list[str], int]:
     """Repeatedly predict and apply edits until an all-KEEP pass or the cap.
 
-    Returns (final sentence, number of prediction passes made).  In the
-    default non-strict mode, inapplicable predicted tags leave their token
-    unchanged.
+    Returns (final sentence, number of prediction passes made).  Inapplicable
+    predicted tags leave their token unchanged.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -126,9 +123,7 @@ def refine(
         iterations += 1
         if all(tag.family is TagFamily.KEEP for tag in edits):
             break
-        current = edit2seq(
-            current, edits, lexicon, on_error="raise" if strict else "copy"
-        )
+        current = edit2seq(current, edits, lexicon, on_error="copy")
         if not current:
             break  # everything deleted; nothing left to refine
     return current, iterations

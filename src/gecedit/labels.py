@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Sequence
 
 from gecedit.tags import EditTag, TagFamily
 
@@ -93,19 +93,3 @@ def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     if any(y not in (0, 1) for n in BINARY_STREAMS for y in labels.stream(n)):
         raise ValueError("binary label streams must hold only 0 and 1")
     return tokens, labels
-
-
-def read_labeled(fp: Iterable[str]) -> Iterator[tuple[list[str], MultiHeadLabels]]:
-    """Iterate (tokens, labels) records from a JSON-lines stream."""
-    for line in fp:
-        line = line.strip()
-        if line:
-            yield from_json_line(line)
-
-
-def write_labeled(fp: TextIO, records: Iterable[tuple[Sequence[str], MultiHeadLabels]]) -> int:
-    count = 0
-    for tokens, labels in records:
-        fp.write(to_json_line(tokens, labels) + "\n")
-        count += 1
-    return count

@@ -80,13 +80,6 @@ class F05Accumulator:
         return {"P": precision, "R": recall, "F0.5": f_beta(precision, recall)}
 
 
-def f_half(hyp_edits: set[SpanEdit], ref_edits: set[SpanEdit]) -> dict[str, float]:
-    """Precision/recall/F0.5 of hypothesis edits against reference edits."""
-    acc = F05Accumulator()
-    acc.add(hyp_edits, ref_edits)
-    return acc.result()
-
-
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1))
 

@@ -15,10 +15,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from gecedit.alignment import AlignedPair, align
-from gecedit.core import format_pair_line, parse_pair_line, read_text, text_lines, tokenize
+from gecedit.core import CorpusFormatError, parse_pair_line, read_text, text_lines
 from gecedit.lexicon import Lexicon, PatternInventories, load_lexicon, load_patterns
 from gecedit.transforms import pluralize, singularize
 
@@ -159,10 +159,13 @@ def build_edit_dictionary(pairs: Iterable[AlignedPair]) -> EditDictionary:
 
 def build_edit_dictionary_from_file(path: Union[str, Path]) -> EditDictionary:
     def pairs():
-        for line in text_lines(path):
+        for lineno, line in enumerate(text_lines(path), start=1):
             if not line.strip():
                 continue
-            src, tgt = parse_pair_line(line)
+            try:
+                src, tgt = parse_pair_line(line)
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             if src:
                 yield align(src, tgt)
 
@@ -543,62 +546,7 @@ class Noiser:
         return True
 
 
-_OPERATION_FUNCS = {
-    "token_dict": Noiser._op_token_dict,
-    "type_preposition": Noiser._op_type_preposition,
-    "type_determiner": Noiser._op_type_determiner,
-    "type_verbform": Noiser._op_type_verbform,
-    "type_noun_number": Noiser._op_type_noun_number,
-    "type_pos": Noiser._op_type_pos,
-    "ngram_swap": Noiser._op_ngram_swap,
-    "ngram_insert": Noiser._op_ngram_insert,
-    "ngram_delete": Noiser._op_ngram_delete,
-    "ngram_replace": Noiser._op_ngram_replace,
-    "char_pattern": Noiser._op_char_pattern,
-    "vowel_swap": Noiser._op_vowel_swap,
-    "similar_sound": Noiser._op_similar_sound,
-    "adjective_adverb": Noiser._op_adjective_adverb,
-}
-
-
-def corrupt_sentence(
-    clean: Sequence[str],
-    profile: NoiseProfile,
-    edit_dict: Optional[EditDictionary],
-    lexicon: Lexicon,
-    line_seed: int,
-    patterns: Optional[PatternInventories] = None,
-) -> list[str]:
-    """One-shot corruption of a single sentence (see Noiser for pipelines)."""
-    noiser = Noiser(profile, edit_dict=edit_dict, lexicon=lexicon, patterns=patterns)
-    return noiser.corrupt(clean, line_seed)[0]
-
-
-def generate_corpus(
-    lines: Iterable[str],
-    noiser: Union[Noiser, NoiseProfile],
-    out_fp: TextIO,
-) -> dict:
-    """Corrupt a line stream into corrupted<TAB>clean pairs; returns stats.
-
-    Accepts a Noiser or a bare NoiseProfile (bundled inventories are used).
-    Blank input lines produce no pair and are counted in the stats.
-    """
-    if isinstance(noiser, NoiseProfile):
-        noiser = Noiser(noiser)
-    sentences = 0
-    skipped = 0
-    realized: Counter = Counter()
-    for idx, line in enumerate(lines):
-        tokens = tokenize(line)
-        if not tokens:
-            skipped += 1
-            continue
-        corrupted, counts = noiser.corrupt(tokens, idx)
-        out_fp.write(format_pair_line(corrupted, tokens) + "\n")
-        realized.update(counts)
-        sentences += 1
-    return corpus_stats(sentences, skipped, realized)
+_OPERATION_FUNCS = {name: getattr(Noiser, f"_op_{name}") for name in OPERATIONS}
 
 
 def corpus_stats(sentences: int, skipped_blank: int, realized: Counter) -> dict:

@@ -18,26 +18,12 @@ from gecedit.tags import (
     KEEP_TAG,
     MERGE_HYPHEN_TAG,
     MERGE_SPACE_TAG,
-    SUFFIX_NAMES,
-    TRANSFORM_NAMES,
     UNKNOWN_TAG,
     EditTag,
     TagFamily,
     TagSet,
 )
-from gecedit.transforms import apply_suffix, apply_transform
-
-_VERB_NAMES = tuple(n for n in TRANSFORM_NAMES if n.startswith("VERB_"))
-
-
-def _suffix_ends(name: str) -> tuple[str, str]:
-    """``(old, new)``: ``apply_suffix(name, stem + old)`` is ``stem + new`` or None."""
-    if name.startswith("REMOVE_"):
-        return name[len("REMOVE_"):], ""
-    if name.startswith("APPEND_"):
-        return "", name[len("APPEND_"):]
-    old, _, new = name.partition("_TO_")
-    return old.lower(), new.lower()
+from gecedit.transforms import SUFFIX_RULES, VERB_RULES, apply_suffix, apply_transform
 
 
 class _Rules:
@@ -63,12 +49,12 @@ class _Rules:
         self.split = present(transform, ("SPLIT_HYPHEN",))
         self.agreement = present(transform, ("AGREEMENT_PLURAL", "AGREEMENT_SINGULAR"))
         self.verb = tuple(
-            (name.split("_")[1], name, tag) for name, tag in present(transform, _VERB_NAMES)
+            (VERB_RULES[name][0], name, tag) for name, tag in present(transform, VERB_RULES)
         )
         self.suffix: dict[tuple[str, str], list[tuple[int, str, EditTag]]] = {}
-        suffix_rules = present(TagFamily.SUFFIXTRANSFORM, SUFFIX_NAMES)
+        suffix_rules = present(TagFamily.SUFFIXTRANSFORM, SUFFIX_RULES)
         for priority, (name, tag) in enumerate(suffix_rules):
-            self.suffix.setdefault(_suffix_ends(name), []).append((priority, name, tag))
+            self.suffix.setdefault(SUFFIX_RULES[name], []).append((priority, name, tag))
         self.longest_old = max((len(old) for old, _new in self.suffix), default=0)
         self.longest_new = max((len(new) for _old, new in self.suffix), default=0)
 

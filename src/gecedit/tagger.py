@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from gecedit.labels import MultiHeadLabels
+from gecedit.labels import BINARY_STREAMS, MultiHeadLabels
 from gecedit.tags import EditTag, TagSet
 
 FEATURE_TEMPLATES_V1 = (
@@ -36,7 +36,6 @@ FEATURE_TEMPLATES_V1 = (
     "boundary",
 )
 
-AUX_HEADS_7 = ("deletion", "insertion", "substitution", "merge", "transformation", "detection")
 AUX_HEADS_5 = ("deletion", "insertion", "substitution", "detection")
 
 _CLIP = 1e-300
@@ -57,13 +56,10 @@ def _hash_feature(text: str, dim: int) -> int:
 class FeatureEncoder:
     """Deterministic hashed sparse features for a token in context."""
 
-    def __init__(self, dim: int = 4096, templates: Sequence[str] = FEATURE_TEMPLATES_V1):
+    def __init__(self, dim: int = 4096):
         if dim < 2:
             raise ValueError("feature dimension must be >= 2")
-        if tuple(templates) != FEATURE_TEMPLATES_V1:
-            raise ValueError(f"unsupported template set {templates!r}")
         self.dim = dim
-        self.templates = FEATURE_TEMPLATES_V1
 
     def feature_strings(self, tokens: Sequence[str], i: int) -> list[str]:
         tok = tokens[i]
@@ -116,7 +112,7 @@ class EncodedSentence:
 def _aux_heads(heads: int) -> tuple[str, ...]:
     if heads not in (5, 7):
         raise ValueError("heads must be 5 or 7")
-    return AUX_HEADS_7 if heads == 7 else AUX_HEADS_5
+    return BINARY_STREAMS if heads == 7 else AUX_HEADS_5
 
 
 class MultiHeadModel:
@@ -142,20 +138,18 @@ class MultiHeadModel:
         self.encoder = encoder if encoder is not None else FeatureEncoder()
         self.lam = float(lam)
         self.heads = heads
-        self.weights = np.zeros(
-            (len(tagset) + 2 * len(self.aux_heads), self.encoder.dim), order="F"
-        )
-        self.W: Mapping[str, np.ndarray] = MappingProxyType(self.split(self.weights))
+        rows = len(tagset) + 2 * len(self.aux_heads)
+        try:
+            self.weights = np.zeros((rows, self.encoder.dim), order="F")
+        except (MemoryError, ValueError):  # ValueError: too big for any address space
+            raise MemoryError(
+                f"cannot allocate the {rows} x {self.encoder.dim} weight matrix"
+            ) from None
 
-    # A mapping proxy does not pickle, so ``W`` is rebuilt from ``weights``.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["W"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.W = MappingProxyType(self.split(self.weights))
+    @property
+    def W(self) -> Mapping[str, np.ndarray]:
+        """A read-only mapping from head name to a view of its rows of ``weights``."""
+        return MappingProxyType(self.split(self.weights))
 
     @property
     def head_names(self) -> tuple[str, ...]:
@@ -384,11 +378,12 @@ def predict_tags(
     keep_id = model.tagset.keep_id
     keep_tag = model.tagset.tag_of(keep_id)
     enc = model.encoder.encode(tokens)
+    heads = model.split(model.weights)
     if min_error_prob > 0.0:
-        p_err = _softmax(_logits(model.W["detection"], enc), axis=0)[1]
+        p_err = _softmax(_logits(heads["detection"], enc), axis=0)[1]
         if float(p_err.max()) < min_error_prob:
             return [keep_tag] * len(tokens)
-    probs = _softmax(_logits(model.W["correction"], enc), axis=0).T
+    probs = _softmax(_logits(heads["correction"], enc), axis=0).T
     probs[:, keep_id] += keep_bias
     probs /= probs.sum(axis=1, keepdims=True)
     ids = probs.argmax(axis=1)
@@ -442,7 +437,7 @@ def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
         "dim": model.encoder.dim,
         "lambda": model.lam,
         "heads": model.heads,
-        "templates": list(model.encoder.templates),
+        "templates": list(FEATURE_TEMPLATES_V1),
         "tags": [t.render() for t in model.tagset],
         "arrays": [[name, *W.shape] for name, W in model.W.items()],
     }
@@ -497,8 +492,11 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         ):
             if not ok:
                 raise ValueError(f"{path}: model header {key!r} must be {kind}: {header[key]!r}")
-        tagset = TagSet(header["tags"])
-        encoder = FeatureEncoder(dim=header["dim"], templates=tuple(header["templates"]))
+        tagset = TagSet(header["tags"], origin=f"{path}: model header 'tags'")
+        encoder = FeatureEncoder(dim=header["dim"])
+        templates = tuple(header["templates"])
+        if templates != FEATURE_TEMPLATES_V1:
+            raise ValueError(f"unsupported template set {templates!r}")
         aux_heads = _aux_heads(header["heads"])
         expected = [["correction", len(tagset), encoder.dim]]
         expected += [[name, 2, encoder.dim] for name in aux_heads]

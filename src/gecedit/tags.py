@@ -175,9 +175,6 @@ class EditTag:
             return f"${self.family.value}"
         return f"${self.family.value}_{self.payload}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
-
     @classmethod
     def parse(cls, text: str) -> "EditTag":
         if not text.startswith("$"):
@@ -281,9 +278,6 @@ class TagSet:
 
     def tag_of(self, tag_id: int) -> EditTag:
         return self.tags[tag_id]
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text("".join(t.render() + "\n" for t in self.tags), encoding="utf-8")
 
 
 def load_tagset(path: Union[str, Path]) -> TagSet:

@@ -11,11 +11,32 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from gecedit.tags import SUFFIX_NAMES, TRANSFORM_NAMES
+
 if TYPE_CHECKING:  # pragma: no cover
     from gecedit.lexicon import Lexicon
 
 _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _VOWELS = "aeiou"
+
+
+def _suffix_rule(name: str) -> tuple[str, str]:
+    if name.startswith("REMOVE_"):
+        return name[len("REMOVE_"):], ""
+    if name.startswith("APPEND_"):
+        return "", name[len("APPEND_"):]
+    old, _, new = name.partition("_TO_")
+    return old.lower(), new.lower()
+
+
+# SUFFIXTRANSFORM name -> (old ending, new ending): the rule rewrites stem + old
+# to stem + new.
+SUFFIX_RULES = {name: _suffix_rule(name) for name in SUFFIX_NAMES}
+
+# VERB_<source form>_<target form> -> (source form, target form).
+VERB_RULES = {
+    name: tuple(name.split("_")[1:]) for name in TRANSFORM_NAMES if name.startswith("VERB_")
+}
 
 
 def pluralize(word: str, lexicon: "Lexicon") -> str:
@@ -57,8 +78,7 @@ def _apply_case(name: str, token: str) -> Optional[str]:
 
 
 def _apply_verb(name: str, token: str, lexicon: "Lexicon") -> Optional[str]:
-    # name is VERB_<src form>_<target form>
-    _, src_form, tgt_form = name.split("_")
+    src_form, tgt_form = VERB_RULES[name]
     for lemma, form in lexicon.forms_of(token):
         if form != src_form:
             continue
@@ -69,18 +89,11 @@ def _apply_verb(name: str, token: str, lexicon: "Lexicon") -> Optional[str]:
 
 
 def apply_suffix(name: str, token: str) -> Optional[str]:
-    """Literal suffix edit named by the SUFFIXTRANSFORM rule."""
-    if name.startswith("REMOVE_"):
-        suffix = name[len("REMOVE_"):]
-        if token.endswith(suffix) and len(token) > len(suffix):
-            return token[: -len(suffix)]
-        return None
-    if name.startswith("APPEND_"):
-        return token + name[len("APPEND_"):]
-    old, _, new = name.partition("_TO_")
-    old, new = old.lower(), new.lower()
-    if token.endswith(old) and len(token) >= len(old):
-        return token[: -len(old)] + new
+    """Literal suffix edit named by the SUFFIXTRANSFORM rule: ``stem + old``
+    becomes ``stem + new``, provided the result is not empty."""
+    old, new = SUFFIX_RULES[name]
+    if token.endswith(old):
+        return token[: len(token) - len(old)] + new or None
     return None
 
 
@@ -101,7 +114,7 @@ def apply_transform(name: str, token: str, lexicon: "Lexicon") -> Optional[list[
     if name == "AGREEMENT_SINGULAR":
         out = singularize(token, lexicon)
         return None if out is None else [out]
-    if name.startswith("VERB_"):
+    if name in VERB_RULES:
         out = _apply_verb(name, token, lexicon)
         return None if out is None else [out]
     return None

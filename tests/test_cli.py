@@ -1,4 +1,3 @@
-import io
 import json
 import pickle
 import subprocess
@@ -11,7 +10,8 @@ import pytest
 from gecedit import cli
 from gecedit.cli import _pool_size, _start_method, main
 from gecedit.lexicon import load_lexicon
-from gecedit.noiser import Noiser, generate_corpus, load_profile
+from gecedit.core import format_pair_line, tokenize
+from gecedit.noiser import OPERATIONS, Noiser, load_profile
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
 from gecedit.tags import TagSet
 
@@ -401,6 +401,8 @@ def test_stats_file(workdir):
 
 
 def test_noise_stats_equal_generate_corpus(workdir):
+    """``noise`` writes each line's ``Noiser.corrupt`` pair, and its stats are
+    their counts summed, with the blank lines skipped."""
     clean = workdir / "with_blanks.txt"
     lines = (workdir / "clean.txt").read_text().splitlines(keepends=True)
     clean.write_text("".join(lines[:40]) + "\n  \n" + "".join(lines[40:80]) + "\n")
@@ -412,12 +414,26 @@ def test_noise_stats_equal_generate_corpus(workdir):
     ]) == 0
     profile = load_profile(workdir / "profile.txt")
     profile.rng_seed = 5
-    pairs = io.StringIO()
-    with open(clean, encoding="utf-8") as fp:
-        expected = generate_corpus(fp, Noiser(profile, lexicon=load_lexicon()), pairs)
-    assert expected["skipped_blank"] == 3 and expected["sentences"] == 80
+    noiser = Noiser(profile, lexicon=load_lexicon())
+    pairs, realized, skipped = [], dict.fromkeys(OPERATIONS, 0), 0
+    for idx, line in enumerate(clean.read_text(encoding="utf-8").splitlines()):
+        tokens = tokenize(line)
+        if not tokens:
+            skipped += 1
+            continue
+        corrupted, counts = noiser.corrupt(tokens, idx)
+        pairs.append(format_pair_line(corrupted, tokens) + "\n")
+        for name, count in counts.items():
+            realized[name] += count
+    assert skipped == 3 and len(pairs) == 80
+    expected = {
+        "sentences": 80,
+        "skipped_blank": 3,
+        "errors_total": sum(realized.values()),
+        "operations": realized,
+    }
     assert stats_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    assert (workdir / "x.tsv").read_text() == pairs.getvalue()
+    assert (workdir / "x.tsv").read_text() == "".join(pairs)
 
 
 # -- the exit-code contract ---------------------------------------------------
@@ -461,6 +477,20 @@ def _predict(model="not a model\n", *flags):
                       "--in", _write(d / "in.txt", "a b\n"), "--out", str(d / "o.txt"), *flags]
 
 
+def _predict_bogus_header_tag(d):
+    argv = _predict()(d)
+    model = d / "model.bin"
+    save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model)
+    # the fourth header tag, $MERGE_HYPHEN, becomes a tag of no family
+    model.write_bytes(model.read_bytes().replace(b'"$MERGE_HYPHEN"', b'"$BOGUS_x"', 1))
+    return argv
+
+
+def _noise_edit_dict(d):
+    _write(d / "ed.tsv", "in\tat\nbad line\n")
+    return _noise("edit_dict = ed.tsv\ntoken_dict = 1.0\n")(d)
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -488,6 +518,17 @@ def _predict(model="not a model\n", *flags):
         (_train(_LABEL + "\n", "--epochs", "0"), 1, "argument --epochs: must be at least 1"),
         (_train(_LABEL + "\n", "--lr", "nan"), 1, "argument --lr: must be a finite number"),
         (_train(_LABEL + "\n", "--lambda", "inf"), 1, "argument --lambda: must be a finite"),
+        (_train(_LABEL + "\n", "--lambda", "1.5"), 1, "argument --lambda: must be in [0, 1]"),
+        (_train(_LABEL + "\n", "--lambda", "-0.1"), 1, "argument --lambda: must be in [0, 1]"),
+        (_train(_LABEL + "\n", "--lr", "-1"), 1, "argument --lr: must be greater than 0"),
+        (_train(_LABEL + "\n", "--lr", "0"), 1, "argument --lr: must be greater than 0"),
+        (_train(_LABEL + "\n", "--dim", "1"), 1, "argument --dim: must be at least 2, got 1"),
+        # 38 x 10**14 float64 weights exceed any address space, so nothing is allocated
+        (_train(_LABEL + "\n", "--dim", str(10**14)), 2,
+         f"--dim {10**14}: cannot allocate the 38 x {10**14} weight matrix"),
+        (_noise_edit_dict, 2, "ed.tsv:2: expected source<TAB>target, found 0 tabs"),
+        (_predict_bogus_header_tag, 2,
+         "model.bin: model header 'tags':4: unknown tag family in '$BOGUS_x'"),
         (_predict(), 2, "model.bin:1: not a model file"),
         (_predict("\xff\n"), 2, "model.bin:1: not a model file"),
         (_predict("x", "--iters", "0"), 1, "argument --iters: must be at least 1"),
@@ -501,7 +542,9 @@ def _predict(model="not a model\n", *flags):
          "coverage-empty-source", "apply-bad-tag", "noise-expected-x", "noise-expected-inf",
          "noise-negative-weight", "train-not-object", "train-missing-stream",
          "train-tag-not-in-tagset", "train-diverges", "train-epochs-0", "train-lr-nan",
-         "train-lambda-inf", "predict-not-model", "predict-not-utf8", "predict-iters-0",
+         "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative", "train-lr-negative",
+         "train-lr-zero", "train-dim-1", "train-dim-unallocatable", "noise-edit-dict-line",
+         "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
          "predict-keep-bias-nan", "predict-min-error-prob-inf", "score-empty-source"],
 )
 def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):

@@ -2,7 +2,6 @@ import pytest
 
 from gecedit.core import (
     CorpusFormatError,
-    check_sentence,
     detokenize,
     format_pair_line,
     parse_pair_line,
@@ -37,12 +36,6 @@ def test_pair_line_requires_tab():
 def test_pair_line_rejects_a_second_tab():
     with pytest.raises(CorpusFormatError, match="found 2 tabs"):
         parse_pair_line("a b\tc\td")
-
-
-def test_check_sentence():
-    check_sentence(["ok", "fine"])
-    with pytest.raises(CorpusFormatError):
-        check_sentence(["ok", ""])
 
 
 def test_detokenize():

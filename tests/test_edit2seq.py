@@ -164,13 +164,6 @@ class TestRefine:
         out, iters = refine(["zzz"], predictor, 4, lexicon)
         assert out == ["zzz"] and iters == 2
 
-    def test_strict_mode_raises(self, lexicon):
-        def predictor(toks):
-            return [T("$TRANSFORM_VERB_VB_VBD")] * len(toks)
-
-        with pytest.raises(TagApplicationError):
-            refine(["zzz"], predictor, 4, lexicon, strict=True)
-
     def test_max_iters_validation(self, lexicon):
         with pytest.raises(ValueError):
             refine(["a"], lambda t: [KEEP_TAG], 0, lexicon)

@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -7,9 +6,7 @@ from gecedit.labels import (
     BINARY_STREAMS,
     derive_labels,
     from_json_line,
-    read_labeled,
     to_json_line,
-    write_labeled,
 )
 from gecedit.tags import EditTag
 
@@ -91,16 +88,6 @@ def test_json_roundtrip():
     assert obj["correction"] == ["$KEEP", "$TRANSFORM_VERB_VB_VBD"]
     tokens2, labels2 = from_json_line(line)
     assert tokens2 == tokens and labels2 == labels
-
-
-def test_read_write_stream():
-    tokens = ["a"]
-    labels = derive_labels(tokens, [T("$DELETE")])
-    buf = io.StringIO()
-    assert write_labeled(buf, [(tokens, labels)]) == 1
-    buf.seek(0)
-    records = list(read_labeled(buf))
-    assert records == [(tokens, labels)]
 
 
 @pytest.mark.parametrize("value", [2, -1])

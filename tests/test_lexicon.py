@@ -91,6 +91,9 @@ class TestTransformRules:
         assert apply_suffix("ED_TO_ING", "played") == "playing"
         assert apply_suffix("Y_TO_IES", "study") == "studies"
         assert apply_suffix("Y_TO_IES", "studio") is None
+        # every rule needs a non-empty result, whatever stem it leaves
+        assert apply_suffix("ING_TO_E", "ing") == "e"
+        assert apply_suffix("REMOVE_ing", "ing") is None
 
 
 class TestPatterns:

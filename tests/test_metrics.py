@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gecedit.metrics import F05Accumulator, extract_spans, f_beta, f_half, gleu
+from gecedit.metrics import F05Accumulator, extract_spans, f_beta, gleu
 
 
 def apply_span_edits(source, edits):
@@ -51,6 +51,13 @@ class TestExtractSpans:
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
             extract_spans([], ["a"])
+
+
+def f_half(hyp_edits, ref_edits):
+    """P, R and F0.5 of one sentence's edits."""
+    acc = F05Accumulator()
+    acc.add(hyp_edits, ref_edits)
+    return acc.result()
 
 
 class TestFHalf:

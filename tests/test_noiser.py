@@ -1,9 +1,10 @@
-import io
+import json
 from collections import Counter
 
 import pytest
 
 from gecedit.alignment import align
+from gecedit.cli import main
 from gecedit.edit2seq import edit2seq
 from gecedit.noiser import (
     EditDictionary,
@@ -11,8 +12,6 @@ from gecedit.noiser import (
     Noiser,
     ProfileError,
     build_edit_dictionary,
-    corrupt_sentence,
-    generate_corpus,
     load_profile,
 )
 from gecedit.seq2edit import seq2edit
@@ -105,8 +104,8 @@ class TestCorrupt:
     def test_deterministic(self, lexicon):
         prof = NoiseProfile({"type_preposition": 1.0, "similar_sound": 0.5}, 2.0, 9)
         clean = "He lives in the city .".split()
-        a = corrupt_sentence(clean, prof, None, lexicon, 3)
-        b = corrupt_sentence(clean, prof, None, lexicon, 3)
+        a = Noiser(prof, lexicon=lexicon).corrupt(clean, 3)
+        b = Noiser(prof, lexicon=lexicon).corrupt(clean, 3)
         assert a == b
 
     def test_different_line_seeds_vary(self, lexicon):
@@ -226,35 +225,35 @@ class TestCorrupt:
         assert exact >= 190
 
 
+def _noise(tmp_path, text, name):
+    """Run the ``noise`` command on ``text``; returns (pairs text, stats)."""
+    (tmp_path / "in.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "p.profile").write_text("type_preposition = 1.0\nrng_seed = 3\n")
+    out, stats = tmp_path / f"{name}.tsv", tmp_path / f"{name}.json"
+    assert main([
+        "noise", "--in", str(tmp_path / "in.txt"), "--profile", str(tmp_path / "p.profile"),
+        "--out", str(out), "--stats", str(stats), "--workers", "1",
+    ]) == 0
+    return out.read_text(encoding="utf-8"), json.loads(stats.read_text())
+
+
 class TestGenerateCorpus:
-    def test_empty_input(self, lexicon):
-        noiser = Noiser(NoiseProfile({"type_preposition": 1.0}), lexicon=lexicon)
-        out = io.StringIO()
-        stats = generate_corpus([], noiser, out)
-        assert out.getvalue() == ""
+    """Corpus generation through the ``noise`` command."""
+
+    def test_empty_input(self, tmp_path):
+        pairs, stats = _noise(tmp_path, "", "out")
+        assert pairs == ""
         assert stats["sentences"] == 0 and stats["errors_total"] == 0
 
-    def test_pair_format_and_determinism(self, lexicon):
-        noiser = Noiser(NoiseProfile({"type_preposition": 1.0}, 1.0, 3), lexicon=lexicon)
+    def test_pair_format_and_determinism(self, tmp_path):
         lines = ["He lives in the city .", "", "She works at the office ."]
-        out1, out2 = io.StringIO(), io.StringIO()
-        stats1 = generate_corpus(lines, noiser, out1)
-        generate_corpus(lines, noiser, out2)
-        assert out1.getvalue() == out2.getvalue()
+        pairs1, stats1 = _noise(tmp_path, "".join(line + "\n" for line in lines), "out1")
+        pairs2, _ = _noise(tmp_path, "".join(line + "\n" for line in lines), "out2")
+        assert pairs1 == pairs2
         assert stats1["sentences"] == 2 and stats1["skipped_blank"] == 1
-        for line in out1.getvalue().splitlines():
+        for line in pairs1.splitlines():
             corrupted, clean = line.split("\t")
             assert clean in lines
-
-    def test_accepts_bare_profile(self):
-        out = io.StringIO()
-        stats = generate_corpus(
-            ["He lives in the city ."],
-            NoiseProfile({"type_preposition": 1.0}, 1.0, 3),
-            out,
-        )
-        assert stats["sentences"] == 1
-        assert out.getvalue().endswith("\tHe lives in the city .\n")
 
     def test_realized_distribution_tracks_weights(self, lexicon):
         ops = ["type_preposition", "type_determiner", "type_verbform", "ngram_swap", "similar_sound"]

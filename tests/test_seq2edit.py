@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from gecedit.tags import (
     TagSet,
     load_tagset,
 )
-from gecedit.transforms import apply_suffix, apply_transform
+from gecedit.transforms import SUFFIX_RULES, VERB_RULES, apply_suffix, apply_transform
 
 from corpus_util import make_corpus
 
@@ -75,6 +76,57 @@ def reference_classify_edit(src_token, tgt_span, lexicon, tagset):
     if len(span) >= 2 and span[0] == src_token and span[1] in tagset.append_inventory:
         return EditTag(TagFamily.APPEND, span[1])
     return UNKNOWN_TAG
+
+
+# -- reference suffix rules -----------------------------------------------------
+# The suffix rules before the rule tables: each call parses the rule name.
+
+def reference_apply_suffix(name, token):
+    if name.startswith("REMOVE_"):
+        suffix = name[len("REMOVE_"):]
+        if token.endswith(suffix) and len(token) > len(suffix):
+            return token[: -len(suffix)]
+        return None
+    if name.startswith("APPEND_"):
+        return token + name[len("APPEND_"):]
+    old, _, new = name.partition("_TO_")
+    old, new = old.lower(), new.lower()
+    if token.endswith(old) and len(token) >= len(old):
+        return token[: -len(old)] + new
+    return None
+
+
+def reference_suffix_ends(name):
+    if name.startswith("REMOVE_"):
+        return name[len("REMOVE_"):], ""
+    if name.startswith("APPEND_"):
+        return "", name[len("APPEND_"):]
+    old, _, new = name.partition("_TO_")
+    return old.lower(), new.lower()
+
+
+def test_rule_tables_cover_every_rule_name():
+    assert list(SUFFIX_RULES) == list(SUFFIX_NAMES)
+    for name in SUFFIX_NAMES:
+        assert SUFFIX_RULES[name] == reference_suffix_ends(name), name
+    verb_names = [n for n in TRANSFORM_NAMES if n.startswith("VERB_")]
+    assert list(VERB_RULES) == verb_names
+    for name in verb_names:
+        assert VERB_RULES[name] == tuple(name.split("_")[1:]), name
+
+
+def test_apply_suffix_matches_reference_exhaustively():
+    """Every suffix rule on every stem followed by every rule ending or a tail of
+    one, so each rule meets tokens it fits, misses by one letter, or empties."""
+    endings = {""}
+    for old, new in SUFFIX_RULES.values():
+        for ending in (old, new):
+            endings.update(ending[k:] for k in range(len(ending)))
+    stems = ["", "ß", "İ", "i̇", "walk", "stud", *string.ascii_lowercase, *string.ascii_uppercase]
+    tokens = sorted({stem + ending for stem in stems for ending in endings})
+    for name in SUFFIX_NAMES:
+        for token in tokens:
+            assert apply_suffix(name, token) == reference_apply_suffix(name, token), (name, token)
 
 
 # Tokens: lexicon verb forms (homographs such as "lay" have several readings),

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gecedit.labels import derive_labels
+from gecedit.labels import BINARY_STREAMS, derive_labels
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, TagSet
 from gecedit.tagger import (
     _CLIP,
     AUX_HEADS_5,
-    AUX_HEADS_7,
+    FEATURE_TEMPLATES_V1,
     EncodedSentence,
     FeatureEncoder,
     MultiHeadModel,
@@ -152,7 +152,7 @@ class TestLoss:
     def test_uniform_model_aux_loss_is_ln2(self, small_tagset):
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=64), lam=0.5)
         losses = head_losses(model, tiny_batch(small_tagset))
-        for name in AUX_HEADS_7:
+        for name in BINARY_STREAMS:
             assert losses[name] == pytest.approx(math.log(2.0), abs=1e-12)
         assert losses["correction"] == pytest.approx(math.log(len(small_tagset)), abs=1e-12)
 
@@ -160,7 +160,7 @@ class TestLoss:
         model = seeded_model(small_tagset)
         batch = tiny_batch(small_tagset)
         losses = head_losses(model, batch)
-        aux_sum = sum(losses[n] for n in AUX_HEADS_7)
+        aux_sum = sum(losses[n] for n in BINARY_STREAMS)
         for lam in (0.0, 0.25, 0.3, 0.5, 1.0):
             model.lam = lam
             expected = losses["correction"] + lam * aux_sum
@@ -188,7 +188,7 @@ class TestGradients:
     def test_lambda_zero_zeroes_aux_gradients(self, small_tagset):
         model = seeded_model(small_tagset, lam=0.0)
         grads = grad_total_loss(model, tiny_batch(small_tagset))
-        for name in AUX_HEADS_7:
+        for name in BINARY_STREAMS:
             assert np.all(grads[name] == 0.0)
         assert np.any(grads["correction"] != 0.0)
 
@@ -352,7 +352,7 @@ def reference_dump(model, weights):
         "dim": model.encoder.dim,
         "lambda": model.lam,
         "heads": model.heads,
-        "templates": list(model.encoder.templates),
+        "templates": list(FEATURE_TEMPLATES_V1),
         "tags": [t.render() for t in model.tagset],
         "arrays": [[name, *weights[name].shape] for name in model.head_names],
     }
