@@ -28,6 +28,7 @@ from gecedit.core import (
     detokenize,
     format_pair_line,
     parse_pair_line,
+    read_lines,
     text_lines,
     tokenize,
 )
@@ -321,14 +322,10 @@ def _score_line(item):
     return hyp_edits, ref_edits
 
 
-def _read_lines(path):
-    return [line.rstrip("\n") for line in text_lines(path)]
-
-
 def _cmd_score(args) -> int:
-    src_lines = _read_lines(args.src)
-    hyp_lines = _read_lines(args.hyp)
-    ref_files = [_read_lines(r) for r in args.ref]
+    src_lines = read_lines(args.src)
+    hyp_lines = read_lines(args.hyp)
+    ref_files = [read_lines(r) for r in args.ref]
     for name, lines in (("hyp", hyp_lines), *(("ref", r) for r in ref_files)):
         if len(lines) != len(src_lines):
             raise DataError(

@@ -48,6 +48,15 @@ def read_text(path: Union[str, Path]) -> str:
         raise _not_utf8(path, exc) from None
 
 
+def read_lines(path: Union[str, Path]) -> list[str]:
+    """The lines of a UTF-8 text file without their newlines, as ``read_text``
+    splits them at ``\\n``: line k of the file is item k - 1."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def text_lines(path: Union[str, Path]) -> Iterator[str]:
     """The lines of a UTF-8 text file, each with its newline, as text mode reads
     them; an undecodable byte is a ``path:line`` error."""

@@ -102,8 +102,8 @@ def edit2seq(
 def refine(
     source: Sequence[str],
     predictor: Callable[[list[str]], Sequence[EditTag]],
-    max_iters: int = 4,
-    lexicon: Optional[Lexicon] = None,
+    max_iters: int,
+    lexicon: Lexicon,
 ) -> tuple[list[str], int]:
     """Repeatedly predict and apply edits until an all-KEEP pass or the cap.
 
@@ -112,10 +112,6 @@ def refine(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if lexicon is None:
-        from gecedit.lexicon import load_lexicon
-
-        lexicon = load_lexicon()
     current = list(source)
     iterations = 0
     for _ in range(max_iters):

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from gecedit.core import read_text
+from gecedit.core import read_lines, read_text
 
 VERB_FORM_NAMES = ("VB", "VBD", "VBG", "VBN", "VBZ")
 
@@ -77,15 +77,6 @@ class Lexicon:
         return surface in self._by_surface
 
 
-def _read_lines(path: Path, keep_empty: bool = False) -> list[str]:
-    lines = read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not keep_empty:
-        lines = [ln for ln in lines if ln]
-    return lines
-
-
 def load_lexicon(
     verbs_path: Union[str, Path, None] = None,
     plurals_path: Union[str, Path, None] = None,
@@ -95,7 +86,9 @@ def load_lexicon(
     plurals_path = Path(plurals_path) if plurals_path else data_dir() / "irregular_plurals.tsv"
 
     verb_forms: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(_read_lines(verbs_path), start=1):
+    for lineno, line in enumerate(read_lines(verbs_path), start=1):
+        if not line:
+            continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise LexiconError(f"{verbs_path}:{lineno}: expected 5 columns, got {len(cols)}")
@@ -112,7 +105,9 @@ def load_lexicon(
 
     plural_of: dict[str, str] = {}
     singular_of: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(plurals_path), start=1):
+    for lineno, line in enumerate(read_lines(plurals_path), start=1):
+        if not line:
+            continue
         cols = line.split("\t")
         if len(cols) != 2 or not cols[0] or not cols[1]:
             raise LexiconError(f"{plurals_path}:{lineno}: expected singular<TAB>plural")
@@ -146,7 +141,6 @@ class PatternInventories:
     verb_types: tuple[str, ...]
     pos_types: tuple[str, ...]
     adjectives: frozenset[str]
-    adjective_list: tuple[str, ...]
 
 
 def _sha256(path: Path) -> str:
@@ -173,30 +167,23 @@ def load_patterns(directory: Union[str, Path, None] = None) -> PatternInventorie
                 f"checksum mismatch for {name}: {digest} != {expected[name]}"
             )
 
-    prepositions = tuple(_read_lines(directory / "prepositions.txt", keep_empty=True))
-    determiners = tuple(_read_lines(directory / "determiners.txt", keep_empty=True))
-    letter_patterns = tuple(
-        (k, v)
-        for k, _, v in (ln.partition("\t") for ln in _read_lines(directory / "letter_patterns.tsv"))
-    )
-    vowels = tuple(_read_lines(directory / "vowel_combinations.txt"))
-    similar = tuple(
-        (k, tuple(v.split(",")))
-        for k, _, v in (ln.partition("\t") for ln in _read_lines(directory / "similar_sound.tsv"))
-    )
-    verb_types = tuple(_read_lines(directory / "verb_types.txt"))
-    pos_types = tuple(_read_lines(directory / "pos_types.txt"))
-    adjectives = tuple(_read_lines(directory / "adjectives.txt"))
+    def entries(name: str) -> list[str]:
+        return [line for line in read_lines(directory / name) if line]
+
     return PatternInventories(
-        prepositions=prepositions,
-        determiners=determiners,
-        letter_patterns=letter_patterns,
-        vowel_combinations=vowels,
-        similar_sound=similar,
-        verb_types=verb_types,
-        pos_types=pos_types,
-        adjectives=frozenset(adjectives),
-        adjective_list=adjectives,
+        prepositions=tuple(read_lines(directory / "prepositions.txt")),
+        determiners=tuple(read_lines(directory / "determiners.txt")),
+        letter_patterns=tuple(
+            (k, v) for k, _, v in (ln.partition("\t") for ln in entries("letter_patterns.tsv"))
+        ),
+        vowel_combinations=tuple(entries("vowel_combinations.txt")),
+        similar_sound=tuple(
+            (k, tuple(v.split(",")))
+            for k, _, v in (ln.partition("\t") for ln in entries("similar_sound.tsv"))
+        ),
+        verb_types=tuple(entries("verb_types.txt")),
+        pos_types=tuple(entries("pos_types.txt")),
+        adjectives=frozenset(entries("adjectives.txt")),
     )
 
 

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from gecedit.alignment import AlignedPair, align
-from gecedit.core import CorpusFormatError, parse_pair_line, read_text, text_lines
-from gecedit.lexicon import Lexicon, PatternInventories, load_lexicon, load_patterns
+from gecedit.core import CorpusFormatError, parse_pair_line, read_lines, text_lines
+from gecedit.lexicon import Lexicon, load_lexicon, load_patterns
 from gecedit.transforms import pluralize, singularize
 
 OPERATIONS = (
@@ -99,7 +99,7 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
     expected = 1.0
     seed = 0
     edit_dict: Optional[Path] = None
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -240,11 +240,10 @@ class Noiser:
         profile: NoiseProfile,
         edit_dict: Optional[EditDictionary] = None,
         lexicon: Optional[Lexicon] = None,
-        patterns: Optional[PatternInventories] = None,
     ):
         self.profile = profile
         self.lexicon = lexicon if lexicon is not None else load_lexicon()
-        self.patterns = patterns if patterns is not None else load_patterns()
+        self.patterns = load_patterns()
         if edit_dict is None and profile.edit_dict_path is not None:
             edit_dict = build_edit_dictionary_from_file(profile.edit_dict_path)
         self.edit_dict = edit_dict
@@ -262,7 +261,7 @@ class Noiser:
             "char_pattern": self.patterns.letter_patterns,
             "vowel_swap": self.patterns.vowel_combinations,
             "similar_sound": self.patterns.similar_sound,
-            "adjective_adverb": self.patterns.adjective_list,
+            "adjective_adverb": self.patterns.adjectives,
         }
         for name in self._op_names:
             inventory = required.get(name)

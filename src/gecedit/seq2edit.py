@@ -126,14 +126,14 @@ def classify_edit(
         for _priority, name, tag in rules.suffix_candidates(src_token, target):
             if apply_suffix(name, src_token) == target:
                 return tag
-        if target in tagset.replace_inventory:
+        if "$REPLACE_" + target in tagset:
             return EditTag(TagFamily.REPLACE, target)
         return UNKNOWN_TAG
     if len(span) == 2:
         for name, tag in rules.split:
             if apply_transform(name, src_token, lexicon) == span:
                 return tag
-    if span[0] == src_token and span[1] in tagset.append_inventory:
+    if span[0] == src_token and "$APPEND_" + span[1] in tagset:
         # Only the first inserted token is encoded; iterative refinement
         # recovers the rest.
         return EditTag(TagFamily.APPEND, span[1])
@@ -150,8 +150,8 @@ def seq2edit(
 
     Output length always equals ``len(source)``.  Adjacent source tokens whose
     concatenation (direct or hyphenated) equals one target token get a merge
-    tag on the first token; the second is classified against whatever remains
-    of the combined span.
+    tag on the first token; the second, which the merge consumes, is KEEP when
+    the merged word is the whole combined span and UNKNOWN otherwise.
     """
     if len(source) == 0:
         raise ValueError("seq2edit requires a non-empty source sentence")
@@ -181,11 +181,10 @@ def edits_from_alignment(pair: AlignedPair, lexicon: Lexicon, tagset: TagSet) ->
                 elif have_hyphen and head == source[i] + "-" + source[i + 1]:
                     merged = MERGE_HYPHEN_TAG
                 if merged is not None:
+                    # The consumed token's tag is never applied, so a rest of
+                    # the span after the merged word cannot be encoded.
                     tags[i] = merged
-                    rest = list(target[start + 1 : end])
-                    tags[i + 1] = (
-                        KEEP_TAG if not rest else classify_edit(source[i + 1], rest, lexicon, tagset)
-                    )
+                    tags[i + 1] = KEEP_TAG if start + 1 == end else UNKNOWN_TAG
                     i += 2
                     continue
             i += 1

@@ -161,11 +161,6 @@ class MultiHeadModel:
         bounds = [0, *range(n, n + 2 * len(self.aux_heads) + 1, 2)]
         return {name: rows[a:b] for name, a, b in zip(self.head_names, bounds, bounds[1:])}
 
-    def copy(self) -> "MultiHeadModel":
-        other = MultiHeadModel(self.tagset, self.encoder, self.lam, self.heads)
-        other.weights[...] = self.weights
-        return other
-
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     z -= z.max(axis=axis, keepdims=True)
@@ -438,7 +433,7 @@ def save_model(model: MultiHeadModel, path: Union[str, Path]) -> None:
         "lambda": model.lam,
         "heads": model.heads,
         "templates": list(FEATURE_TEMPLATES_V1),
-        "tags": [t.render() for t in model.tagset],
+        "tags": list(model.tagset.names),
         "arrays": [[name, *W.shape] for name, W in model.W.items()],
     }
     with open(path, "wb") as fp:

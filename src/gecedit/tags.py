@@ -7,11 +7,12 @@ assigned densely in file order.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from gecedit.core import read_text
+from gecedit.core import read_lines
 
 
 class TagError(ValueError):
@@ -142,7 +143,8 @@ _PAYLOADLESS = frozenset((TagFamily.KEEP, TagFamily.DELETE, TagFamily.UNKNOWN))
 
 
 def _is_token(text: str) -> bool:
-    return bool(text) and not any(ch.isspace() for ch in text)
+    """Non-empty and free of whitespace."""
+    return text.split() == [text]
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,51 +203,31 @@ MERGE_SPACE_TAG = EditTag(TagFamily.MERGE, "SPACE")
 MERGE_HYPHEN_TAG = EditTag(TagFamily.MERGE, "HYPHEN")
 
 
-# Families whose payload is any token: nearly every line of a large tagset.
-# TagSet builds these tags without EditTag.parse and its per-tag validation.
-_TOKEN_FAMILIES = {"$APPEND": TagFamily.APPEND, "$REPLACE": TagFamily.REPLACE}
-
-
 class TagSet:
     """The enumerated edit space: dense id <-> tag mapping in file order.
 
-    ``origin``, a file name, starts each error message: ``origin:line:`` for a
-    malformed tag, ``origin:`` for a fault of the set as a whole.
+    A tag's identity is its text: ``names`` holds the tag strings and every
+    lookup is by text.  ``tags``, the parsed ``EditTag`` of each name, is built
+    on first use.  ``origin``, a file name, starts each error message:
+    ``origin:line:`` for a malformed tag, ``origin:`` for a fault of the set as
+    a whole.
     """
 
-    def __init__(self, tags: Iterable[Union[EditTag, str]], origin: str | None = None):
-        resolved: list[EditTag] = []
+    def __init__(self, names: Iterable[str], origin: str | None = None):
+        self.names = tuple(names)
         index: dict[str, int] = {}
-        appends: list[str] = []
-        replaces: list[str] = []
         duplicate = None
-        new_tag, set_field = object.__new__, object.__setattr__
-        for i, item in enumerate(tags):
-            if isinstance(item, EditTag):
-                tag, key = item, item.render()
-            else:
-                # A valid tag string is its own rendering, so it is the key.
-                key = item
-                head, _, payload = item.partition("_")
-                family = _TOKEN_FAMILIES.get(head)
-                if family is not None and payload.split() == [payload]:
-                    # non-empty and no whitespace: what EditTag checks for these families
-                    tag = new_tag(EditTag)
-                    set_field(tag, "family", family)
-                    set_field(tag, "payload", payload)
-                else:
-                    try:
-                        tag = EditTag.parse(item)
-                    except TagError as exc:
-                        raise TagError(f"{origin}:{i + 1}: {exc}" if origin else str(exc)) from None
-            resolved.append(tag)
-            family = tag.family
-            if family is TagFamily.APPEND:
-                appends.append(tag.payload)
-            elif family is TagFamily.REPLACE:
-                replaces.append(tag.payload)
-            if index.setdefault(key, i) != i and duplicate is None:
-                duplicate = f"duplicate tag {key} (lines {index[key] + 1} and {i + 1})"
+        for i, name in enumerate(self.names):
+            # Nearly every line of a large tagset is an APPEND or REPLACE tag,
+            # valid when its payload is a token; EditTag.parse checks the rest.
+            head, _, payload = name.partition("_")
+            if not (head in ("$APPEND", "$REPLACE") and _is_token(payload)):
+                try:
+                    EditTag.parse(name)
+                except TagError as exc:
+                    raise TagError(f"{origin}:{i + 1}: {exc}" if origin else str(exc)) from None
+            if index.setdefault(name, i) != i and duplicate is None:
+                duplicate = f"duplicate tag {name} (lines {index[name] + 1} and {i + 1})"
         # Set-wide faults come after every tag parsed: a malformed line is reported first.
         fault = duplicate
         for required in ("$KEEP", "$DELETE", "$UNKNOWN"):
@@ -253,14 +235,15 @@ class TagSet:
                 fault = f"tagset must contain {required}"
         if fault is not None:
             raise TagError(f"{origin}: {fault}" if origin else fault)
-        self.tags = tuple(resolved)
         self._index = index
         self.keep_id = index["$KEEP"]
-        self.append_inventory = frozenset(appends)
-        self.replace_inventory = frozenset(replaces)
+
+    @functools.cached_property
+    def tags(self) -> tuple[EditTag, ...]:
+        return tuple(EditTag.parse(name) for name in self.names)
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self.names)
 
     def __contains__(self, tag: Union[EditTag, str]) -> bool:
         key = tag.render() if isinstance(tag, EditTag) else tag
@@ -282,7 +265,4 @@ class TagSet:
 
 def load_tagset(path: Union[str, Path]) -> TagSet:
     """Read a tagset file; rejects duplicates and malformed tag strings."""
-    lines = read_text(path).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return TagSet(lines, origin=str(path))
+    return TagSet(read_lines(path), origin=str(path))

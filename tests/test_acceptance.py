@@ -66,7 +66,7 @@ SINGLE_EDIT_OPS = {
 
 def test_criterion_01_roundtrip_exactness(lexicon, default_tagset, tmp_path):
     for token in sorted(vocabulary()):
-        assert token in default_tagset.replace_inventory, f"template vocab {token} uncovered"
+        assert f"$REPLACE_{token}" in default_tagset, f"template vocab {token} uncovered"
     n_pairs = 10_000
     noiser = Noiser(
         NoiseProfile(SINGLE_EDIT_OPS, expected_errors=1.5, rng_seed=101), lexicon=lexicon
@@ -156,7 +156,7 @@ def test_criterion_02_length_contract(lexicon, default_tagset):
 def test_criterion_03_iterative_convergence(lexicon, default_tagset):
     rng = random.Random(31)
     fillers = ["very", "same", "other", "own", "more", "such"]
-    assert all(f in default_tagset.append_inventory for f in fillers)
+    assert all(f"$APPEND_{f}" in default_tagset for f in fillers)
     base = make_corpus(100, seed=55, with_adjective=False)
     converged = 0
     for sentence in base:

@@ -499,6 +499,9 @@ def _noise_edit_dict(d):
         (_tag(tagset="$KEEP\n$DELETE\n$UNKNOWN\n$BOGUS\n"), 2, "x.tagset:4: "),
         (_tag(tagset="$KEEP\n$DELETE\n"), 2, "x.tagset: tagset must contain $UNKNOWN"),
         (_tag(lexicon="go\twent\n"), 2, "lexicon.tsv:1: expected 5 columns"),
+        (_tag(lexicon="go\twent\tgoing\tgone\tgoes\n\n\ngo\n"), 2,
+         "lexicon.tsv:4: expected 5 columns"),
+        (_tag(plurals="child\tchildren\n\nfoot\n"), 2, "plurals.tsv:3: expected singular<TAB>plural"),
         (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "\tb\n")], 2,
          "pairs.tsv:1: empty source sentence"),
         (lambda d: ["apply", "--src", _write(d / "s.txt", "a b\n"),
@@ -507,6 +510,9 @@ def _noise_edit_dict(d):
         (_noise("expected_errors = x\n"), 2, "p.profile:1: could not convert"),
         (_noise("rng_seed = 2\nexpected_errors = inf\n"), 2, "p.profile:2: expected_errors"),
         (_noise("type_preposition = -1\n"), 2, "p.profile:1: weight for type_preposition"),
+        # a form feed or a line separator does not end a line
+        (_noise("# a\x0cb\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
+        (_noise("# a\u2028b\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
         (_train("[1, 2]\n"), 2, "labels.jsonl:1: expected a JSON object"),
         (_train(_LABEL + "\n" + _LABEL.replace('"deletion"', '"del"') + "\n"), 2,
          "labels.jsonl:2: key 'deletion' must hold a list"),
@@ -539,11 +545,13 @@ def _noise_edit_dict(d):
                     "--ref", _write(d / "ref.txt", "a\nb\n")], 2, "src.txt:2: empty source"),
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
-         "coverage-empty-source", "apply-bad-tag", "noise-expected-x", "noise-expected-inf",
-         "noise-negative-weight", "train-not-object", "train-missing-stream",
-         "train-tag-not-in-tagset", "train-diverges", "train-epochs-0", "train-lr-nan",
-         "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative", "train-lr-negative",
-         "train-lr-zero", "train-dim-1", "train-dim-unallocatable", "noise-edit-dict-line",
+         "tag-lexicon-blank-lines", "tag-plurals-blank-line", "coverage-empty-source",
+         "apply-bad-tag", "noise-expected-x", "noise-expected-inf", "noise-negative-weight",
+         "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
+         "train-missing-stream", "train-tag-not-in-tagset", "train-diverges", "train-epochs-0",
+         "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
+         "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
+         "noise-edit-dict-line",
          "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
          "predict-keep-bias-nan", "predict-min-error-prob-inf", "score-empty-source"],
 )

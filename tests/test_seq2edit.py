@@ -2,9 +2,10 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gecedit.alignment import align
 from gecedit.edit2seq import edit2seq
 from gecedit.lexicon import load_lexicon
 from gecedit.noiser import NoiseProfile, Noiser
@@ -71,9 +72,9 @@ def reference_classify_edit(src_token, tgt_span, lexicon, tagset):
         for name, tag, rendered in _SUFFIX:
             if rendered in tagset and apply_suffix(name, src_token) == target:
                 return tag
-        if target in tagset.replace_inventory:
+        if "$REPLACE_" + target in tagset:
             return EditTag(TagFamily.REPLACE, target)
-    if len(span) >= 2 and span[0] == src_token and span[1] in tagset.append_inventory:
+    if len(span) >= 2 and span[0] == src_token and "$APPEND_" + span[1] in tagset:
         return EditTag(TagFamily.APPEND, span[1])
     return UNKNOWN_TAG
 
@@ -333,6 +334,64 @@ def test_roundtrip_on_single_edit_noise(lexicon, default_tagset):
             assert edit2seq(corrupted, tags, lexicon) == target
             checked += 1
     assert checked >= 290  # tag-expressible ops should almost never fall out
+
+
+# -- the round-trip invariant on arbitrary pairs --------------------------------
+
+_PAIR_TOKEN = st.one_of(
+    st.sampled_from(_VERB_FORMS + _WORDS + ["ice", "cream", "icecream", "well", "known", "the",
+                                            "an", "over", "all", "overall", "İ", "\U00010348"]),
+    st.text(_CHARS, min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _edited_pairs(draw):
+    """A source and a target made from it by merges, splits, rule outputs,
+    replacements, deletions and insertions, or an unrelated target."""
+    source = draw(st.lists(_PAIR_TOKEN, min_size=1, max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        return source, draw(st.lists(_PAIR_TOKEN, max_size=6))
+    target = []
+    i = 0
+    while i < len(source):
+        token = source[i]
+        op = draw(st.sampled_from(("keep", "merge", "merge", "rule", "replace", "delete", "insert")))
+        if op == "merge" and i + 1 < len(source):
+            target.append(token + draw(st.sampled_from(("", "-"))) + source[i + 1])
+            i += 2
+            continue
+        if op == "rule":
+            outputs = [apply_transform(name, token, _LEXICON) for name in TRANSFORM_NAMES]
+            outputs += [[apply_suffix(name, token)] for name in SUFFIX_NAMES]
+            outputs = [out for out in outputs if out and all(out)]
+            target += draw(st.sampled_from(outputs)) if outputs else [token]
+        elif op == "replace":
+            target.append(draw(_PAIR_TOKEN))
+        elif op == "insert":
+            target += [token, *draw(st.lists(_PAIR_TOKEN, min_size=1, max_size=2))]
+        elif op != "delete":
+            target.append(token)
+        i += 1
+    return source, target
+
+
+@settings(max_examples=1000, deadline=None)
+@example(pair=(["ice", "cream"], ["icecream", "the"]))
+@example(pair=(["well", "known"], ["well-known", "an"]))
+@given(pair=_edited_pairs())
+def test_roundtrip_on_arbitrary_pairs(lexicon, default_tagset, pair):
+    """One tag per source token, and an exact round trip when no tag is UNKNOWN
+    and no token's aligned span is longer than 2: a tag encodes at most the
+    first token inserted after its own."""
+    source, target = pair
+    edits = seq2edit(source, target, lexicon, default_tagset)
+    assert len(edits) == len(source)
+    spans = align(source, target).spans
+    if all(t.family is not TagFamily.UNKNOWN for t in edits) and all(
+        end - start <= 2 for start, end in spans
+    ):
+        assert edit2seq(source, edits, lexicon) == target, render(edits)
 
 
 def test_coverage_monotonicity_without_transform_families(lexicon, default_tagset, tmp_path):

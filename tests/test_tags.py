@@ -10,6 +10,7 @@ from gecedit.tags import (
     TagError,
     TagFamily,
     TagSet,
+    _is_token,
     load_tagset,
 )
 
@@ -89,10 +90,20 @@ def test_id_assignment_stable_across_loads():
 
 
 def test_inventories(default_tagset):
-    assert "the" in default_tagset.append_inventory
-    assert "the" in default_tagset.replace_inventory
-    assert len(default_tagset.append_inventory) == 1193
-    assert len(default_tagset.replace_inventory) == 3725
+    assert "$APPEND_the" in default_tagset
+    assert "$REPLACE_the" in default_tagset
+    families = [tag.family for tag in default_tagset]
+    assert families.count(TagFamily.APPEND) == 1193
+    assert families.count(TagFamily.REPLACE) == 3725
+
+
+def test_is_token_matches_isspace_on_every_code_point():
+    for cp in range(0x110000):
+        ch = chr(cp)
+        old = not ch.isspace()
+        assert _is_token(ch) is old, hex(cp)
+        assert _is_token("a" + ch + "b") is old, hex(cp)
+    assert not _is_token("")
 
 
 def test_catalog_sizes():
@@ -121,8 +132,8 @@ def test_tagset_from_strings():
 # -- the one-pass parse against EditTag.parse ------------------------------------
 
 def reference_tagset(lines, origin=None):
-    """(tags, ids, append payloads, replace payloads) as built by parsing every
-    line with EditTag.parse first and checking the set after, or the TagError."""
+    """(tags, ids) as built by parsing every line with EditTag.parse first and
+    checking the set after, or the TagError."""
     tags = []
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -142,9 +153,7 @@ def reference_tagset(lines, origin=None):
             fault = f"tagset must contain {required}"
     if fault is not None:
         raise TagError(f"{origin}: {fault}" if origin else fault)
-    appends = frozenset(t.payload for t in tags if t.family is TagFamily.APPEND)
-    replaces = frozenset(t.payload for t in tags if t.family is TagFamily.REPLACE)
-    return tuple(tags), ids, appends, replaces
+    return tuple(tags), ids
 
 
 # Payloads with every kind of whitespace str.split and str.isspace know, and
@@ -200,18 +209,23 @@ def test_one_pass_parse_matches_edit_tag_parse(lines, origin):
         assert str(raised.value) == str(exc)
         return
     tagset = TagSet(lines, origin=origin)
-    tags, ids, appends, replaces = expected
+    tags, ids = expected
+    assert tagset.names == tuple(lines)
+    assert tagset._index == ids
+    assert tagset.keep_id == ids["$KEEP"]
+    assert "tags" not in vars(tagset)  # parsed on first use only
     assert tagset.tags == tags
     assert [type(t) for t in tagset.tags] == [EditTag] * len(tags)
-    assert tagset._index == ids
-    assert tagset.append_inventory == appends
-    assert tagset.replace_inventory == replaces
-    assert tagset.keep_id == ids["$KEEP"]
+    assert [t.render() for t in tagset.tags] == list(tagset.names)
+    for tag in tags:
+        if tag.family in (TagFamily.APPEND, TagFamily.REPLACE):
+            assert f"${tag.family.value}_{tag.payload}" in tagset
 
 
 def test_load_tagset_parses_the_bundled_file_as_edit_tag_parse_does():
     path = default_tagset_path()
-    tags, ids, appends, replaces = reference_tagset(path.read_text(encoding="utf-8").splitlines())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tags, ids = reference_tagset(lines)
     tagset = load_tagset(path)
-    assert tagset.tags == tags and tagset._index == ids
-    assert tagset.append_inventory == appends and tagset.replace_inventory == replaces
+    assert tagset.names == tuple(lines) and tagset._index == ids
+    assert tagset.tags == tags
