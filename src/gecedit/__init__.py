@@ -18,7 +18,6 @@ from gecedit.lexicon import (
 )
 from gecedit.metrics import extract_spans, gleu
 from gecedit.noiser import (
-    EditDictionary,
     NoiseProfile,
     Noiser,
     build_edit_dictionary,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedPair",
     "BACKEND",
-    "EditDictionary",
     "EditTag",
     "FeatureEncoder",
     "Lexicon",

@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -123,41 +125,19 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
     return NoiseProfile(weights, expected, seed, edit_dict)
 
 
-class EditDictionary:
-    """Observed erroneous variants per correct token, applied correct->error."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict[str, int]] = {}
-
-    def add(self, correct: str, variant: str, count: int = 1) -> None:
-        self._entries.setdefault(correct, {})
-        self._entries[correct][variant] = self._entries[correct].get(variant, 0) + count
-
-    def has(self, correct: str) -> bool:
-        return correct in self._entries
-
-    def variants(self, correct: str) -> list[tuple[str, int]]:
-        return list(self._entries.get(correct, {}).items())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def is_empty(self) -> bool:
-        return not self._entries
-
-
-def build_edit_dictionary(pairs: Iterable[AlignedPair]) -> EditDictionary:
-    """Collect single-token substitutions (correct -> seen error) from pairs."""
-    d = EditDictionary()
+def build_edit_dictionary(pairs: Iterable[AlignedPair]) -> dict[str, dict[str, int]]:
+    """Single-token substitutions seen in ``pairs``: correct token ->
+    {erroneous variant: count}, both in first-seen order."""
+    d: dict[str, dict[str, int]] = {}
     for pair in pairs:
         for i, token in enumerate(pair.source):
             span = pair.span_tokens(i)
             if len(span) == 1 and span[0] != token:
-                d.add(correct=span[0], variant=token)
+                d.setdefault(span[0], Counter())[token] += 1
     return d
 
 
-def build_edit_dictionary_from_file(path: Union[str, Path]) -> EditDictionary:
+def build_edit_dictionary_from_file(path: Union[str, Path]) -> dict[str, dict[str, int]]:
     def pairs():
         for lineno, line in enumerate(text_lines(path), start=1):
             if not line.strip():
@@ -177,6 +157,12 @@ def _line_rng(global_seed: int, line_seed: int) -> random.Random:
         f"{global_seed}:{line_seed}".encode(), digest_size=8
     ).digest()
     return random.Random(int.from_bytes(digest, "big"))
+
+
+def _draw_variant(variants: dict[str, int], rng: random.Random) -> str:
+    """One variant, drawn with probability proportional to its count."""
+    cumulative = list(accumulate(variants.values()))
+    return list(variants)[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -238,7 +224,7 @@ class Noiser:
     def __init__(
         self,
         profile: NoiseProfile,
-        edit_dict: Optional[EditDictionary] = None,
+        edit_dict: Optional[dict[str, dict[str, int]]] = None,
         lexicon: Optional[Lexicon] = None,
     ):
         self.profile = profile
@@ -251,7 +237,7 @@ class Noiser:
         active = profile.active_operations()
         self._op_names = [name for name, _ in active]
         self._op_weights = [w for _, w in active]
-        if "token_dict" in self._op_names and (self.edit_dict is None or self.edit_dict.is_empty()):
+        if "token_dict" in self._op_names and not self.edit_dict:
             raise ProfileError("token_dict has weight > 0 but no edit dictionary is loaded")
         required = {
             "type_preposition": self.patterns.prepositions,
@@ -294,24 +280,26 @@ class Noiser:
     # -- operations ---------------------------------------------------------
     # Each returns True when it edited the sentence, False when inapplicable.
 
-    def _op_token_dict(self, st: _SentenceState, rng: random.Random) -> bool:
-        d = self.edit_dict
-        cands = [i for i in st.unlocked() if d.has(st.tokens[i])]
+    @staticmethod
+    def _rewrite_one(st: _SentenceState, rng: random.Random, cands, rewrite) -> bool:
+        """Rewrite one token: draw a ``(position, detail)`` pair from ``cands``
+        and replace the token with ``rewrite(token, detail, rng)``, unless
+        that is empty or the token itself."""
         if not cands:
             return False
-        i = rng.choice(cands)
-        variants = d.variants(st.tokens[i])
-        total = sum(c for _, c in variants)
-        pick = rng.randrange(total)
-        acc = 0
-        for variant, count in variants:
-            acc += count
-            if pick < acc:
-                if variant == st.tokens[i]:
-                    return False
-                st.replace(i, variant)
-                return True
-        return False
+        i, detail = rng.choice(cands)
+        new = rewrite(st.tokens[i], detail, rng)
+        if not new or new == st.tokens[i]:
+            return False
+        st.replace(i, new)
+        return True
+
+    def _op_token_dict(self, st: _SentenceState, rng: random.Random) -> bool:
+        d = self.edit_dict
+        cands = [(i, d[st.tokens[i]]) for i in st.unlocked() if st.tokens[i] in d]
+        return self._rewrite_one(
+            st, rng, cands, lambda _tok, variants, rng_: _draw_variant(variants, rng_)
+        )
 
     def _swap_from_inventory(
         self, st: _SentenceState, rng: random.Random, inventory: Sequence[str], members: frozenset
@@ -338,23 +326,18 @@ class Noiser:
 
     def _op_type_verbform(self, st, rng) -> bool:
         lex = self.lexicon
-        cands = [i for i in st.unlocked() if lex.forms_of(st.tokens[i])]
-        if not cands:
-            return False
-        i = rng.choice(cands)
-        token = st.tokens[i]
-        lemma, _ = lex.forms_of(token)[0]
-        types = [
-            t
-            for t in self.patterns.verb_types
-            if t in VERB_TYPE_FORMS
-            and lex.form(lemma, VERB_TYPE_FORMS[t]) not in (None, token)
-        ]
-        if not types:
-            return False
-        chosen = rng.choice(types)
-        st.replace(i, lex.form(lemma, VERB_TYPE_FORMS[chosen]))
-        return True
+
+        def rewrite(token, lemma, rng_):
+            forms = [
+                form
+                for t in self.patterns.verb_types
+                if t in VERB_TYPE_FORMS
+                and (form := lex.form(lemma, VERB_TYPE_FORMS[t])) not in (None, token)
+            ]
+            return rng_.choice(forms) if forms else None
+
+        cands = [(i, forms[0][0]) for i in st.unlocked() if (forms := lex.forms_of(st.tokens[i]))]
+        return self._rewrite_one(st, rng, cands, rewrite)
 
     def _noun_flip(self, token: str) -> Optional[str]:
         lex = self.lexicon
@@ -377,12 +360,10 @@ class Noiser:
         return None
 
     def _op_type_noun_number(self, st, rng) -> bool:
-        cands = [i for i in st.unlocked() if self._noun_flip(st.tokens[i]) is not None]
-        if not cands:
-            return False
-        i = rng.choice(cands)
-        st.replace(i, self._noun_flip(st.tokens[i]))
-        return True
+        cands = [
+            (i, flip) for i in st.unlocked() if (flip := self._noun_flip(st.tokens[i])) is not None
+        ]
+        return self._rewrite_one(st, rng, cands, lambda _tok, flip, _rng: flip)
 
     def _literal_suffix_safe(self, token: str) -> bool:
         # Reject tokens whose -er/-est/-ly form needs orthographic changes.
@@ -416,12 +397,8 @@ class Noiser:
         return out
 
     def _op_type_pos(self, st, rng) -> bool:
-        cands = [i for i in st.unlocked() if self._pos_conversions(st.tokens[i])]
-        if not cands:
-            return False
-        i = rng.choice(cands)
-        st.replace(i, rng.choice(self._pos_conversions(st.tokens[i])))
-        return True
+        cands = [(i, conv) for i in st.unlocked() if (conv := self._pos_conversions(st.tokens[i]))]
+        return self._rewrite_one(st, rng, cands, lambda _tok, conv, rng_: rng_.choice(conv))
 
     def _ngram_sizes(self, rng, limit: int) -> Optional[int]:
         sizes = [n for n in (2, 3) if n <= limit]
@@ -485,27 +462,14 @@ class Noiser:
         st.replace_span(p, list(st.tokens[q : q + n]))
         return True
 
-    def _rewrite_within_token(self, st, rng, candidates, rewrite) -> bool:
-        if not candidates:
-            return False
-        choice = rng.choice(candidates)
-        i = choice[0]
-        new = rewrite(st.tokens[i], choice, rng)
-        if not new or new == st.tokens[i]:
-            return False
-        st.replace(i, new)
-        return True
-
     def _op_char_pattern(self, st, rng) -> bool:
         cands = [
-            (i, key, val)
+            (i, pattern)
             for i in st.unlocked()
-            for key, val in self.patterns.letter_patterns
-            if key in st.tokens[i]
+            for pattern in self.patterns.letter_patterns
+            if pattern[0] in st.tokens[i]
         ]
-        return self._rewrite_within_token(
-            st, rng, cands, lambda tok, c, _rng: tok.replace(c[1], c[2], 1)
-        )
+        return self._rewrite_one(st, rng, cands, lambda tok, kv, _rng: tok.replace(*kv, 1))
 
     def _op_vowel_swap(self, st, rng) -> bool:
         cands = [
@@ -514,19 +478,17 @@ class Noiser:
             for combo in self.patterns.vowel_combinations
             if combo in st.tokens[i]
         ]
-        return self._rewrite_within_token(
-            st, rng, cands, lambda tok, c, _rng: tok.replace(c[1], c[1][::-1], 1)
-        )
+        return self._rewrite_one(st, rng, cands, lambda tok, c, _rng: tok.replace(c, c[::-1], 1))
 
     def _op_similar_sound(self, st, rng) -> bool:
         cands = [
-            (i, key, variants)
+            (i, entry)
             for i in st.unlocked()
-            for key, variants in self.patterns.similar_sound
-            if key in st.tokens[i]
+            for entry in self.patterns.similar_sound
+            if entry[0] in st.tokens[i]
         ]
-        return self._rewrite_within_token(
-            st, rng, cands, lambda tok, c, rng_: tok.replace(c[1], rng_.choice(c[2]), 1)
+        return self._rewrite_one(
+            st, rng, cands, lambda tok, kv, rng_: tok.replace(kv[0], rng_.choice(kv[1]), 1)
         )
 
     def _op_adjective_adverb(self, st, rng) -> bool:
@@ -538,12 +500,7 @@ class Noiser:
                 cands.append((i, tok + "ly"))
             elif tok.endswith("ly") and tok[:-2] in adj:
                 cands.append((i, tok[:-2]))
-        if not cands:
-            return False
-        i, new = rng.choice(cands)
-        st.replace(i, new)
-        return True
-
+        return self._rewrite_one(st, rng, cands, lambda _tok, new, _rng: new)
 
 _OPERATION_FUNCS = {name: getattr(Noiser, f"_op_{name}") for name in OPERATIONS}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import weakref
 from typing import Sequence
 
-from gecedit.alignment import AlignedPair, align
+from gecedit.alignment import align
 from gecedit.lexicon import Lexicon
 from gecedit.tags import (
     DELETE_TAG,
@@ -156,12 +156,6 @@ def seq2edit(
     if len(source) == 0:
         raise ValueError("seq2edit requires a non-empty source sentence")
     pair = align(source, target)
-    return edits_from_alignment(pair, lexicon, tagset)
-
-
-def edits_from_alignment(pair: AlignedPair, lexicon: Lexicon, tagset: TagSet) -> list[EditTag]:
-    """Tag an already-aligned pair (alignment reuse for corpus pipelines)."""
-    source = pair.source
     n = len(source)
     tags: list[EditTag | None] = [None] * n
 

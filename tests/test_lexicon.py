@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +152,16 @@ class TestPatterns:
 
     def test_loader_stable_across_runs(self):
         assert load_patterns() == load_patterns()
+
+
+def test_build_data_reproduces_the_bundled_files(tmp_path, monkeypatch):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "build_data.py"
+    spec = importlib.util.spec_from_file_location("build_data", tool)
+    build_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_data)
+    monkeypatch.setattr(build_data, "DATA", tmp_path)
+    build_data.main()
+    bundled = sorted(p.name for p in data_dir().iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled and len(bundled) == 13
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (data_dir() / name).read_bytes(), name

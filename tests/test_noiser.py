@@ -7,7 +7,6 @@ from gecedit.alignment import align
 from gecedit.cli import main
 from gecedit.edit2seq import edit2seq
 from gecedit.noiser import (
-    EditDictionary,
     NoiseProfile,
     Noiser,
     ProfileError,
@@ -73,20 +72,19 @@ class TestEditDictionary:
     def test_single_substitution(self, lexicon):
         pair = align("I am hapy".split(), "I am happy".split())
         d = build_edit_dictionary([pair])
-        assert d.variants("happy") == [("hapy", 1)]
+        assert d == {"happy": {"hapy": 1}}
 
     def test_identity_corpus_empty(self, lexicon):
         pair = align(["same", "words"], ["same", "words"])
-        assert build_edit_dictionary([pair]).is_empty()
+        assert build_edit_dictionary([pair]) == {}
 
     def test_counts_accumulate(self):
         pairs = [align("I am hapy".split(), "I am happy".split()) for _ in range(2)]
         d = build_edit_dictionary(pairs)
-        assert d.variants("happy") == [("hapy", 2)]
+        assert d == {"happy": {"hapy": 2}}
 
     def test_token_dict_corruption(self, lexicon):
-        d = EditDictionary()
-        d.add("happy", "hapy", 3)
+        d = {"happy": {"hapy": 3}}
         prof = NoiseProfile({"token_dict": 1.0}, expected_errors=5.0, rng_seed=1)
         noiser = Noiser(prof, edit_dict=d, lexicon=lexicon)
         out, counts = noiser.corrupt(["very", "happy", "indeed"], 0)

@@ -23,7 +23,8 @@ DATA = REPO / "src" / "gecedit" / "data"
 
 sys.path.insert(0, str(REPO / "src"))
 
-from gecedit.lexicon import Lexicon  # noqa: E402
+from gecedit.lexicon import PATTERN_FILES, Lexicon  # noqa: E402
+from gecedit.noiser import OPERATIONS  # noqa: E402
 from gecedit.transforms import pluralize  # noqa: E402
 
 VOWELS = "aeiou"
@@ -641,24 +642,13 @@ def main() -> None:
     write_lines(DATA / "default.tagset", tag_lines)
 
     profile_lines = ["# Uniform weights over the inventory-backed operations.", "expected_errors = 1.0", "rng_seed = 13"]
-    for op in (
-        "type_preposition", "type_determiner", "type_verbform",
-        "type_noun_number", "type_pos", "ngram_swap", "ngram_insert",
-        "ngram_delete", "ngram_replace", "char_pattern", "vowel_swap",
-        "similar_sound", "adjective_adverb",
-    ):
-        profile_lines.append(f"{op} = 1.0")
+    profile_lines += [f"{op} = 1.0" for op in OPERATIONS if op != "token_dict"]
     write_lines(DATA / "default.profile", profile_lines)
 
-    pattern_files = [
-        "prepositions.txt", "determiners.txt", "letter_patterns.tsv",
-        "vowel_combinations.txt", "similar_sound.tsv", "verb_types.txt",
-        "pos_types.txt", "adjectives.txt",
-    ]
     manifest = {
         "files": {
             name: hashlib.sha256((DATA / name).read_bytes()).hexdigest()
-            for name in pattern_files
+            for name in PATTERN_FILES
         }
     }
     (DATA / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
