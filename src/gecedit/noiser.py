@@ -188,9 +188,6 @@ class _SentenceState:
     def unlocked(self) -> list[int]:
         return [i for i in range(len(self.tokens)) if i not in self.locked]
 
-    def is_locked(self, i: int) -> bool:
-        return i in self.locked
-
     def window_free(self, p: int, n: int) -> bool:
         return all(p + k not in self.locked for k in range(n))
 
@@ -208,14 +205,26 @@ class _SentenceState:
         self.locked = {(k if k < p else k + n) for k in self.locked}
         self.locked.update(range(p, p + n))
 
+    @staticmethod
+    def _restore_site(p: int, n: int) -> int:
+        """The token whose edit restores deleted tokens ``p .. p+n-1``: the
+        one before them, or at the sentence start the one after."""
+        return p - 1 if p > 0 else p + n
+
+    def can_delete(self, p: int, n: int) -> bool:
+        """Whether deleting ``n`` tokens at ``p`` leaves a token, and neither
+        they nor their restore site has been edited yet."""
+        return (
+            n < len(self.tokens)
+            and self.window_free(p, n)
+            and self._restore_site(p, n) not in self.locked
+        )
+
     def delete_span(self, p: int, n: int) -> None:
-        # The restore edit lands on the preceding token, so lock it too.
+        """Delete after ``can_delete(p, n)``; the restore site is locked."""
+        self.locked.add(self._restore_site(p, n))
         del self.tokens[p : p + n]
         self.locked = {(k if k < p else k - n) for k in self.locked}
-        if p > 0:
-            self.locked.add(p - 1)
-        elif self.tokens:
-            self.locked.add(0)
 
 
 class Noiser:
@@ -311,7 +320,7 @@ class Noiser:
         choices = [w for w in inventory if w != st.tokens[i]]
         new = rng.choice(choices)
         if new == "":
-            if len(st.tokens) == 1 or (i > 0 and st.is_locked(i - 1)):
+            if not st.can_delete(i, 1):
                 return False
             st.delete_span(i, 1)
         else:
@@ -435,11 +444,7 @@ class Noiser:
         n = self._ngram_sizes(rng, len(st.tokens) - 1)
         if n is None:
             return False
-        starts = [
-            p
-            for p in range(len(st.tokens) - n + 1)
-            if st.window_free(p, n) and (p == 0 or not st.is_locked(p - 1))
-        ]
+        starts = [p for p in range(len(st.tokens) - n + 1) if st.can_delete(p, n)]
         if not starts:
             return False
         st.delete_span(rng.choice(starts), n)

@@ -1,22 +1,31 @@
 import json
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gecedit.alignment import align
 from gecedit.cli import main
 from gecedit.edit2seq import edit2seq
 from gecedit.noiser import (
+    MAX_RETRIES,
+    OPERATIONS,
+    VERB_TYPE_FORMS,
     NoiseProfile,
     Noiser,
     ProfileError,
+    _line_rng,
+    _poisson,
+    _SentenceState,
     build_edit_dictionary,
     load_profile,
 )
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import TagFamily
 
-from corpus_util import make_compound_corpus, make_corpus
+from corpus_util import make_compound_corpus, make_corpus, vocabulary
 
 
 class TestProfile:
@@ -301,3 +310,299 @@ def test_reversibility_unknown_rate(lexicon, default_tagset):
                 unknown += 1
     assert edited > 0
     assert unknown / edited <= 0.05
+
+
+class TestDeletionRestoreSite:
+    """A deletion's restore edit lands on the token before the deleted ones,
+    or at the sentence start on the token after them; that token must not
+    have been edited already."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ngram_delete_spares_a_locked_token_after_the_start(self, lexicon, n):
+        noiser = Noiser(NoiseProfile({}), lexicon=lexicon)
+        clean = [f"t{k}" for k in range(6)]
+        for seed in range(100):
+            st_ = _SentenceState(list(clean))
+            st_.locked = {n}
+            if noiser._op_ngram_delete(st_, random.Random(seed)) and st_.tokens[0] != "t0":
+                assert len(clean) - len(st_.tokens) != n, (seed, st_.tokens)
+
+    def test_empty_inventory_entry_spares_a_locked_token_after_the_start(self, lexicon):
+        noiser = Noiser(NoiseProfile({}), lexicon=lexicon)
+        assert "" in noiser.patterns.prepositions
+        refused = 0
+        for seed in range(100):
+            st_ = _SentenceState(["in", "t1", "t2"])
+            st_.locked = {1}
+            if noiser._op_type_preposition(st_, random.Random(seed)):
+                assert len(st_.tokens) == 3, (seed, st_.tokens)
+            else:
+                refused += 1  # drew the empty entry, i.e. a deletion
+        assert refused > 0
+
+    def test_delete_span_locks_the_restore_site(self):
+        st_ = _SentenceState(["a", "b", "c", "d"])
+        st_.delete_span(0, 2)
+        assert st_.tokens == ["c", "d"] and st_.locked == {0}
+        st_ = _SentenceState(["a", "b", "c", "d"])
+        st_.delete_span(2, 2)
+        assert st_.tokens == ["a", "b"] and st_.locked == {1}
+
+
+# -- reference operations -------------------------------------------------------
+# The single-token operations and the two deleting ones as they were written
+# before Noiser._rewrite_one, each picking, checking and replacing by itself,
+# over an EditDictionary-like mapping.  They differ from that code only by the
+# deletion guard: a deletion at the sentence start also needs a free token
+# after the deleted ones.  ngram_swap, ngram_insert and ngram_replace are the
+# Noiser's own.
+
+
+def reference_delete_span(st_, p, n):
+    del st_.tokens[p : p + n]
+    st_.locked = {(k if k < p else k - n) for k in st_.locked}
+    if p > 0:
+        st_.locked.add(p - 1)
+    elif st_.tokens:
+        st_.locked.add(0)
+
+
+def reference_token_dict(nz, st_, rng):
+    d = nz.edit_dict
+    cands = [i for i in st_.unlocked() if st_.tokens[i] in d]
+    if not cands:
+        return False
+    i = rng.choice(cands)
+    variants = list(d[st_.tokens[i]].items())
+    total = sum(c for _, c in variants)
+    pick = rng.randrange(total)
+    acc = 0
+    for variant, count in variants:
+        acc += count
+        if pick < acc:
+            if variant == st_.tokens[i]:
+                return False
+            st_.replace(i, variant)
+            return True
+    return False
+
+
+def reference_swap_from_inventory(st_, rng, inventory, members):
+    cands = [i for i in st_.unlocked() if st_.tokens[i] in members]
+    if not cands:
+        return False
+    i = rng.choice(cands)
+    choices = [w for w in inventory if w != st_.tokens[i]]
+    new = rng.choice(choices)
+    if new == "":
+        if len(st_.tokens) == 1 or (i > 0 and i - 1 in st_.locked):
+            return False
+        if i == 0 and 1 in st_.locked:  # the guard
+            return False
+        reference_delete_span(st_, i, 1)
+    else:
+        st_.replace(i, new)
+    return True
+
+
+def reference_type_preposition(nz, st_, rng):
+    return reference_swap_from_inventory(st_, rng, nz.patterns.prepositions, nz._prep_set)
+
+
+def reference_type_determiner(nz, st_, rng):
+    return reference_swap_from_inventory(st_, rng, nz.patterns.determiners, nz._det_set)
+
+
+def reference_type_verbform(nz, st_, rng):
+    lex = nz.lexicon
+    cands = [i for i in st_.unlocked() if lex.forms_of(st_.tokens[i])]
+    if not cands:
+        return False
+    i = rng.choice(cands)
+    token = st_.tokens[i]
+    lemma, _ = lex.forms_of(token)[0]
+    types = [
+        t
+        for t in nz.patterns.verb_types
+        if t in VERB_TYPE_FORMS and lex.form(lemma, VERB_TYPE_FORMS[t]) not in (None, token)
+    ]
+    if not types:
+        return False
+    chosen = rng.choice(types)
+    st_.replace(i, lex.form(lemma, VERB_TYPE_FORMS[chosen]))
+    return True
+
+
+def reference_type_noun_number(nz, st_, rng):
+    cands = [i for i in st_.unlocked() if nz._noun_flip(st_.tokens[i]) is not None]
+    if not cands:
+        return False
+    i = rng.choice(cands)
+    st_.replace(i, nz._noun_flip(st_.tokens[i]))
+    return True
+
+
+def reference_type_pos(nz, st_, rng):
+    cands = [i for i in st_.unlocked() if nz._pos_conversions(st_.tokens[i])]
+    if not cands:
+        return False
+    i = rng.choice(cands)
+    st_.replace(i, rng.choice(nz._pos_conversions(st_.tokens[i])))
+    return True
+
+
+def reference_ngram_delete(nz, st_, rng):
+    n = nz._ngram_sizes(rng, len(st_.tokens) - 1)
+    if n is None:
+        return False
+    starts = [
+        p
+        for p in range(len(st_.tokens) - n + 1)
+        if st_.window_free(p, n)
+        and (p == 0 or p - 1 not in st_.locked)
+        and not (p == 0 and n in st_.locked)  # the guard
+    ]
+    if not starts:
+        return False
+    reference_delete_span(st_, rng.choice(starts), n)
+    return True
+
+
+def reference_rewrite_within_token(st_, rng, candidates, rewrite):
+    if not candidates:
+        return False
+    choice = rng.choice(candidates)
+    i = choice[0]
+    new = rewrite(st_.tokens[i], choice, rng)
+    if not new or new == st_.tokens[i]:
+        return False
+    st_.replace(i, new)
+    return True
+
+
+def reference_char_pattern(nz, st_, rng):
+    cands = [
+        (i, key, val)
+        for i in st_.unlocked()
+        for key, val in nz.patterns.letter_patterns
+        if key in st_.tokens[i]
+    ]
+    return reference_rewrite_within_token(
+        st_, rng, cands, lambda tok, c, _rng: tok.replace(c[1], c[2], 1)
+    )
+
+
+def reference_vowel_swap(nz, st_, rng):
+    cands = [
+        (i, combo)
+        for i in st_.unlocked()
+        for combo in nz.patterns.vowel_combinations
+        if combo in st_.tokens[i]
+    ]
+    return reference_rewrite_within_token(
+        st_, rng, cands, lambda tok, c, _rng: tok.replace(c[1], c[1][::-1], 1)
+    )
+
+
+def reference_similar_sound(nz, st_, rng):
+    cands = [
+        (i, key, variants)
+        for i in st_.unlocked()
+        for key, variants in nz.patterns.similar_sound
+        if key in st_.tokens[i]
+    ]
+    return reference_rewrite_within_token(
+        st_, rng, cands, lambda tok, c, rng_: tok.replace(c[1], rng_.choice(c[2]), 1)
+    )
+
+
+def reference_adjective_adverb(nz, st_, rng):
+    adj = nz.patterns.adjectives
+    cands = []
+    for i in st_.unlocked():
+        tok = st_.tokens[i]
+        if tok in adj and not tok.endswith("ly"):
+            cands.append((i, tok + "ly"))
+        elif tok.endswith("ly") and tok[:-2] in adj:
+            cands.append((i, tok[:-2]))
+    if not cands:
+        return False
+    i, new = rng.choice(cands)
+    st_.replace(i, new)
+    return True
+
+
+REFERENCE_OPERATIONS = {
+    name: globals().get(f"reference_{name}") or getattr(Noiser, f"_op_{name}")
+    for name in OPERATIONS
+}
+
+
+def reference_corrupt(nz, clean, line_seed):
+    rng = _line_rng(nz.profile.rng_seed, line_seed)
+    n_errors = _poisson(rng, nz.profile.expected_errors)
+    state = _SentenceState(list(clean))
+    realized = Counter()
+    active = nz.profile.active_operations()
+    if not active:
+        return state.tokens, realized
+    names, weights = [name for name, _ in active], [w for _, w in active]
+    for _ in range(n_errors):
+        for _attempt in range(MAX_RETRIES):
+            name = rng.choices(names, weights=weights, k=1)[0]
+            if REFERENCE_OPERATIONS[name](nz, state, rng):
+                realized[name] += 1
+                break
+    return state.tokens, realized
+
+
+_POOL = sorted(vocabulary()) + [
+    "in", "on", "a", "an", "slowly", "quickly", "children", "mice", "went", "going",
+    "gone", "beautiful", "friendly", "easiest", "bigger", "night", "phone", "knowledge",
+    "cities", "boxes", "receive", "believe", "team", "great", "happy", "sea",
+]
+_SENTENCES = make_corpus(40, seed=21) + make_compound_corpus(40, seed=22)
+
+
+@pytest.fixture(scope="module")
+def built_edit_dict(lexicon):
+    seed_profile = NoiseProfile(
+        {"char_pattern": 1.0, "similar_sound": 1.0, "vowel_swap": 1.0, "type_verbform": 1.0},
+        expected_errors=2.0,
+        rng_seed=3,
+    )
+    noiser = Noiser(seed_profile, lexicon=lexicon)
+    corpus = make_corpus(150, seed=23) + make_compound_corpus(150, seed=24)
+    d = build_edit_dictionary(align(noiser.corrupt(c, i)[0], c) for i, c in enumerate(corpus))
+    assert len(d) > 20
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.dictionaries(
+        st.sampled_from(OPERATIONS),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        min_size=1,
+    ),
+    expected_errors=st.floats(0.0, 6.0),
+    rng_seed=st.integers(0, 2**32),
+    lines=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(_SENTENCES),
+                st.lists(st.sampled_from(_POOL), min_size=1, max_size=12),
+            ),
+            st.integers(0, 2**63),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_corrupt_matches_reference_operations(
+    lexicon, built_edit_dict, weights, expected_errors, rng_seed, lines
+):
+    profile = NoiseProfile(weights, expected_errors, rng_seed)
+    noiser = Noiser(profile, edit_dict=built_edit_dict, lexicon=lexicon)
+    for clean, line_seed in lines:
+        assert noiser.corrupt(clean, line_seed) == reference_corrupt(noiser, clean, line_seed)

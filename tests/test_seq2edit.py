@@ -2,11 +2,11 @@ import random
 import string
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gecedit.alignment import align
-from gecedit.edit2seq import edit2seq
+from gecedit.edit2seq import edit2seq, refine
 from gecedit.lexicon import load_lexicon
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import classify_edit, seq2edit
@@ -392,6 +392,24 @@ def test_roundtrip_on_arbitrary_pairs(lexicon, default_tagset, pair):
         end - start <= 2 for start, end in spans
     ):
         assert edit2seq(source, edits, lexicon) == target, render(edits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_edited_pairs(), max_iters=st.integers(1, 5))
+def test_refine_is_idempotent_at_its_fixpoint(lexicon, default_tagset, pair, max_iters):
+    """With an oracle predictor (seq2edit towards the target), a refine that
+    ended on an all-KEEP pass returns its output unchanged, after one pass,
+    when run on that output."""
+    source, target = pair
+    passes = []
+
+    def oracle(tokens):
+        passes.append(seq2edit(tokens, target, lexicon, default_tagset))
+        return passes[-1]
+
+    out, _ = refine(source, oracle, max_iters, lexicon)
+    assume(all(t.family is TagFamily.KEEP for t in passes[-1]))
+    assert refine(out, oracle, max_iters, lexicon) == (out, 1)
 
 
 def test_coverage_monotonicity_without_transform_families(lexicon, default_tagset, tmp_path):

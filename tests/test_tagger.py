@@ -4,13 +4,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gecedit.edit2seq import refine
 from gecedit.labels import BINARY_STREAMS, derive_labels
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
-from gecedit.tags import EditTag, TagSet
+from gecedit.tags import EditTag, TagFamily, TagSet
 from gecedit.tagger import (
     _CLIP,
     AUX_HEADS_5,
@@ -36,22 +37,23 @@ from corpus_util import make_compound_corpus, make_corpus
 T = EditTag.parse
 
 
+SMALL_TAGS = [
+    "$KEEP",
+    "$DELETE",
+    "$UNKNOWN",
+    "$REPLACE_in",
+    "$REPLACE_at",
+    "$REPLACE_to",
+    "$APPEND_the",
+    "$APPEND_in",
+    "$TRANSFORM_AGREEMENT_SINGULAR",
+    "$MERGE_SPACE",
+]
+
+
 @pytest.fixture()
 def small_tagset():
-    return TagSet(
-        [
-            "$KEEP",
-            "$DELETE",
-            "$UNKNOWN",
-            "$REPLACE_in",
-            "$REPLACE_at",
-            "$REPLACE_to",
-            "$APPEND_the",
-            "$APPEND_in",
-            "$TRANSFORM_AGREEMENT_SINGULAR",
-            "$MERGE_SPACE",
-        ]
-    )
+    return TagSet(SMALL_TAGS)
 
 
 def tiny_batch(small_tagset):
@@ -472,6 +474,31 @@ class TestPredict:
     def test_empty_sentence(self, small_tagset):
         model = seeded_model(small_tagset)
         assert predict_tags(model, []) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.sampled_from(["He", "She", "lives", "works", "at", "in", "the", "city", "a"]),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 50),
+        keep_bias=st.floats(0.0, 0.5),
+        max_iters=st.integers(1, 5),
+    )
+    def test_refine_is_idempotent_at_its_fixpoint(self, lexicon, tokens, seed, keep_bias, max_iters):
+        """A model-driven refine that ended on an all-KEEP pass returns its
+        output unchanged, after one pass, when run on that output."""
+        model = seeded_model(TagSet(SMALL_TAGS), seed=seed)
+        passes = []
+
+        def predictor(toks):
+            passes.append(predict_tags(model, toks, keep_bias))
+            return passes[-1]
+
+        out, _ = refine(tokens, predictor, max_iters, lexicon)
+        assume(all(t.family is TagFamily.KEEP for t in passes[-1]))
+        assert refine(out, predictor, max_iters, lexicon) == (out, 1)
 
 
 class TestSerialization:
