@@ -216,12 +216,13 @@ class _SentenceState:
         they nor their restore site has been edited yet."""
         return (
             n < len(self.tokens)
-            and self.window_free(p, n)
             and self._restore_site(p, n) not in self.locked
+            and self.window_free(p, n)
         )
 
     def delete_span(self, p: int, n: int) -> None:
-        """Delete after ``can_delete(p, n)``; the restore site is locked."""
+        """Delete ``n`` tokens at ``p``, as ``can_delete`` allowed, and lock
+        the token that restores them."""
         self.locked.add(self._restore_site(p, n))
         del self.tokens[p : p + n]
         self.locked = {(k if k < p else k - n) for k in self.locked}
@@ -506,6 +507,7 @@ class Noiser:
             elif tok.endswith("ly") and tok[:-2] in adj:
                 cands.append((i, tok[:-2]))
         return self._rewrite_one(st, rng, cands, lambda _tok, new, _rng: new)
+
 
 _OPERATION_FUNCS = {name: getattr(Noiser, f"_op_{name}") for name in OPERATIONS}
 
