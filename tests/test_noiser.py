@@ -340,14 +340,6 @@ class TestDeletionRestoreSite:
                 refused += 1  # drew the empty entry, i.e. a deletion
         assert refused > 0
 
-    def test_delete_span_locks_the_restore_site(self):
-        st_ = _SentenceState(["a", "b", "c", "d"])
-        st_.delete_span(0, 2)
-        assert st_.tokens == ["c", "d"] and st_.locked == {0}
-        st_ = _SentenceState(["a", "b", "c", "d"])
-        st_.delete_span(2, 2)
-        assert st_.tokens == ["a", "b"] and st_.locked == {1}
-
 
 # -- reference operations -------------------------------------------------------
 # The single-token operations and the two deleting ones as they were written
