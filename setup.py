@@ -1,17 +1,21 @@
-"""Build script: compiles the alignment kernel.
+"""Build script: compiles the optional alignment kernel.
 
-The kernel is compiled from the shipped ``_align_fast.c``, which Cython
-generated from ``_align_fast.pyx`` (both files are pinned by sha256 in the
-tests).  Set GECEDIT_PURE=1 to skip the extension; the package then runs on
-the pure-Python kernel.
+``_align_fast.c`` is a hand-written C port of ``_align_py.align_ops`` with the
+same output.  It is compiled with ``-ffp-contract=off``, so that no
+multiply-add is fused and its float costs match the pure kernel's bit for bit.
+The extension is optional: where it cannot be compiled, installation goes on
+and the package runs on the pure-Python kernel.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("GECEDIT_PURE") != "1":
-    ext_modules = [Extension("gecedit._align_fast", ["src/gecedit/_align_fast.c"])]
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "gecedit._align_fast",
+            ["src/gecedit/_align_fast.c"],
+            extra_compile_args=["-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

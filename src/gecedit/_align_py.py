@@ -3,8 +3,8 @@
 The minimal-cost monotone alignment used by the edit tagger: Levenshtein over
 tokens with unit insert/delete cost and a character-overlap discount for
 substitutions, so that similar tokens pair up instead of being deleted and
-re-inserted.  The compiled kernel in ``_align_fast`` must produce
-byte-identical output.
+re-inserted.  This is the reference: the C kernel in ``_align_fast.c`` ports
+it and must give identical output.
 
 The DP reads substitution costs from a table built once per call with one
 entry per distinct (source token, target token) pair.  Equal tokens cost 0.0.

@@ -1,10 +1,10 @@
 """Token-level alignment between a source sentence and a target sentence.
 
-The hot kernel lives in the compiled extension ``_align_fast`` when it was
-built, with ``_align_py`` as the drop-in pure-Python fallback; the active
-backend is chosen once at import and reported in ``BACKEND``.  Every caller
-goes through ``align_ops``, which trims the common token suffix before the
-kernel runs.
+The hot kernel is the C extension ``_align_fast`` when it was built, with
+``_align_py`` as the pure-Python fallback and reference; both give the same
+output.  The active backend is chosen once at import and reported in
+``BACKEND`` (``"c"`` or ``"python"``).  Every caller goes through
+``align_ops``, which trims the common token suffix before the kernel runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from gecedit._align_py import align_ops as _align_ops_py
 try:  # pragma: no cover - depends on how the package was built
     from gecedit._align_fast import align_ops as _align_ops_fast
 
-    BACKEND = "cython"
+    BACKEND = "c"
 except ImportError:  # pragma: no cover
     _align_ops_fast = None
     BACKEND = "python"
@@ -28,7 +28,7 @@ def available_backends() -> dict[str, Callable]:
     """Alignment kernels importable in this environment, by name."""
     backends: dict[str, Callable] = {"python": _align_ops_py}
     if _align_ops_fast is not None:
-        backends["cython"] = _align_ops_fast
+        backends["c"] = _align_ops_fast
     return backends
 
 

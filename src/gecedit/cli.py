@@ -167,15 +167,13 @@ def _cmd_tag(args) -> int:
 
 def _apply_line(item):
     lineno, src_line, edits_line = item
-    tokens = tokenize(src_line)
+    # the source line is only tokenized, so a fault is the edits line's
     try:
         edits = [EditTag.parse(t) for t in edits_line.split()]
+        out = edit2seq(tokenize(src_line), edits, _G["lexicon"])
     except ValueError as exc:
         raise DataError(f"{_G['edits_path']}:{lineno}: {exc}") from None
-    try:
-        return detokenize(edit2seq(tokens, edits, _G["lexicon"]))
-    except ValueError as exc:
-        raise DataError(f"{_G['src_path']}:{lineno}: {exc}") from None
+    return detokenize(out)
 
 
 def _paired_lines(src_path, edits_path):
@@ -188,12 +186,8 @@ def _paired_lines(src_path, edits_path):
 
 
 def _cmd_apply(args) -> int:
-    state = {
-        "src_path": str(args.src),
-        "edits_path": str(args.edits),
-        "lexicon": load_lexicon(args.lexicon, args.plurals),
-    }
-    items = _paired_lines(state["src_path"], state["edits_path"])
+    state = {"edits_path": str(args.edits), "lexicon": load_lexicon(args.lexicon, args.plurals)}
+    items = _paired_lines(args.src, args.edits)
     with open(args.out, "w", encoding="utf-8") as out:
         for line in _map_ordered(_apply_line, items, args.workers, state):
             out.write(line + "\n")
@@ -326,10 +320,12 @@ def _cmd_score(args) -> int:
     src_lines = read_lines(args.src)
     hyp_lines = read_lines(args.hyp)
     ref_files = [read_lines(r) for r in args.ref]
-    for name, lines in (("hyp", hyp_lines), *(("ref", r) for r in ref_files)):
+    streams = (("hyp", args.hyp, hyp_lines), *(("ref", p, r) for p, r in zip(args.ref, ref_files)))
+    for name, path, lines in streams:
         if len(lines) != len(src_lines):
             raise DataError(
-                f"{name} stream has {len(lines)} lines, source has {len(src_lines)}"
+                f"{path}: {name} stream has {len(lines)} lines, "
+                f"source has {len(src_lines)} (--src {args.src})"
             )
     report: dict = {"sentence_count": len(src_lines)}
     if args.metric in ("f05", "both"):
@@ -450,8 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled JSON-lines file from `tag`")
     p.add_argument("--tagset", default=str(default_tagset_path()))
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--lambda", type=_unit_float, default=0.5, help="auxiliary loss weight")
-    p.add_argument("--heads", type=int, choices=(5, 7), default=7)
+    p.add_argument(
+        "--lambda",
+        type=_unit_float,
+        default=0.5,
+        help="auxiliary loss weight; it shapes only the auxiliary rows, so it reaches "
+        "predictions only through predict --min-error-prob",
+    )
+    p.add_argument(
+        "--heads",
+        type=int,
+        choices=(5, 7),
+        default=7,
+        help="head count; like --lambda it reaches predictions only through "
+        "predict --min-error-prob",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--lr", type=_positive_float, default=0.5)

@@ -1,20 +1,21 @@
 """Alignment kernel tests: frozen examples, a brute-force cost oracle, the
-per-cell reference kernel, pure/compiled parity and the compiled sources' pin."""
+per-cell reference kernel, and the C kernel against the pure one.
 
-import hashlib
+The C kernel is built from this checkout by the ``c_align_ops`` fixture."""
+
 import random
 from collections import Counter
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gecedit
-from gecedit import _align_py, alignment
+from corpus_util import make_corpus
+from gecedit import _align_py, alignment, metrics
 from gecedit._align_py import OP_DEL, OP_INS, OP_KEEP, OP_SUB
 from gecedit.alignment import align, align_ops, available_backends
+from gecedit.cli import main
 
 # -- independent cost oracle -------------------------------------------------
 # Recursive minimum over all monotone alignments; no tie-breaking, no DP
@@ -91,9 +92,15 @@ def _random_tokens(rng, n, vocab):
 VOCAB = ["a", "ab", "abc", "go", "went", "he", "the", "cat", "cats", "x", "overall"]
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
-def test_matches_oracle_cost_on_random_pairs(backend):
-    kernel = available_backends()[backend]
+@pytest.fixture(params=["python", "c"])
+def kernel(request):
+    """Each alignment kernel on its own, without the suffix trim."""
+    if request.param == "python":
+        return _align_py.align_ops
+    return request.getfixturevalue("c_align_ops")
+
+
+def test_matches_oracle_cost_on_random_pairs(kernel):
     rng = random.Random(7)
     for _ in range(200):
         src = _random_tokens(rng, rng.randrange(0, 7), VOCAB)
@@ -101,17 +108,6 @@ def test_matches_oracle_cost_on_random_pairs(backend):
         ops = kernel(src, tgt)
         ops_reconstruct(ops, src, tgt)
         assert ops_cost(ops, src, tgt) == pytest.approx(oracle_min_cost(tuple(src), tuple(tgt)), abs=1e-12)
-
-
-def test_pure_and_compiled_agree_exactly():
-    backends = available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(99)
-    for _ in range(500):
-        src = _random_tokens(rng, rng.randrange(0, 9), VOCAB)
-        tgt = _random_tokens(rng, rng.randrange(0, 9), VOCAB)
-        assert backends["python"](src, tgt) == backends["cython"](src, tgt)
 
 
 def test_substitution_forced_by_equal_lengths():
@@ -252,10 +248,10 @@ _token = st.one_of(st.text(_CHARS, max_size=7), st.text(max_size=5))
 
 
 @st.composite
-def _pairs(draw):
-    src = draw(st.lists(_token, max_size=7))
+def _pairs(draw, token=_token):
+    src = draw(st.lists(token, max_size=7))
     # target tokens repeat source tokens as well as drawing new ones
-    tgt_token = st.one_of(_token, st.sampled_from(src)) if src else _token
+    tgt_token = st.one_of(token, st.sampled_from(src)) if src else token
     tgt = draw(st.lists(tgt_token, max_size=7))
     return src, tgt
 
@@ -315,21 +311,55 @@ class TestCostTableMatchesReference:
         assert overlap >= reference_lcs_len(a, b)
 
 
-# -- compiled kernel sources -------------------------------------------------
-# Cython is not a test dependency, so the generated C cannot be rebuilt and
-# compared here; pinning both files catches a .pyx edited without its .c.
+# -- the C kernel against the pure one ----------------------------------------
 
-_PINNED_SOURCES = {
-    "_align_fast.pyx": "16cf5e923df6f8e33e7dc94e5ebc88722397fce9a427043320cf9b9d52f679eb",
-    "_align_fast.c": "8c7a7f39cbe2355922591775e4ed01c6e12a140556c1279a98e2642053be5dd3",
-}
+# Tokens past 64 characters, from the small alphabet so that long tokens still
+# reach the similarity threshold, and from all of Unicode.
+_any_token = st.one_of(_token, st.text(_CHARS, min_size=60, max_size=90), st.text(min_size=65, max_size=70))
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED_SOURCES))
-def test_compiled_kernel_sources_pinned(name):
-    path = Path(gecedit.__file__).with_name(name)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == _PINNED_SOURCES[name], (
-        f"{name} changed: regenerate _align_fast.c from _align_fast.pyx with Cython "
-        "and update both sha256 values in _PINNED_SOURCES"
-    )
+@settings(max_examples=1000, deadline=None)
+@given(pair=_pairs(_any_token), as_tuples=st.booleans())
+def test_pure_and_compiled_agree_exactly(c_align_ops, pair, as_tuples):
+    src, tgt = pair
+    expected = _align_py.align_ops(src, tgt)
+    if as_tuples:
+        src, tgt = tuple(src), tuple(tgt)
+    assert c_align_ops(src, tgt) == expected
+
+
+@pytest.mark.parametrize("src, tgt", [(["a", 1], ["a"]), (["a"], [b"a"]), (["a"], [None]), (1, ["a"])])
+def test_compiled_kernel_rejects_non_str_tokens(c_align_ops, src, tgt):
+    with pytest.raises(TypeError):
+        c_align_ops(src, tgt)
+
+
+def test_tag_and_score_identical_under_both_kernels(c_align_ops, tmp_path, monkeypatch, capsys):
+    clean = tmp_path / "clean.txt"
+    clean.write_text("".join(" ".join(s) + "\n" for s in make_corpus(300, seed=8)))
+    for seed in (1, 2):
+        assert main(["noise", "--in", str(clean), "--out", str(tmp_path / f"n{seed}.tsv"),
+                     "--seed", str(seed), "--workers", "1"]) == 0
+    for seed in (1, 2):  # the source side of each noised corpus
+        lines = (tmp_path / f"n{seed}.tsv").read_text().splitlines()
+        (tmp_path / f"s{seed}.txt").write_text("".join(line.split("\t")[0] + "\n" for line in lines))
+    labels = tmp_path / "labels.jsonl"
+
+    def run():
+        assert main(["tag", "--src-tgt", str(tmp_path / "n1.tsv"), "--out", str(labels), "--workers", "1"]) == 0
+        assert main(["score", "--src", str(tmp_path / "s1.txt"), "--hyp", str(tmp_path / "s2.txt"),
+                     "--ref", str(clean), "--workers", "1"]) == 0
+        return labels.read_bytes(), capsys.readouterr().out
+
+    pure = run()
+    calls = []
+
+    def counted(src, tgt):
+        calls.append(1)
+        return c_align_ops(src, tgt)
+
+    trimmed = alignment._suffix_trimmed(counted)
+    monkeypatch.setattr(alignment, "align_ops", trimmed)
+    monkeypatch.setattr(metrics, "align_ops", trimmed)
+    assert run() == pure
+    assert calls

@@ -486,6 +486,11 @@ def _predict_bogus_header_tag(d):
     return argv
 
 
+def _apply_edits(edits):
+    return lambda d: ["apply", "--src", _write(d / "s.txt", "a b\n"),
+                      "--edits", _write(d / "e.txt", edits), "--out", str(d / "o.txt")]
+
+
 def _noise_edit_dict(d):
     _write(d / "ed.tsv", "in\tat\nbad line\n")
     return _noise("edit_dict = ed.tsv\ntoken_dict = 1.0\n")(d)
@@ -504,9 +509,9 @@ def _noise_edit_dict(d):
         (_tag(plurals="child\tchildren\n\nfoot\n"), 2, "plurals.tsv:3: expected singular<TAB>plural"),
         (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "\tb\n")], 2,
          "pairs.tsv:1: empty source sentence"),
-        (lambda d: ["apply", "--src", _write(d / "s.txt", "a b\n"),
-                    "--edits", _write(d / "e.txt", "$KEEP $NOPE\n"), "--out", str(d / "o.txt")],
-         2, "e.txt:1: "),
+        (_apply_edits("$KEEP $NOPE\n"), 2, "e.txt:1: "),
+        (_apply_edits("$KEEP\n"), 2, "e.txt:1: edit sequence length 1 != source length 2"),
+        (_apply_edits("$KEEP $MERGE_SPACE\n"), 2, "e.txt:1: cannot apply"),
         (_noise("expected_errors = x\n"), 2, "p.profile:1: could not convert"),
         (_noise("rng_seed = 2\nexpected_errors = inf\n"), 2, "p.profile:2: expected_errors"),
         (_noise("type_preposition = -1\n"), 2, "p.profile:1: weight for type_preposition"),
@@ -546,7 +551,8 @@ def _noise_edit_dict(d):
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
          "tag-lexicon-blank-lines", "tag-plurals-blank-line", "coverage-empty-source",
-         "apply-bad-tag", "noise-expected-x", "noise-expected-inf", "noise-negative-weight",
+         "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
+         "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
          "train-missing-stream", "train-tag-not-in-tagset", "train-diverges", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
@@ -566,9 +572,7 @@ def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, me
         assert err.startswith("gecedit: error: ") and "Traceback" not in err
 
 
-def _apply(d):
-    return ["apply", "--src", _write(d / "s.txt", "a b\n"),
-            "--edits", _write(d / "e.txt", "$KEEP $KEEP\n"), "--out", str(d / "o.txt")]
+_apply = _apply_edits("$KEEP $KEEP\n")
 
 
 def _score(d):
@@ -630,10 +634,16 @@ def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, 
         (_predict(), "model.bin:1: not a model file"),
         (lambda d: ["score", "--src", _write(d / "src.txt", "a\n"),
                     "--hyp", _write(d / "hyp.txt", "a\nb\n"),
-                    "--ref", _write(d / "ref.txt", "a\n")], "hyp stream has 2 lines"),
+                    "--ref", _write(d / "ref.txt", "a\n")],
+         "hyp.txt: hyp stream has 2 lines, source has 1 (--src "),
+        (lambda d: ["score", "--src", _write(d / "src.txt", "a\n"),
+                    "--hyp", _write(d / "hyp.txt", "a\n"), "--ref", _write(d / "ref.txt", "a\n"),
+                    "--ref", _write(d / "ref2.txt", "")],
+         "ref2.txt: ref stream has 0 lines, source has 1 (--src "),
     ],
     ids=["tag-tagset", "tag-duplicate-tag", "coverage-plurals", "apply-lexicon",
-         "noise-profile", "noise-profile-nan", "predict-model", "score-line-count"],
+         "noise-profile", "noise-profile-nan", "predict-model", "score-line-count",
+         "score-second-ref-short"],
 )
 def test_shared_input_error_exits_before_the_worker_pool(tmp_path, capsys, monkeypatch,
                                                          argv, message):

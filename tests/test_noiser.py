@@ -340,6 +340,12 @@ class TestDeletionRestoreSite:
                 refused += 1  # drew the empty entry, i.e. a deletion
         assert refused > 0
 
+    @pytest.mark.parametrize("p, tokens, locked", [(0, ["c", "d"], {0}), (2, ["a", "b"], {1})])
+    def test_delete_span_locks_the_restore_site(self, p, tokens, locked):
+        st_ = _SentenceState(["a", "b", "c", "d"])
+        st_.delete_span(p, 2)
+        assert st_.tokens == tokens and st_.locked == locked
+
 
 # -- reference operations -------------------------------------------------------
 # The single-token operations and the two deleting ones as they were written
