@@ -337,29 +337,27 @@ def test_compiled_kernel_rejects_non_str_tokens(c_align_ops, src, tgt):
 def test_tag_and_score_identical_under_both_kernels(c_align_ops, tmp_path, monkeypatch, capsys):
     clean = tmp_path / "clean.txt"
     clean.write_text("".join(" ".join(s) + "\n" for s in make_corpus(300, seed=8)))
-    for seed in (1, 2):
+    for seed in (1, 2):  # s1.txt and s2.txt are the source sides of two noised corpora
         assert main(["noise", "--in", str(clean), "--out", str(tmp_path / f"n{seed}.tsv"),
                      "--seed", str(seed), "--workers", "1"]) == 0
-    for seed in (1, 2):  # the source side of each noised corpus
         lines = (tmp_path / f"n{seed}.tsv").read_text().splitlines()
         (tmp_path / f"s{seed}.txt").write_text("".join(line.split("\t")[0] + "\n" for line in lines))
     labels = tmp_path / "labels.jsonl"
 
-    def run():
+    def run(kernel):
+        trimmed = alignment._suffix_trimmed(kernel)
+        monkeypatch.setattr(alignment, "align_ops", trimmed)
+        monkeypatch.setattr(metrics, "align_ops", trimmed)
         assert main(["tag", "--src-tgt", str(tmp_path / "n1.tsv"), "--out", str(labels), "--workers", "1"]) == 0
         assert main(["score", "--src", str(tmp_path / "s1.txt"), "--hyp", str(tmp_path / "s2.txt"),
                      "--ref", str(clean), "--workers", "1"]) == 0
         return labels.read_bytes(), capsys.readouterr().out
 
-    pure = run()
     calls = []
 
     def counted(src, tgt):
         calls.append(1)
         return c_align_ops(src, tgt)
 
-    trimmed = alignment._suffix_trimmed(counted)
-    monkeypatch.setattr(alignment, "align_ops", trimmed)
-    monkeypatch.setattr(metrics, "align_ops", trimmed)
-    assert run() == pure
+    assert run(_align_py.align_ops) == run(counted)
     assert calls
