@@ -6,6 +6,10 @@ output is byte-identical for any worker count).  Each command loads and
 checks its shared inputs (tagset, lexicon, profile, model) before any worker
 starts, so a bad file fails the command once instead of inside every worker.
 
+``tag``, ``noise``, ``train-toy`` and ``score`` each print one JSON summary
+line on standard output: ``tag`` its tag-family histogram and UNKNOWN rate,
+``noise`` its realized operation counts.
+
 Exit codes: 0 success; 1 usage error (a bad flag or flag value); 2 data
 error, with ``file:line`` in the message where the fault has a line; 3
 internal error.
@@ -21,7 +25,6 @@ import os
 import sys
 from collections import Counter
 from itertools import chain, islice, zip_longest
-from pathlib import Path
 
 from gecedit.core import (
     CorpusFormatError,
@@ -36,7 +39,7 @@ from gecedit.edit2seq import edit2seq, refine
 from gecedit.labels import derive_labels, from_json_line, to_json_line
 from gecedit.lexicon import default_profile_path, default_tagset_path, load_lexicon
 from gecedit.metrics import F05Accumulator, extract_spans, gleu
-from gecedit.noiser import Noiser, corpus_stats, load_profile
+from gecedit.noiser import OPERATIONS, Noiser, ProfileError, load_profile
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, TagFamily, load_tagset
 from gecedit.tagger import (
@@ -129,37 +132,45 @@ def _numbered_lines(path):
 
 # -- tag ---------------------------------------------------------------------
 
-def _tag_state(args) -> dict:
-    return {
-        "path": str(args.src_tgt),
-        "tagset": load_tagset(args.tagset),
-        "lexicon": load_lexicon(args.lexicon, args.plurals),
-    }
-
-
-def _classified_pair(item):
-    """Source tokens and edit tags of one numbered pair line; errors carry file:line."""
+def _tag_line(item):
+    """The labeled JSON line of one numbered pair line and the family of each
+    of its tags; errors carry file:line."""
     lineno, line = item
     try:
         src, tgt = parse_pair_line(line)
         if not src:
             raise CorpusFormatError("empty source sentence")
-        return src, seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
+        edits = seq2edit(src, tgt, _G["lexicon"], _G["tagset"])
     except ValueError as exc:
         raise DataError(f"{_G['path']}:{lineno}: {exc}") from None
-
-
-def _tag_line(item):
-    src, edits = _classified_pair(item)
-    return to_json_line(src, derive_labels(src, edits))
+    return to_json_line(src, derive_labels(src, edits)), [tag.family.value for tag in edits]
 
 
 def _cmd_tag(args) -> int:
-    state = _tag_state(args)
+    state = {
+        "path": str(args.src_tgt),
+        "tagset": load_tagset(args.tagset),
+        "lexicon": load_lexicon(args.lexicon, args.plurals),
+    }
     items = _numbered_lines(args.src_tgt)
+    families: Counter = Counter()
+    pairs = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_tag_line, items, args.workers, state):
+        for line, line_families in _map_ordered(_tag_line, items, args.workers, state):
             out.write(line + "\n")
+            families.update(line_families)
+            pairs += 1
+    tokens = sum(families.values())
+    edited = tokens - families["KEEP"]
+    report = {
+        "pairs": pairs,
+        "tokens": tokens,
+        "edited": edited,
+        "unknown": families["UNKNOWN"],
+        "unknown_rate": (families["UNKNOWN"] / edited) if edited else 0.0,
+        "families": {fam.value: families[fam.value] for fam in TagFamily},
+    }
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
@@ -206,7 +217,11 @@ def _cmd_noise(args) -> int:
     profile = load_profile(args.profile)
     if args.seed is not None:
         profile.rng_seed = args.seed
-    state = {"noiser": Noiser(profile, lexicon=load_lexicon(args.lexicon, args.plurals))}
+    lexicon = load_lexicon(args.lexicon, args.plurals)
+    try:
+        state = {"noiser": Noiser(profile, lexicon=lexicon)}
+    except ProfileError as exc:  # operations the profile turns on that cannot run
+        raise DataError(f"{args.profile}: {exc}") from None
     blank = [0]
 
     def items():
@@ -224,9 +239,13 @@ def _cmd_noise(args) -> int:
             out.write(pair_line + "\n")
             realized.update(counts)
             sentences += 1
-    if args.stats:
-        stats = corpus_stats(sentences, blank[0], realized)
-        Path(args.stats).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    stats = {
+        "sentences": sentences,
+        "skipped_blank": blank[0],
+        "errors_total": sum(realized.values()),
+        "operations": {name: realized[name] for name in OPERATIONS},
+    }
+    print(json.dumps(stats, sort_keys=True))
     return EXIT_OK
 
 
@@ -239,6 +258,8 @@ def _cmd_train_toy(args) -> int:
         if line.strip():
             try:
                 tokens, labels = from_json_line(line)
+                if not tokens:
+                    raise ValueError("a training example needs at least one token")
                 for tag in labels.correction:
                     tagset.id_of(tag)
             except ValueError as exc:
@@ -347,36 +368,6 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-# -- coverage ----------------------------------------------------------------
-
-def _coverage_line(item):
-    _src, edits = _classified_pair(item)
-    return dict(Counter(tag.family.value for tag in edits))
-
-
-def _cmd_coverage(args) -> int:
-    state = _tag_state(args)
-    items = _numbered_lines(args.src_tgt)
-    families: Counter = Counter()
-    pairs = 0
-    for counts in _map_ordered(_coverage_line, items, args.workers, state):
-        families.update(counts)
-        pairs += 1
-    tokens = sum(families.values())
-    edited = tokens - families.get("KEEP", 0)
-    unknown = families.get("UNKNOWN", 0)
-    report = {
-        "pairs": pairs,
-        "tokens": tokens,
-        "edited": edited,
-        "unknown": unknown,
-        "unknown_rate": (unknown / edited) if edited else 0.0,
-        "families": {fam.value: families.get(fam.value, 0) for fam in TagFamily},
-    }
-    print(json.dumps(report, sort_keys=True))
-    return EXIT_OK
-
-
 # -- parser ------------------------------------------------------------------
 
 def _checked(convert, ok, rule: str):
@@ -438,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=str(default_profile_path()), help="noise profile file")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the profile rng seed")
-    p.add_argument("--stats", default=None, help="write realized operation counts (JSON)")
     _add_common(p)
     p.set_defaults(func=_cmd_noise)
 
@@ -497,12 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="GLEU reference-sampling seed")
     _add_common(p, lexicon_flag=False)
     p.set_defaults(func=_cmd_score)
-
-    p = subs.add_parser("coverage", help="tag-family histogram and UNKNOWN rate of a corpus")
-    p.add_argument("--src-tgt", required=True)
-    p.add_argument("--tagset", default=str(default_tagset_path()))
-    _add_common(p)
-    p.set_defaults(func=_cmd_coverage)
 
     return parser
 

@@ -116,6 +116,8 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
                 seed = int(value)
             elif key == "edit_dict":
                 edit_dict = (path.parent / value).resolve()
+                if not edit_dict.is_file():
+                    raise ProfileError(f"edit_dict {value!r} is not a file")
             elif key in OPERATIONS:
                 weights[key] = _checked(f"weight for {key}", float(value), 1.0)
             else:
@@ -510,13 +512,3 @@ class Noiser:
 
 
 _OPERATION_FUNCS = {name: getattr(Noiser, f"_op_{name}") for name in OPERATIONS}
-
-
-def corpus_stats(sentences: int, skipped_blank: int, realized: Counter) -> dict:
-    """The stats of a noised corpus: line counts and realized operation counts."""
-    return {
-        "sentences": sentences,
-        "skipped_blank": skipped_blank,
-        "errors_total": sum(realized.values()),
-        "operations": {name: realized.get(name, 0) for name in OPERATIONS},
-    }

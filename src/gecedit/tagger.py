@@ -488,11 +488,13 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
             if not ok:
                 raise ValueError(f"{path}: model header {key!r} must be {kind}: {header[key]!r}")
         tagset = TagSet(header["tags"], origin=f"{path}: model header 'tags'")
-        encoder = FeatureEncoder(dim=header["dim"])
-        templates = tuple(header["templates"])
-        if templates != FEATURE_TEMPLATES_V1:
-            raise ValueError(f"unsupported template set {templates!r}")
-        aux_heads = _aux_heads(header["heads"])
+        try:
+            encoder = FeatureEncoder(dim=header["dim"])
+            aux_heads = _aux_heads(header["heads"])
+            if tuple(header["templates"]) != FEATURE_TEMPLATES_V1:
+                raise ValueError(f"unsupported template set {header['templates']!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: model header: {exc}") from None
         expected = [["correction", len(tagset), encoder.dim]]
         expected += [[name, 2, encoder.dim] for name in aux_heads]
         if header["arrays"] != expected:
@@ -505,7 +507,10 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         truncated = f"{path}: truncated weight data"
         if stat.S_ISREG(info.st_mode) and info.st_size - len(line) < rows * encoder.dim * 8:
             raise ValueError(truncated)
-        model = MultiHeadModel(tagset, encoder, lam=lam, heads=header["heads"])
+        try:
+            model = MultiHeadModel(tagset, encoder, lam=lam, heads=header["heads"])
+        except (ValueError, MemoryError) as exc:  # lambda out of range, or weights too big
+            raise ValueError(f"{path}: {exc}") from None
         for a, b in _row_blocks(rows, encoder.dim):
             raw = fp.read((b - a) * encoder.dim * 8)
             if len(raw) != (b - a) * encoder.dim * 8:

@@ -437,12 +437,11 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         edits = tmp_path / f"edits_{run_id}.txt"
         hyp = tmp_path / f"hyp_{run_id}.txt"
         pred = tmp_path / f"pred_{run_id}.txt"
-        stats = tmp_path / f"stats_{run_id}.json"
 
-        run(["noise", "--in", clean, "--profile", profile, "--out", pairs,
-             "--seed", 7, "--stats", stats, "--workers", workers])
-        run(["tag", "--src-tgt", pairs, "--tagset", tagset_path, "--out", labels,
-             "--workers", workers])
+        noise_out = run(["noise", "--in", clean, "--profile", profile, "--out", pairs,
+                         "--seed", 7, "--workers", workers])
+        tag_out = run(["tag", "--src-tgt", pairs, "--tagset", tagset_path, "--out", labels,
+                       "--workers", workers])
         with open(labels) as fp, open(src, "w") as fs, open(edits, "w") as fe:
             for line in fp:
                 obj = json.loads(line)
@@ -456,19 +455,17 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         ref.write_text("".join(line.split("\t")[1] + "\n" for line in pairs.read_text().splitlines()))
         score_out = run(["score", "--src", src, "--hyp", hyp, "--ref", ref,
                          "--metric", "both", "--seed", 3, "--workers", workers])
-        coverage_out = run(["coverage", "--src-tgt", pairs, "--tagset", tagset_path,
-                            "--workers", workers])
         outputs[run_id] = (
             pairs.read_bytes(),
-            stats.read_bytes(),
+            noise_out,
             labels.read_bytes(),
+            tag_out,
             hyp.read_bytes(),
             model.read_bytes(),
             pred.read_bytes(),
             score_out,
-            coverage_out,
         )
 
     assert outputs["r1"] == outputs["r2"], "rerun with identical flags differs"
     assert outputs["r1"] == outputs["r3"], "worker count changed the output"
-    report(11, "noise/tag/apply/train-toy/predict/score/coverage byte-identical across reruns and workers 1 vs 2")
+    report(11, "noise/tag/apply/train-toy/predict/score outputs and stdout byte-identical across reruns and workers 1 vs 2")

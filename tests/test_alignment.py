@@ -342,6 +342,7 @@ def test_tag_and_score_identical_under_both_kernels(c_align_ops, tmp_path, monke
                      "--seed", str(seed), "--workers", "1"]) == 0
         lines = (tmp_path / f"n{seed}.tsv").read_text().splitlines()
         (tmp_path / f"s{seed}.txt").write_text("".join(line.split("\t")[0] + "\n" for line in lines))
+    capsys.readouterr()  # noise's stats lines
     labels = tmp_path / "labels.jsonl"
 
     def run(kernel):

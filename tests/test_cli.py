@@ -1,7 +1,9 @@
 import json
 import pickle
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from gecedit import cli
 from gecedit.cli import _pool_size, _start_method, main
+from gecedit.labels import BINARY_STREAMS
 from gecedit.lexicon import load_lexicon
 from gecedit.core import format_pair_line, tokenize
 from gecedit.noiser import OPERATIONS, Noiser, load_profile
@@ -51,11 +54,42 @@ def test_help_exits_zero():
     assert "tag" in proc.stdout and "score" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "command", ["tag", "apply", "noise", "train-toy", "predict", "score", "coverage"]
-)
+@pytest.mark.parametrize("command", ["tag", "apply", "noise", "train-toy", "predict", "score"])
 def test_subcommand_help(command):
     assert main([command, "--help"]) == 0
+
+
+def test_coverage_command_and_noise_stats_flag_are_gone(workdir, capsys):
+    # tag prints the coverage line and noise its stats, so neither needs its own way out
+    pairs = _write(workdir / "pairs.tsv", "a\tb\n")
+    assert main(["coverage", "--src-tgt", pairs, "--workers", "1"]) == 1
+    assert "invalid choice: 'coverage'" in capsys.readouterr().err
+    assert main([
+        "noise", "--in", str(workdir / "clean.txt"), "--out", str(workdir / "x.tsv"),
+        "--stats", str(workdir / "stats.json"), "--workers", "1",
+    ]) == 1
+    assert "unrecognized arguments: --stats" in capsys.readouterr().err
+    assert not (workdir / "x.tsv").exists() and not (workdir / "stats.json").exists()
+
+
+def test_readme_command_line_examples_parse():
+    """Every ``gecedit`` example in README's "Command line" block parses, so a
+    removed command or flag cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("\n```", 1)[0]
+    examples = [
+        line for line in block.replace("\\\n", " ").splitlines() if line.startswith("gecedit ")
+    ]
+    assert [shlex.split(line)[1] for line in examples] == [
+        "noise", "tag", "apply", "train-toy", "predict", "score",
+    ]
+    parser = cli.build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_usage_error_exits_one():
@@ -175,12 +209,13 @@ def test_noise_deterministic_and_worker_invariant(workdir):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_tag_worker_invariant(workdir):
+def test_tag_worker_invariant(workdir, capsys):
     pairs = workdir / "pairs.tsv"
     main([
         "noise", "--in", str(workdir / "clean.txt"), "--profile", str(workdir / "profile.txt"),
         "--out", str(pairs), "--workers", "1",
     ])
+    capsys.readouterr()
     results = []
     for name, workers in (("l1.jsonl", 1), ("l2.jsonl", 2)):
         out = workdir / name
@@ -188,7 +223,7 @@ def test_tag_worker_invariant(workdir):
             "tag", "--src-tgt", str(pairs), "--tagset", str(workdir / "small.tagset"),
             "--out", str(out), "--workers", str(workers),
         ]) == 0
-        results.append(out.read_bytes())
+        results.append((out.read_bytes(), capsys.readouterr().out))
     assert results[0] == results[1]
 
 
@@ -313,9 +348,15 @@ def _huge_dim(header):
         (_set_header("dim", 10_000_000), "weight arrays"),
         (_huge_dim, "truncated weight data"),  # checked before the weights are allocated
         (lambda header: [header], "not a model file"),
+        (_set_header("heads", 6), "model.bin: model header: heads must be 5 or 7"),
+        (_set_header("dim", 1), "model.bin: model header: feature dimension must be >= 2"),
+        (_set_header("templates", ["x"]), "model.bin: model header: unsupported template set"),
+        (_set_header("lambda", 2.0), "model.bin: lambda must be in [0, 1]"),
+        (_set_header("lambda", float("nan")), "model.bin: lambda must be in [0, 1]"),
     ],
     ids=["dim-str", "dim-bool", "heads-float", "lambda-str", "lambda-bool", "tags-int",
-         "tags-item-int", "templates-int", "dim-huge", "dim-huge-arrays", "header-list"],
+         "tags-item-int", "templates-int", "dim-huge", "dim-huge-arrays", "header-list",
+         "heads-6", "dim-1", "templates-unknown", "lambda-above-1", "lambda-nan"],
 )
 def test_predict_rejects_malformed_model_header(workdir, capsys, edit, message):
     model_path = workdir / "model.bin"
@@ -329,7 +370,8 @@ def test_predict_rejects_malformed_model_header(workdir, capsys, edit, message):
         "predict", "--model", str(model_path), "--in", str(src),
         "--out", str(workdir / "out.txt"), "--workers", "1",
     ]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"gecedit: error: {model_path}") and message in err
 
 
 def test_score_reports_metrics(workdir, capsys):
@@ -373,14 +415,18 @@ def test_score_line_count_mismatch(workdir, capsys):
 
 
 def test_coverage_report(workdir, capsys):
+    """``tag`` prints the tag-family histogram and UNKNOWN rate of what it wrote."""
     pairs = workdir / "pairs.tsv"
     pairs.write_text("He go to school\tHe went to school\nthe cat\tthe cat\n")
     full = workdir / "full.tagset"
     full.write_text("".join(t + "\n" for t in SMALL_TAGS))
     assert main([
-        "coverage", "--src-tgt", str(pairs), "--tagset", str(full), "--workers", "1",
+        "tag", "--src-tgt", str(pairs), "--tagset", str(full), "--out", str(workdir / "o.jsonl"),
+        "--workers", "1",
     ]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and len((workdir / "o.jsonl").read_text().splitlines()) == 2
+    report = json.loads(out)
     assert report["pairs"] == 2
     assert report["tokens"] == 6
     assert report["edited"] == 1
@@ -388,29 +434,29 @@ def test_coverage_report(workdir, capsys):
     assert report["unknown_rate"] == 0.0
 
 
-def test_stats_file(workdir):
-    stats_path = workdir / "stats.json"
+def test_stats_file(workdir, capsys):
+    """``noise`` prints its stats as one JSON line."""
     assert main([
         "noise", "--in", str(workdir / "clean.txt"), "--profile", str(workdir / "profile.txt"),
-        "--out", str(workdir / "x.tsv"), "--stats", str(stats_path), "--workers", "1",
+        "--out", str(workdir / "x.tsv"), "--workers", "1",
     ]) == 0
-    stats = json.loads(stats_path.read_text())
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    stats = json.loads(out)
     assert stats["sentences"] == 120
     assert set(stats["operations"]) >= {"type_preposition", "type_determiner"}
     assert stats["errors_total"] == sum(stats["operations"].values())
 
 
-def test_noise_stats_equal_generate_corpus(workdir):
-    """``noise`` writes each line's ``Noiser.corrupt`` pair, and its stats are
-    their counts summed, with the blank lines skipped."""
+def test_noise_stats_equal_generate_corpus(workdir, capsys):
+    """``noise`` writes each line's ``Noiser.corrupt`` pair, and the stats it
+    prints are their counts summed, with the blank lines skipped."""
     clean = workdir / "with_blanks.txt"
     lines = (workdir / "clean.txt").read_text().splitlines(keepends=True)
     clean.write_text("".join(lines[:40]) + "\n  \n" + "".join(lines[40:80]) + "\n")
-    stats_path = workdir / "stats.json"
     assert main([
         "noise", "--in", str(clean), "--profile", str(workdir / "profile.txt"),
-        "--out", str(workdir / "x.tsv"), "--seed", "5", "--stats", str(stats_path),
-        "--workers", "1",
+        "--out", str(workdir / "x.tsv"), "--seed", "5", "--workers", "1",
     ]) == 0
     profile = load_profile(workdir / "profile.txt")
     profile.rng_seed = 5
@@ -432,7 +478,7 @@ def test_noise_stats_equal_generate_corpus(workdir):
         "errors_total": sum(realized.values()),
         "operations": realized,
     }
-    assert stats_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
     assert (workdir / "x.tsv").read_text() == "".join(pairs)
 
 
@@ -449,6 +495,7 @@ _LABEL = json.dumps({
     "tokens": ["a"], "correction": ["$DELETE"], "deletion": [1], "insertion": [0],
     "substitution": [0], "merge": [0], "transformation": [0], "detection": [1],
 })
+_EMPTY_LABEL = json.dumps({"tokens": [], "correction": [], **{name: [] for name in BINARY_STREAMS}})
 
 
 def _tag(pairs="a b\ta c\n", tagset=None, **flags):
@@ -507,8 +554,7 @@ def _noise_edit_dict(d):
         (_tag(lexicon="go\twent\tgoing\tgone\tgoes\n\n\ngo\n"), 2,
          "lexicon.tsv:4: expected 5 columns"),
         (_tag(plurals="child\tchildren\n\nfoot\n"), 2, "plurals.tsv:3: expected singular<TAB>plural"),
-        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "\tb\n")], 2,
-         "pairs.tsv:1: empty source sentence"),
+        (_tag("\tb\n"), 2, "pairs.tsv:1: empty source sentence"),
         (_apply_edits("$KEEP $NOPE\n"), 2, "e.txt:1: "),
         (_apply_edits("$KEEP\n"), 2, "e.txt:1: edit sequence length 1 != source length 2"),
         (_apply_edits("$KEEP $MERGE_SPACE\n"), 2, "e.txt:1: cannot apply"),
@@ -523,6 +569,8 @@ def _noise_edit_dict(d):
          "labels.jsonl:2: key 'deletion' must hold a list"),
         (_train(_LABEL.replace("$DELETE", "$APPEND_zzz") + "\n"), 2,
          "labels.jsonl:1: tag $APPEND_zzz not in tagset"),
+        (_train(_LABEL + "\n" + _EMPTY_LABEL + "\n"), 2,
+         "labels.jsonl:2: a training example needs at least one token"),
         pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
                      "loss became NaN at update step 1",
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
@@ -538,6 +586,10 @@ def _noise_edit_dict(d):
         (_train(_LABEL + "\n", "--dim", str(10**14)), 2,
          f"--dim {10**14}: cannot allocate the 38 x {10**14} weight matrix"),
         (_noise_edit_dict, 2, "ed.tsv:2: expected source<TAB>target, found 0 tabs"),
+        (_noise("token_dict = 1.0\n"), 2,
+         "p.profile: token_dict has weight > 0 but no edit dictionary is loaded"),
+        (_noise("token_dict = 1.0\nedit_dict = nowhere.tsv\n"), 2,
+         "p.profile:2: edit_dict 'nowhere.tsv' is not a file"),
         (_predict_bogus_header_tag, 2,
          "model.bin: model header 'tags':4: unknown tag family in '$BOGUS_x'"),
         (_predict(), 2, "model.bin:1: not a model file"),
@@ -550,14 +602,14 @@ def _noise_edit_dict(d):
                     "--ref", _write(d / "ref.txt", "a\nb\n")], 2, "src.txt:2: empty source"),
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
-         "tag-lexicon-blank-lines", "tag-plurals-blank-line", "coverage-empty-source",
+         "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-empty-source",
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
          "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
-         "train-missing-stream", "train-tag-not-in-tagset", "train-diverges", "train-epochs-0",
+         "train-missing-stream", "train-tag-not-in-tagset", "train-no-tokens", "train-diverges", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
          "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
-         "noise-edit-dict-line",
+         "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
          "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
          "predict-keep-bias-nan", "predict-min-error-prob-inf", "score-empty-source"],
 )
@@ -589,8 +641,8 @@ def _score(d):
         (_tag(), "pairs.tsv", b"\r"),
         (_tag(lexicon="go\twent\tgoing\tgone\tgoes\n"), "lexicon.tsv", b"\n"),
         (_tag(plurals="child\tchildren\n"), "plurals.tsv", b"\n"),
-        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "a\tb\n")], "pairs.tsv",
-         b"\n"),
+        (lambda d: ["tag", "--src-tgt", _write(d / "pairs.tsv", "a\tb\n"),
+                    "--out", str(d / "o.jsonl")], "pairs.tsv", b"\n"),
         (_noise("rng_seed = 2\n"), "p.profile", b"\n"),
         (_noise("rng_seed = 2\n"), "in.txt", b"\n"),
         (_train(_LABEL + "\n"), "labels.jsonl", b"\n"),
@@ -600,7 +652,7 @@ def _score(d):
         (_score, "ref.txt", b"\n"),
     ],
     ids=["tag-tagset", "tag-pairs", "tag-pairs-crlf", "tag-pairs-cr", "tag-lexicon",
-         "tag-plurals", "coverage-pairs", "noise-profile", "noise-in", "train-data",
+         "tag-plurals", "tag-pairs-default-tagset", "noise-profile", "noise-in", "train-data",
          "apply-src", "apply-edits", "score-src", "score-ref"],
 )
 def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, name, newline):
@@ -622,9 +674,7 @@ def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, 
     [
         (_tag(tagset="$KEEP\n$DELETE\n"), "x.tagset: tagset must contain $UNKNOWN"),
         (_tag(tagset="$KEEP\n$KEEP\n"), "x.tagset: duplicate tag $KEEP"),
-        (lambda d: ["coverage", "--src-tgt", _write(d / "pairs.tsv", "a\tb\n"),
-                    "--plurals", _write(d / "plurals.tsv", "child\n")],
-         "plurals.tsv:1: expected singular<TAB>plural"),
+        (_tag(plurals="child\n"), "plurals.tsv:1: expected singular<TAB>plural"),
         (lambda d: ["apply", "--src", _write(d / "s.txt", "a\n"),
                     "--edits", _write(d / "e.txt", "$KEEP\n"), "--out", str(d / "o.txt"),
                     "--lexicon", _write(d / "verbs.tsv", "Go\twent\tgoing\tgone\tgoes\n")],
@@ -641,7 +691,7 @@ def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, 
                     "--ref", _write(d / "ref2.txt", "")],
          "ref2.txt: ref stream has 0 lines, source has 1 (--src "),
     ],
-    ids=["tag-tagset", "tag-duplicate-tag", "coverage-plurals", "apply-lexicon",
+    ids=["tag-tagset", "tag-duplicate-tag", "tag-plurals", "apply-lexicon",
          "noise-profile", "noise-profile-nan", "predict-model", "score-line-count",
          "score-second-ref-short"],
 )
@@ -692,7 +742,6 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
     for argv in (
         ["tag", "--src-tgt", pairs, "--tagset", str(workdir / "small.tagset"),
          "--out", str(workdir / "o.jsonl")],
-        ["coverage", "--src-tgt", pairs, "--tagset", str(workdir / "small.tagset")],
         ["apply", "--src", str(src), "--edits", str(edits), "--out", str(workdir / "o.txt")],
         ["noise", "--in", str(workdir / "clean.txt"), "--profile", str(workdir / "profile.txt"),
          "--out", str(workdir / "o.tsv"), "--seed", "4"],
@@ -703,7 +752,7 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
         assert main([*argv, *tail]) == 0, argv
     capsys.readouterr()
     assert [func.__name__ for func, _, _ in calls] == [
-        "_tag_line", "_coverage_line", "_apply_line", "_noise_line", "_predict_line",
+        "_tag_line", "_apply_line", "_noise_line", "_predict_line",
         "_score_line",
     ]
 
@@ -714,7 +763,7 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
         cli._set_state(pickle.loads(pickle.dumps(state)))
         assert [func(item) for item in items] == expected, func.__name__
 
-    model = calls[4][2]["model"]
+    model = calls[3][2]["model"]
     assert np.abs(model.weights).sum() > 0  # trained, not the zero initialisation
     restored = pickle.loads(pickle.dumps(model))
     assert np.array_equal(restored.weights, model.weights)

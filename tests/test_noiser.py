@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 from collections import Counter
@@ -233,15 +235,16 @@ class TestCorrupt:
 
 
 def _noise(tmp_path, text, name):
-    """Run the ``noise`` command on ``text``; returns (pairs text, stats)."""
+    """Run the ``noise`` command on ``text``; returns (pairs text, printed stats)."""
     (tmp_path / "in.txt").write_text(text, encoding="utf-8")
     (tmp_path / "p.profile").write_text("type_preposition = 1.0\nrng_seed = 3\n")
-    out, stats = tmp_path / f"{name}.tsv", tmp_path / f"{name}.json"
-    assert main([
-        "noise", "--in", str(tmp_path / "in.txt"), "--profile", str(tmp_path / "p.profile"),
-        "--out", str(out), "--stats", str(stats), "--workers", "1",
-    ]) == 0
-    return out.read_text(encoding="utf-8"), json.loads(stats.read_text())
+    out, stdout = tmp_path / f"{name}.tsv", io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([
+            "noise", "--in", str(tmp_path / "in.txt"), "--profile", str(tmp_path / "p.profile"),
+            "--out", str(out), "--workers", "1",
+        ]) == 0
+    return out.read_text(encoding="utf-8"), json.loads(stdout.getvalue())
 
 
 class TestGenerateCorpus:

@@ -606,15 +606,28 @@ class TestLoadModelValidation:
             load_model(saved)
 
     @pytest.mark.parametrize(
-        "cut, message",
-        [(0, None), (-8, "truncated"), (None, "trailing bytes")],
-        ids=["whole", "truncated", "trailing"],
+        "cut, dim, message",
+        [
+            (0, 16, None),
+            (-8, 16, "truncated"),
+            (None, 16, "trailing bytes"),
+            # the weights are allocated before any is read, and this fails at once
+            (0, 10**13, rf"^/dev/fd/\d+: cannot allocate the \d+ x {10**13} weight matrix$"),
+        ],
+        ids=["whole", "truncated", "trailing", "dim-unallocatable"],
     )
-    def test_read_from_a_pipe(self, small_tagset, tmp_path, cut, message):
+    def test_read_from_a_pipe(self, small_tagset, tmp_path, cut, dim, message):
         # a pipe has no size to check up front, so its end is found by reading
         model = seeded_model(small_tagset, dim=16)
         saved = tmp_path / "m.bin"
         save_model(model, saved)
+
+        def set_dim(header):
+            header["dim"] = dim
+            for array in header["arrays"]:
+                array[2] = dim
+
+        rewrite_model(saved, set_dim)
         data = saved.read_bytes()
         data = data + b"\0" if cut is None else data[: len(data) + cut]
         r, w = os.pipe()
