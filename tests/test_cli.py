@@ -197,15 +197,18 @@ def test_apply_line_count_mismatch(workdir):
     assert main(["apply", "--src", str(src), "--edits", str(edits), "--out", str(out), "--workers", "1"]) == 2
 
 
-def test_noise_deterministic_and_worker_invariant(workdir):
+def test_noise_deterministic_and_worker_invariant(workdir, capsys):
+    # 360 lines fill three 128-line chunks, so more than one worker starts a pool
+    clean = workdir / "clean3.txt"
+    clean.write_text((workdir / "clean.txt").read_text() * 3)
     outs = []
     for name, workers in (("a.tsv", 1), ("b.tsv", 1), ("c.tsv", 3)):
         out = workdir / name
         assert main([
-            "noise", "--in", str(workdir / "clean.txt"), "--profile", str(workdir / "profile.txt"),
+            "noise", "--in", str(clean), "--profile", str(workdir / "profile.txt"),
             "--out", str(out), "--seed", "9", "--workers", str(workers),
         ]) == 0
-        outs.append(out.read_bytes())
+        outs.append((out.read_bytes(), capsys.readouterr().out))
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -216,6 +219,7 @@ def test_tag_worker_invariant(workdir, capsys):
         "--out", str(pairs), "--workers", "1",
     ])
     capsys.readouterr()
+    pairs.write_text(pairs.read_text() * 3)  # three 128-line chunks, so --workers 2 starts a pool
     results = []
     for name, workers in (("l1.jsonl", 1), ("l2.jsonl", 2)):
         out = workdir / name
