@@ -71,7 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The running command's shared inputs, read by the line functions; set only by
-# _set_state, in this process and in each pool worker.
+# _set_state, in this process and in each pool worker.  The one exception is
+# predict's encoder memo, which _block_memo keeps there for one block of lines.
 _G: dict = {}
 
 
@@ -296,15 +297,26 @@ def _cmd_train_toy(args) -> int:
 
 # -- predict -----------------------------------------------------------------
 
+def _block_memo(lineno: int) -> dict:
+    """The encoder memo of the ``_CHUNK``-line block holding ``lineno``, the unit
+    a pool worker receives.  A line of another block replaces it, so it holds
+    one block's tokens and those of their refinement outputs."""
+    block = (lineno - 1) // _CHUNK
+    if _G.get("memo_block") != block:
+        _G["memo_block"], _G["memo"] = block, {}
+    return _G["memo"]
+
+
 def _predict_line(item):
-    _lineno, line = item
+    lineno, line = item
     tokens = tokenize(line)
     if not tokens:
         return ""
     model = _G["model"]
+    memo = _block_memo(lineno)
 
     def predictor(toks):
-        return predict_tags(model, toks, _G["keep_bias"], _G["min_error_prob"])
+        return predict_tags(model, toks, _G["keep_bias"], _G["min_error_prob"], memo=memo)
 
     out, _iters = refine(tokens, predictor, _G["iters"], _G["lexicon"])
     return detokenize(out)
@@ -319,9 +331,13 @@ def _cmd_predict(args) -> int:
         "min_error_prob": args.min_error_prob,
     }
     items = _numbered_lines(args.inp)
-    with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_predict_line, items, args.workers, state):
-            out.write(line + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as out:
+            for line in _map_ordered(_predict_line, items, args.workers, state):
+                out.write(line + "\n")
+    finally:  # a run in this process leaves its last block's memo behind
+        _G.pop("memo_block", None)
+        _G.pop("memo", None)
     return EXIT_OK
 
 

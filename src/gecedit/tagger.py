@@ -17,6 +17,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
@@ -53,48 +54,89 @@ def _hash_feature(text: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
+# The features of a token in context: its own (``_local_strings``), one per
+# neighbour role (offset, and the pad standing in past the sentence's edge),
+# and "bos"/"eos" on the first and last token.
+_ROLES = (("w-1", -1, "<s>"), ("w+1", 1, "</s>"), ("w-2", -2, "<s>"), ("w+2", 2, "</s>"))
+
+
+def _local_strings(tok: str) -> list[str]:
+    low = tok.lower()
+    return [
+        f"w0={tok}",
+        f"lw0={low}",
+        *(f"ng2={low[k:k + 2]}" for k in range(len(low) - 1)),
+        *(f"ng3={low[k:k + 3]}" for k in range(len(low) - 2)),
+    ]
+
+
+def _shifted(column: list, offset: int, pad) -> list:
+    """``column[i + offset]`` for each position i, or ``pad`` past either end."""
+    k = abs(offset)
+    return ([pad] * k + column + [pad] * k)[k + offset : k + offset + len(column)]
+
+
 class FeatureEncoder:
-    """Deterministic hashed sparse features for a token in context."""
+    """Deterministic hashed sparse features for a token in context.
+
+    ``encode`` hashes each distinct token's strings once per memo: a caller
+    that encodes many sentences passes one dict for all of them, and the
+    memo's lifetime is the caller's (see ``_encode_batch`` and the ``predict``
+    command).  A memo serves one encoder, since its hashes are reduced by
+    ``dim``.
+    """
 
     def __init__(self, dim: int = 4096):
         if dim < 2:
             raise ValueError("feature dimension must be >= 2")
         self.dim = dim
+        self._pads = [_hash_feature(f"{role}={pad}", dim) for role, _, pad in _ROLES]
+        self._bos = _hash_feature("bos", dim)
+        self._eos = _hash_feature("eos", dim)
 
     def feature_strings(self, tokens: Sequence[str], i: int) -> list[str]:
-        tok = tokens[i]
-        feats = [f"w0={tok}", f"lw0={tok.lower()}"]
-        low = tok.lower()
-        feats.extend(f"ng2={low[k:k + 2]}" for k in range(len(low) - 1))
-        feats.extend(f"ng3={low[k:k + 3]}" for k in range(len(low) - 2))
         n = len(tokens)
-        feats.append(f"w-1={tokens[i - 1] if i >= 1 else '<s>'}")
-        feats.append(f"w+1={tokens[i + 1] if i + 1 < n else '</s>'}")
-        feats.append(f"w-2={tokens[i - 2] if i >= 2 else '<s>'}")
-        feats.append(f"w+2={tokens[i + 2] if i + 2 < n else '</s>'}")
+        feats = _local_strings(tokens[i])
+        for role, offset, pad in _ROLES:
+            j = i + offset
+            feats.append(f"{role}={tokens[j] if 0 <= j < n else pad}")
         if i == 0:
             feats.append("bos")
         if i == n - 1:
             feats.append("eos")
         return feats
 
-    def encode(self, tokens: Sequence[str]) -> "EncodedSentence":
-        idx_parts = []
-        starts = []
-        tok_of = []
-        pos = 0
-        for i in range(len(tokens)):
-            hashed = sorted(
-                {_hash_feature(s, self.dim) for s in self.feature_strings(tokens, i)}
-            )
-            starts.append(pos)
-            pos += len(hashed)
-            idx_parts.extend(hashed)
-            tok_of.extend([i] * len(hashed))
+    def _hashes(self, tok: str) -> tuple[frozenset, tuple[int, ...]]:
+        """A token's local feature hashes, and its hash in each neighbour role."""
+        return (
+            frozenset(_hash_feature(s, self.dim) for s in _local_strings(tok)),
+            tuple(_hash_feature(f"{role}={tok}", self.dim) for role, _, _ in _ROLES),
+        )
+
+    def encode(self, tokens: Sequence[str], memo: Optional[dict] = None) -> "EncodedSentence":
+        """Each position's sorted distinct feature hashes; ``memo`` (token ->
+        ``_hashes``) is read and filled, and a fresh one is used if none is given."""
+        memo = {} if memo is None else memo
+        entries = []
+        for tok in tokens:
+            entry = memo.get(tok)
+            if entry is None:
+                entry = memo[tok] = self._hashes(tok)
+            entries.append(entry)
+        neighbours = [
+            _shifted([roles[r] for _, roles in entries], offset, self._pads[r])
+            for r, (_, offset, _) in enumerate(_ROLES)
+        ]
+        feats = [{*local, *near} for (local, _), *near in zip(entries, *neighbours)]
+        if feats:
+            feats[0].add(self._bos)
+            feats[-1].add(self._eos)
+        rows = [sorted(f) for f in feats]
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         return EncodedSentence(
-            idx=np.asarray(idx_parts, dtype=np.int64),
-            starts=np.asarray(starts, dtype=np.int64),
-            tok_of=np.asarray(tok_of, dtype=np.int64),
+            idx=np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())),
+            starts=np.cumsum(sizes) - sizes,
+            tok_of=np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
             n_tokens=len(tokens),
         )
 
@@ -213,16 +255,31 @@ class ScatterPlan:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def of(cls, enc: EncodedSentence) -> "ScatterPlan":
-        by_col = np.argsort(enc.idx, kind="stable")  # each column's entries in idx order
-        sorted_idx = enc.idx[by_col]
-        first = np.diff(sorted_idx, prepend=-1) != 0
-        pos = np.cumsum(first) - 1
-        rank = np.arange(pos.size) - np.flatnonzero(first)[pos]
-        by_rank = np.argsort(rank, kind="stable")
-        pos, tok, rank = pos[by_rank], enc.tok_of[by_col[by_rank]], rank[by_rank]
-        cuts = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), rank.size]
-        return cls(sorted_idx[first], tuple((pos[a:b], tok[a:b]) for a, b in zip(cuts, cuts[1:])))
+    def of_sentences(cls, encs: Sequence[EncodedSentence]) -> list["ScatterPlan"]:
+        """The plan of each sentence, built for all of them in one set of array
+        operations: entries are sorted by (sentence, column), then by (sentence,
+        rank), and the result is cut into each sentence's columns and layers."""
+        sizes = np.fromiter((e.idx.size for e in encs), dtype=np.int64, count=len(encs))
+        sent = np.repeat(np.arange(len(encs), dtype=np.int64), sizes)
+        idx = np.concatenate([e.idx for e in encs] or [np.empty(0, np.int64)])
+        tok = np.concatenate([e.tok_of for e in encs] or [np.empty(0, np.int64)])
+        by_col = np.lexsort((idx, sent))  # stable: each column's entries in idx order
+        sent, idx, tok = sent[by_col], idx[by_col], tok[by_col]
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = (idx[1:] != idx[:-1]) | (sent[1:] != sent[:-1])
+        col = np.cumsum(first) - 1  # the entry's column, numbered over all sentences
+        rank = np.arange(idx.size) - np.flatnonzero(first)[col]
+        ncols = np.bincount(sent[first], minlength=len(encs))
+        pos = col - (np.cumsum(ncols) - ncols)[sent]
+        by_rank = np.lexsort((rank, sent))  # stable: each layer's columns stay ascending
+        sent, pos, tok, rank = sent[by_rank], pos[by_rank], tok[by_rank], rank[by_rank]
+        cuts = np.flatnonzero((np.diff(sent) != 0) | (np.diff(rank) != 0)) + 1
+        starts = [0, *cuts.tolist()] if idx.size else []
+        layers: list[list] = [[] for _ in encs]
+        for a, b, s in zip(starts, [*starts[1:], idx.size], sent[starts].tolist()):
+            layers[s].append((pos[a:b], tok[a:b]))
+        cols = np.split(idx[first], np.cumsum(ncols)[:-1])
+        return [cls(c, tuple(ls)) for c, ls in zip(cols, layers)]
 
     def scatter(self, delta: np.ndarray) -> np.ndarray:
         """Sum the token columns of ``delta`` onto ``cols``: (rows, len(cols))."""
@@ -237,17 +294,19 @@ Encoded = list[tuple[EncodedSentence, np.ndarray, ScatterPlan]]
 
 def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
     """Encode each sentence, with the weight row of each head's gold label per
-    token and the plan that scatters its gradient."""
-    out = []
+    token and the plan that scatters its gradient.  One encoder memo serves
+    the call, so it holds no more than the batch's distinct tokens."""
+    memo: dict = {}
+    encs, golds = [], []
     for tokens, labels in batch:
         if len(labels) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
         gold = [[model.tagset.id_of(t) for t in labels.correction]]
         for j, name in enumerate(model.aux_heads):
             gold.append([len(model.tagset) + 2 * j + y for y in labels.stream(name)])
-        enc = model.encoder.encode(tokens)
-        out.append((enc, np.asarray(gold, dtype=np.int64), ScatterPlan.of(enc)))
-    return out
+        encs.append(model.encoder.encode(tokens, memo))
+        golds.append(np.asarray(gold, dtype=np.int64))
+    return list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
 
 
 def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[str, float]:
@@ -360,19 +419,21 @@ def predict_tags(
     tokens: Sequence[str],
     keep_bias: float = 0.0,
     min_error_prob: float = 0.0,
+    memo: Optional[dict] = None,
 ) -> list[EditTag]:
     """Decode one sentence with the inference tweaks.
 
     ``keep_bias`` is added to the KEEP probability (post-softmax, then
     renormalized); if no token's detection-head error probability reaches
-    ``min_error_prob`` the whole sentence decodes to KEEP.
+    ``min_error_prob`` the whole sentence decodes to KEEP.  ``memo`` is the
+    encoder memo (see ``FeatureEncoder``).
     """
     if not tokens:
         return []
     min_error_prob = min(max(min_error_prob, 0.0), 1.0)
     keep_id = model.tagset.keep_id
     keep_tag = model.tagset.tag_of(keep_id)
-    enc = model.encoder.encode(tokens)
+    enc = model.encoder.encode(tokens, memo)
     heads = model.split(model.weights)
     if min_error_prob > 0.0:
         p_err = _softmax(_logits(heads["detection"], enc), axis=0)[1]

@@ -777,3 +777,87 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
     for name, rows in restored.W.items():
         assert np.shares_memory(rows, restored.weights), name
         assert np.array_equal(rows, model.W[name]), name
+
+
+# -- pools and the predict memo over several 128-line blocks -----------------------
+
+def _three_block_inputs(workdir):
+    """Source, edits, hypothesis and reference files of 360 lines, three ``_CHUNK``
+    blocks, from the trained model's labeled corpus."""
+    records = [json.loads(line) for line in open(workdir / "labels.jsonl")] * 3
+    targets = [line.split("\t")[1] for line in (workdir / "pairs.tsv").read_text().splitlines()] * 3
+    assert 2 * cli._CHUNK < len(records) <= 3 * cli._CHUNK
+    sources = [" ".join(r["tokens"]) for r in records]
+    return {
+        "src": _write(workdir / "src3.txt", "".join(s + "\n" for s in sources)),
+        "edits": _write(workdir / "edits3.txt", "".join(" ".join(r["correction"]) + "\n" for r in records)),
+        "hyp": _write(workdir / "hyp3.txt", "".join(
+            (t if i % 3 else s) + "\n" for i, (s, t) in enumerate(zip(sources, targets))
+        )),
+        "ref": _write(workdir / "ref3.txt", "".join(t + "\n" for t in targets)),
+    }
+
+
+@pytest.mark.parametrize("command", ["apply", "predict", "score"])
+def test_worker_invariant_over_three_blocks(workdir, trained_model, capsys, command):
+    # three blocks, so --workers 2 starts a pool wherever there are two cores
+    files = _three_block_inputs(workdir)
+    argv = {
+        "apply": ["apply", "--src", files["src"], "--edits", files["edits"]],
+        "predict": ["predict", "--model", str(trained_model), "--in", files["src"],
+                    "--keep-bias", "0.2", "--iters", "3"],
+        "score": ["score", "--src", files["src"], "--hyp", files["hyp"], "--ref", files["ref"],
+                  "--metric", "both"],
+    }[command]
+    capsys.readouterr()
+    results = []
+    for workers in ("1", "2"):
+        out = workdir / f"out.w{workers}"
+        tail = [] if command == "score" else ["--out", str(out)]
+        assert main([*argv, *tail, "--workers", workers]) == 0
+        results.append((out.read_bytes() if tail else b"", capsys.readouterr().out))
+    assert results[0] == results[1]
+    if command == "score":
+        assert json.loads(results[0][1])["sentence_count"] == 360
+
+
+def test_predict_memo_holds_one_block(workdir, trained_model, monkeypatch):
+    """predict gives each 128-line block a fresh encoder memo, holding only that
+    block's tokens and those of their refinement passes, and drops the last
+    memo when it ends."""
+    # a token of its own on each line, so the blocks' vocabularies differ
+    sources = [" ".join(json.loads(line)["tokens"]) for line in open(workdir / "labels.jsonl")] * 3
+    lines = [f"{s} line{n}" for n, s in enumerate(sources, start=1)]
+    src = _write(workdir / "src3.txt", "".join(line + "\n" for line in lines))
+    calls = []  # (line number, memo, tokens) of each predict_tags call
+    lineno = [0]
+    real_refine, real_predict_tags = cli.refine, cli.predict_tags
+
+    def refine(tokens, *args):
+        lineno[0] += 1
+        return real_refine(tokens, *args)
+
+    def predict_tags(model, tokens, *args, memo=None):
+        calls.append((lineno[0], memo, list(tokens)))
+        return real_predict_tags(model, tokens, *args, memo=memo)
+
+    monkeypatch.setattr(cli, "refine", refine)
+    monkeypatch.setattr(cli, "predict_tags", predict_tags)
+    assert main(["predict", "--model", str(trained_model), "--in", src,
+                 "--out", str(workdir / "o.txt"), "--workers", "1"]) == 0
+    assert lineno[0] == len(lines)
+    memos = {}
+    for n, memo, _ in calls:
+        assert memos.setdefault((n - 1) // cli._CHUNK, memo) is memo, n
+    assert len({id(memo) for memo in memos.values()}) == 3
+
+    last = [(n, tokens) for n, _, tokens in calls if n > 2 * cli._CHUNK]
+    first_passes = {}
+    for n, tokens in last:
+        first_passes.setdefault(n, tokens)
+    assert [first_passes[n] for n in sorted(first_passes)] == [
+        tokenize(line) for line in lines[2 * cli._CHUNK:]
+    ]
+    # the lines' tokens, and those of each later pass: the outputs of refinement
+    assert set(memos[2]) == {tok for _, tokens in last for tok in tokens}
+    assert "memo" not in cli._G and "memo_block" not in cli._G

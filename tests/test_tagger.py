@@ -21,6 +21,7 @@ from gecedit.tagger import (
     MultiHeadModel,
     ScatterPlan,
     TrainingDivergedError,
+    _hash_feature,
     forward,
     gradient_check,
     grad_total_loss,
@@ -110,18 +111,74 @@ class TestForward:
         assert np.array_equal(a.starts, b.starts)
 
 
+# Tokens for the encoder: arbitrary Unicode, the strings the features use for
+# the sentence edges, and few enough distinct ones that sentences repeat them.
+_edge_strings = st.sampled_from(["<s>", "</s>", "bos", "eos"])
+_vocabularies = st.lists(st.one_of(_edge_strings, st.text(max_size=6)), min_size=1, max_size=8)
+
+
+class TestEncoderMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 8), vocab=_vocabularies)
+    def test_memoised_encode_matches_feature_strings(self, data, dim, vocab):
+        """One memo shared by several sentences, in any order and repeated,
+        gives each position the sorted distinct hashes of its feature strings."""
+        encoder = FeatureEncoder(dim=dim)
+        sentences = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=9), max_size=6))
+        order = data.draw(st.permutations(sentences + sentences))
+        memo: dict = {}
+        for tokens in order:
+            enc = encoder.encode(tokens, memo)
+            rows = [
+                sorted({_hash_feature(s, dim) for s in encoder.feature_strings(tokens, i)})
+                for i in range(len(tokens))
+            ]
+            sizes = np.asarray([len(r) for r in rows], dtype=np.int64)
+            assert enc.n_tokens == len(tokens)
+            assert enc.idx.dtype == enc.starts.dtype == enc.tok_of.dtype == np.int64
+            assert enc.idx.tolist() == [h for r in rows for h in r]
+            assert enc.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+            assert enc.tok_of.tolist() == np.repeat(np.arange(len(rows)), sizes).tolist()
+            fresh = encoder.encode(tokens)  # no memo: a fresh one, the same result
+            assert np.array_equal(fresh.idx, enc.idx) and np.array_equal(fresh.starts, enc.starts)
+        assert set(memo) == {tok for tokens in sentences for tok in tokens}
+
+    def test_feature_strings_of_a_sentence_edge(self):
+        assert FeatureEncoder(dim=16).feature_strings(["Ab"], 0) == [
+            "w0=Ab", "lw0=ab", "ng2=ab", "w-1=<s>", "w+1=</s>", "w-2=<s>", "w+2=</s>", "bos", "eos",
+        ]
+
+
+def reference_scatter_plan(enc):
+    """The plan of one sentence, built on its own as ``tagger`` once did."""
+    by_col = np.argsort(enc.idx, kind="stable")  # each column's entries in idx order
+    sorted_idx = enc.idx[by_col]
+    first = np.diff(sorted_idx, prepend=-1) != 0
+    pos = np.cumsum(first) - 1
+    rank = np.arange(pos.size) - np.flatnonzero(first)[pos]
+    by_rank = np.argsort(rank, kind="stable")
+    pos, tok, rank = pos[by_rank], enc.tok_of[by_col[by_rank]], rank[by_rank]
+    cuts = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), rank.size]
+    return ScatterPlan(sorted_idx[first], tuple((pos[a:b], tok[a:b]) for a, b in zip(cuts, cuts[1:])))
+
+
 @st.composite
-def _scatter_cases(draw):
-    """A sentence whose tokens name a few columns many times, and gradient rows."""
-    dim = draw(st.integers(1, 6))
+def _sentence_features(draw, dim):
+    """One sentence whose tokens name a few columns many times."""
     features = draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=12), max_size=10))
     sizes = np.asarray([len(f) for f in features], dtype=np.int64)
-    enc = EncodedSentence(
+    return EncodedSentence(
         idx=np.asarray([c for f in features for c in f], dtype=np.int64),
         starts=np.cumsum(sizes) - sizes,
         tok_of=np.repeat(np.arange(len(features), dtype=np.int64), sizes),
         n_tokens=len(features),
     )
+
+
+@st.composite
+def _scatter_cases(draw):
+    """A sentence, and gradient rows."""
+    enc = draw(_sentence_features(draw(st.integers(1, 6))))
     magnitude = st.floats(1e-300, 1e300)
     value = st.one_of(magnitude, magnitude.map(lambda x: -x), st.sampled_from([0.0, -0.0]))
     rows = draw(st.integers(1, 4))
@@ -137,11 +194,28 @@ class TestScatterPlan:
         cols, inv = np.unique(enc.idx, return_inverse=True)
         want = np.zeros((delta.shape[0], cols.size))
         np.add.at(want, (slice(None), inv), delta[:, enc.tok_of])
-        plan = ScatterPlan.of(enc)
+        [plan] = ScatterPlan.of_sentences([enc])
         got = plan.scatter(delta)
         assert np.array_equal(plan.cols, cols)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6))
+    def test_dataset_plans_equal_the_per_sentence_plans(self, data, dim):
+        encs = data.draw(st.lists(_sentence_features(dim), max_size=8))
+        plans = ScatterPlan.of_sentences(encs)
+        assert len(plans) == len(encs)
+        for enc, plan in zip(encs, plans):
+            want = reference_scatter_plan(enc)
+            assert plan.cols.dtype == want.cols.dtype and np.array_equal(plan.cols, want.cols)
+            if not enc.idx.size:  # the per-sentence plan had one empty layer here
+                assert all(not p.size and not t.size for p, t in (*plan.layers, *want.layers))
+                continue
+            assert len(plan.layers) == len(want.layers)
+            for (pos, tok), (want_pos, want_tok) in zip(plan.layers, want.layers):
+                assert pos.dtype == want_pos.dtype and np.array_equal(pos, want_pos)
+                assert tok.dtype == want_tok.dtype and np.array_equal(tok, want_tok)
 
 
 class TestLoss:
