@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Every subcommand streams line-by-line and is deterministic given its flags
-and seeds.  Line-parallel commands take ``--workers`` (order-preserving; the
+Every subcommand but ``train-toy`` and ``score``, which hold their whole
+input, streams line-by-line, and each is deterministic given its flags and
+seeds.  Line-parallel commands take ``--workers`` (order-preserving; the
 output is byte-identical for any worker count).  Each command loads and
 checks its shared inputs (tagset, lexicon, profile, model) before any worker
 starts, so a bad file fails the command once instead of inside every worker.
@@ -484,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=_positive_int, default=4, help="max refinement passes")
-    p.add_argument("--keep-bias", type=_finite_float, default=0.0)
+    p.add_argument(
+        "--keep-bias", type=_checked(_finite_float, lambda v: v > -1.0, "greater than -1"), default=0.0
+    )
     p.add_argument("--min-error-prob", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_predict)

@@ -302,8 +302,9 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
         if len(labels) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
         gold = [[model.tagset.id_of(t) for t in labels.correction]]
+        streams = labels.streams()
         for j, name in enumerate(model.aux_heads):
-            gold.append([len(model.tagset) + 2 * j + y for y in labels.stream(name)])
+            gold.append([len(model.tagset) + 2 * j + y for y in streams[name]])
         encs.append(model.encoder.encode(tokens, memo))
         golds.append(np.asarray(gold, dtype=np.int64))
     return list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
@@ -423,23 +424,20 @@ def predict_tags(
 ) -> list[EditTag]:
     """Decode one sentence with the inference tweaks.
 
-    ``keep_bias`` is added to the KEEP probability (post-softmax, then
-    renormalized); if no token's detection-head error probability reaches
-    ``min_error_prob`` the whole sentence decodes to KEEP.  ``memo`` is the
-    encoder memo (see ``FeatureEncoder``).
+    ``keep_bias`` (above -1) is added to the KEEP probability (post-softmax,
+    then renormalized); if no token's detection-head error probability reaches
+    ``min_error_prob`` (capped at 1) the whole sentence decodes to KEEP.
+    ``memo`` is the encoder memo (see ``FeatureEncoder``).
     """
+    if not keep_bias > -1.0:
+        raise ValueError(f"keep_bias must be greater than -1, got {keep_bias}")
     if not tokens:
         return []
-    min_error_prob = min(max(min_error_prob, 0.0), 1.0)
     keep_id = model.tagset.keep_id
-    keep_tag = model.tagset.tag_of(keep_id)
-    enc = model.encoder.encode(tokens, memo)
-    heads = model.split(model.weights)
-    if min_error_prob > 0.0:
-        p_err = _softmax(_logits(heads["detection"], enc), axis=0)[1]
-        if float(p_err.max()) < min_error_prob:
-            return [keep_tag] * len(tokens)
-    probs = _softmax(_logits(heads["correction"], enc), axis=0).T
+    head_probs = model.split(_probs(model, model.encoder.encode(tokens, memo)))
+    if float(head_probs["detection"][1].max()) < min(min_error_prob, 1.0):
+        return [model.tagset.tag_of(keep_id)] * len(tokens)
+    probs = head_probs["correction"].T
     probs[:, keep_id] += keep_bias
     probs /= probs.sum(axis=1, keepdims=True)
     ids = probs.argmax(axis=1)

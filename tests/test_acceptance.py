@@ -221,14 +221,16 @@ def test_criterion_05_label_stream_consistency():
         n = rng.randrange(1, 9)
         tags = [random_tag() for _ in range(n)]
         labels = derive_labels(["w"] * n, tags)
+        detection = labels.stream("detection")
+        types = [labels.stream(s) for s in type_streams]
         for i, tag in enumerate(tags):
-            active = sum(labels.stream(s)[i] for s in type_streams)
+            active = sum(s[i] for s in types)
             if active > 1:
                 violations += 1
             if tag.family is TagFamily.UNKNOWN:
-                if labels.detection[i] != 1 or active != 0:
+                if detection[i] != 1 or active != 0:
                     violations += 1
-            elif labels.detection[i] != min(active, 1):
+            elif detection[i] != min(active, 1):
                 violations += 1
     assert violations == 0
     report(5, "10,000 derived label sets: detection==OR of type streams, <=1 active")

@@ -495,10 +495,14 @@ def _write(path, text):
     return str(path)
 
 
-_LABEL = json.dumps({
-    "tokens": ["a"], "correction": ["$DELETE"], "deletion": [1], "insertion": [0],
-    "substitution": [0], "merge": [0], "transformation": [0], "detection": [1],
-})
+def _label(tag, stream):
+    """A one-token record tagged ``tag``, marked in ``stream`` and in detection."""
+    marked = {stream, "detection"}
+    return json.dumps({"tokens": ["a"], "correction": [tag],
+                       **{name: [int(name in marked)] for name in BINARY_STREAMS}})
+
+
+_LABEL = _label("$DELETE", "deletion")
 _EMPTY_LABEL = json.dumps({"tokens": [], "correction": [], **{name: [] for name in BINARY_STREAMS}})
 
 
@@ -571,8 +575,10 @@ def _noise_edit_dict(d):
         (_train("[1, 2]\n"), 2, "labels.jsonl:1: expected a JSON object"),
         (_train(_LABEL + "\n" + _LABEL.replace('"deletion"', '"del"') + "\n"), 2,
          "labels.jsonl:2: key 'deletion' must hold a list"),
-        (_train(_LABEL.replace("$DELETE", "$APPEND_zzz") + "\n"), 2,
+        (_train(_label("$APPEND_zzz", "insertion") + "\n"), 2,
          "labels.jsonl:1: tag $APPEND_zzz not in tagset"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"detection": [1]', '"detection": [0]') + "\n"), 2,
+         "labels.jsonl:2: key 'detection' holds [0], but the correction tags give [1]"),
         (_train(_LABEL + "\n" + _EMPTY_LABEL + "\n"), 2,
          "labels.jsonl:2: a training example needs at least one token"),
         pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
@@ -600,6 +606,8 @@ def _noise_edit_dict(d):
         (_predict("\xff\n"), 2, "model.bin:1: not a model file"),
         (_predict("x", "--iters", "0"), 1, "argument --iters: must be at least 1"),
         (_predict("x", "--keep-bias", "nan"), 1, "argument --keep-bias: must be a finite"),
+        (_predict("x", "--keep-bias", "-1"), 1, "argument --keep-bias: must be greater than -1"),
+        (_predict("x", "--keep-bias", "-2"), 1, "argument --keep-bias: must be greater than -1"),
         (_predict("x", "--min-error-prob", "inf"), 1, "argument --min-error-prob: must be a"),
         (lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
                     "--hyp", _write(d / "hyp.txt", "a\nb\n"),
@@ -610,12 +618,14 @@ def _noise_edit_dict(d):
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
          "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
-         "train-missing-stream", "train-tag-not-in-tagset", "train-no-tokens", "train-diverges", "train-epochs-0",
+         "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
+         "train-no-tokens", "train-diverges", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
          "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
          "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
          "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
-         "predict-keep-bias-nan", "predict-min-error-prob-inf", "score-empty-source"],
+         "predict-keep-bias-nan", "predict-keep-bias-minus-1", "predict-keep-bias-minus-2",
+         "predict-min-error-prob-inf", "score-empty-source"],
 )
 def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):
     argv = argv(tmp_path)

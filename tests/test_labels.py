@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,19 @@ from gecedit.labels import (
 from gecedit.tags import EditTag
 
 T = EditTag.parse
+ROOT = Path(__file__).resolve().parents[1]
+
+# One tag of every family, in the order of TagFamily.
+EVERY_FAMILY = (
+    "$KEEP",
+    "$DELETE",
+    "$APPEND_x",
+    "$REPLACE_y",
+    "$MERGE_SPACE",
+    "$TRANSFORM_CASE_UPPER",
+    "$SUFFIXTRANSFORM_APPEND_ly",
+    "$UNKNOWN",
+)
 
 
 def test_all_keep_all_zero():
@@ -21,49 +35,46 @@ def test_all_keep_all_zero():
 
 def test_deletion_stream():
     labels = derive_labels(["a", "b"], [T("$DELETE"), T("$KEEP")])
-    assert labels.deletion == (1, 0)
-    assert labels.detection == (1, 0)
+    assert labels.stream("deletion") == (1, 0)
+    assert labels.stream("detection") == (1, 0)
     for name in ("insertion", "substitution", "merge", "transformation"):
         assert labels.stream(name) == (0, 0)
 
 
 def test_transformation_stream():
     labels = derive_labels(["a", "easy"], [T("$KEEP"), T("$SUFFIXTRANSFORM_Y_TO_ILY")])
-    assert labels.transformation == (0, 1)
-    assert labels.detection == (0, 1)
+    assert labels.stream("transformation") == (0, 1)
+    assert labels.stream("detection") == (0, 1)
 
 
 def test_one_tag_of_every_family():
-    tags = [
-        T("$KEEP"),
-        T("$DELETE"),
-        T("$APPEND_x"),
-        T("$REPLACE_y"),
-        T("$MERGE_SPACE"),
-        T("$TRANSFORM_CASE_UPPER"),
-        T("$SUFFIXTRANSFORM_APPEND_ly"),
-        T("$UNKNOWN"),
-    ]
+    tags = [T(t) for t in EVERY_FAMILY]
     labels = derive_labels(["w"] * len(tags), tags)
-    assert labels.deletion == (0, 1, 0, 0, 0, 0, 0, 0)
-    assert labels.insertion == (0, 0, 1, 0, 0, 0, 0, 0)
-    assert labels.substitution == (0, 0, 0, 1, 0, 0, 0, 0)
-    assert labels.merge == (0, 0, 0, 0, 1, 0, 0, 0)
-    assert labels.transformation == (0, 0, 0, 0, 0, 1, 1, 0)
-    assert labels.detection == (0, 1, 1, 1, 1, 1, 1, 1)
+    assert labels.stream("deletion") == (0, 1, 0, 0, 0, 0, 0, 0)
+    assert labels.stream("insertion") == (0, 0, 1, 0, 0, 0, 0, 0)
+    assert labels.stream("substitution") == (0, 0, 0, 1, 0, 0, 0, 0)
+    assert labels.stream("merge") == (0, 0, 0, 0, 1, 0, 0, 0)
+    assert labels.stream("transformation") == (0, 0, 0, 0, 0, 1, 1, 0)
+    assert labels.stream("detection") == (0, 1, 1, 1, 1, 1, 1, 1)
+    type_streams = [labels.stream(n) for n in BINARY_STREAMS if n != "detection"]
     # detection is the OR of the type streams except at UNKNOWN positions
     for i in range(len(tags) - 1):
-        or_types = max(
-            labels.deletion[i],
-            labels.insertion[i],
-            labels.substitution[i],
-            labels.merge[i],
-            labels.transformation[i],
-        )
-        assert labels.detection[i] == or_types
+        assert labels.stream("detection")[i] == max(s[i] for s in type_streams)
     # UNKNOWN: detected but typeless
-    assert labels.detection[-1] == 1
-    assert all(labels.stream(n)[-1] == 0 for n in BINARY_STREAMS if n != "detection")
+    assert labels.stream("detection")[-1] == 1
+    assert all(s[-1] == 0 for s in type_streams)
+
+
+def test_benchmark_label_line_follows_the_label_rule(monkeypatch):
+    """The benchmark writes train-toy's records with its own copy of the rule."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.inputs import label_line
+
+    tokens = ["w"] * len(EVERY_FAMILY)
+    labels = derive_labels(tokens, [T(t) for t in EVERY_FAMILY])
+    line = label_line(tokens, list(EVERY_FAMILY))
+    assert from_json_line(line) == (tokens, labels)
+    assert line == to_json_line(tokens, labels)
 
 
 def test_at_most_one_type_stream_active():
@@ -95,7 +106,7 @@ def test_binary_label_outside_zero_one_rejected(value):
     line = to_json_line(["a", "b"], derive_labels(["a", "b"], [T("$DELETE"), T("$KEEP")]))
     obj = json.loads(line)
     obj["detection"][1] = value
-    with pytest.raises(ValueError, match="0 and 1"):
+    with pytest.raises(ValueError, match="key 'detection' holds .* but the correction tags give"):
         from_json_line(json.dumps(obj))
 
 
@@ -122,10 +133,11 @@ def _with(key, value):
         (_with("tokens", ["a", 1]), "must be strings"),
         (_with("correction", [None]), "must be strings"),
         (_with("tokens", ["a", "b"]), "2 tokens but 1 correction tags"),
+        (_with("deletion", [0]), r"key 'deletion' holds \[0\], but the correction tags give \[1\]"),
         ("{", "Expecting"),
     ],
     ids=["list", "number", "no-stream", "no-tokens", "stream-int", "token-int",
-         "tag-null", "token-count", "not-json"],
+         "tag-null", "token-count", "stream-contradicts-tags", "not-json"],
 )
 def test_malformed_record_is_a_value_error(line, message):
     with pytest.raises(ValueError, match=message):

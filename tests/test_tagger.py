@@ -500,10 +500,11 @@ class TestMatchesPerHeadReference:
             save_model(model, tmp_path / "m.bin")
             assert (tmp_path / "m.bin").read_bytes() == reference_dump(model, weights)
 
-    def test_predict_identical(self, lexicon, patterns):
+    @pytest.mark.parametrize("heads", [5, 7])
+    def test_predict_identical(self, lexicon, patterns, heads):
         ts = training_tagset(lexicon, patterns)
         data = mixed_dataset(lexicon, ts, 5)
-        model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=0.5, heads=7)
+        model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=0.5, heads=heads)
         train(model, data, epochs=3, lr=0.5, seed=5)
         weights = {name: W.copy() for name, W in model.W.items()}
         for tokens, _ in data:
@@ -531,6 +532,13 @@ class TestPredict:
         model = seeded_model(small_tagset)
         tags = predict_tags(model, ["a", "b", "c"], keep_bias=1.0)
         assert all(t.render() == "$KEEP" for t in tags)
+
+    @pytest.mark.parametrize("keep_bias", [-1.0, -2.0])
+    def test_keep_bias_at_or_below_minus_one_rejected(self, small_tagset, keep_bias):
+        # the KEEP-biased probabilities would sum to 1 + keep_bias <= 0
+        model = seeded_model(small_tagset)
+        with pytest.raises(ValueError, match="keep_bias must be greater than -1"):
+            predict_tags(model, ["a", "b"], keep_bias=keep_bias)
 
     def test_no_tweaks_equals_plain_argmax(self, small_tagset):
         model = seeded_model(small_tagset, seed=3)
