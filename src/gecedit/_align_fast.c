@@ -2,7 +2,9 @@
  *
  * A port of gecedit._align_py.align_ops, which stays the reference: the same
  * substitution costs, DP recurrence, tie-breaking and backtrace, so both
- * return the same edit script (the tests compare them).  Tokens are interned,
+ * return the same edit script (the tests compare them).  The pure kernel
+ * fills a band of the DP table that provably holds the backtrace; this one
+ * fills the whole table, which gives the same script.  Tokens are interned,
  * and each distinct (source, target) token pair is costed once: 0.0 when
  * equal, 1.0 when 4 * min(la, lb) < la + lb, else 1.0 - sim / 2.0 when
  * sim = 2 * LCS / (la + lb) reaches 0.5, with LCS the exact code-point LCS.

@@ -488,7 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--keep-bias", type=_checked(_finite_float, lambda v: v > -1.0, "greater than -1"), default=0.0
     )
-    p.add_argument("--min-error-prob", type=_finite_float, default=0.0)
+    p.add_argument(
+        "--min-error-prob",
+        type=_unit_float,
+        default=0.0,
+        help="in [0, 1]: a refinement pass keeps every token of a sentence whose highest "
+        "detection-head error probability is below this; 0 (the default) never gates, "
+        "1 gates almost every sentence",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_predict)
 

@@ -69,7 +69,8 @@ def to_json_line(tokens: Sequence[str], labels: MultiHeadLabels) -> str:
 
 def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     """Parse one record; raises ``ValueError`` for any malformed record,
-    including one whose binary streams are not those of its correction tags."""
+    including one whose binary streams hold anything but integers (JSON
+    ``true`` and ``1.0`` included) or are not those of its correction tags."""
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
@@ -83,6 +84,8 @@ def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     if len(tokens) != len(labels):
         raise ValueError(f"{len(tokens)} tokens but {len(labels)} correction tags")
     for name, derived in labels.streams().items():
+        if not all(type(v) is int for v in obj[name]):
+            raise ValueError(f"key {name!r} must hold integers 0 and 1, found {obj[name]}")
         if obj[name] != derived:
             raise ValueError(
                 f"key {name!r} holds {obj[name]}, but the correction tags give {derived}"

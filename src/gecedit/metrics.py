@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from typing import Sequence
+
+import numpy as np
 
 from gecedit._align_py import OP_DEL, OP_INS, OP_KEEP
 from gecedit.alignment import align_ops
@@ -80,8 +81,11 @@ class F05Accumulator:
         return {"P": precision, "R": recall, "F0.5": f_beta(precision, recall)}
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
+    counts: dict[tuple[str, ...], int] = {}
+    for gram in zip(*(tokens[k:] for k in range(n))):
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 def _reference_rows(
@@ -89,37 +93,48 @@ def _reference_rows(
     hypothesis: Sequence[str],
     refs: Sequence[Sequence[str]],
     n_max: int,
-) -> list[tuple[int, ...]]:
+) -> list[list[int]]:
     """One integer row per reference of a sentence: the reference length,
     then for each order 1..n_max the hypothesis n-gram matches minus the
     penalty, floored at 0.  The hypothesis and source n-grams are counted
-    once and shared by all references."""
+    once and shared by all references.
+
+    With ``h``, ``s`` and ``r`` an n-gram's count in the hypothesis, source
+    and reference, it matches ``min(h, r)`` times and is penalized
+    ``min(h, max(s - r, 0))`` times: the reference changed it away from the
+    source but the hypothesis kept it.
+    """
     orders = range(1, n_max + 1)
-    hyp_counts = [_ngram_counts(hypothesis, n) for n in orders]
-    src_counts = [_ngram_counts(source, n) for n in orders]
+    # per order, each hypothesis n-gram with its hypothesis and source counts
+    hyp_grams = []
+    for n in orders:
+        src_counts = _ngram_counts(source, n)
+        hyp_grams.append(
+            [(gram, h, src_counts.get(gram, 0)) for gram, h in _ngram_counts(hypothesis, n).items()]
+        )
     rows = []
     for ref in refs:
         row = [len(ref)]
-        for n, h, s in zip(orders, hyp_counts, src_counts):
-            r = _ngram_counts(ref, n)
-            matches = sum((h & r).values())
-            # n-grams the reference changed away from the source but the
-            # hypothesis kept are penalized
-            penalty = sum((h & (s - r)).values())
-            row.append(max(matches - penalty, 0))
-        rows.append(tuple(row))
+        for n, grams in zip(orders, hyp_grams):
+            r_counts = _ngram_counts(ref, n)
+            score = 0
+            for gram, h, s in grams:
+                r = r_counts.get(gram, 0)
+                score += h if h < r else r
+                if s > r:
+                    score -= h if h < s - r else s - r
+            row.append(score if score > 0 else 0)
+        rows.append(row)
     return rows
 
 
-def _gleu_from_rows(
-    picked: Sequence[tuple[int, ...]], hyp_len: int, den: Sequence[int]
-) -> float:
-    """GLEU of one single-reference draw: ``picked`` holds the chosen
+def _gleu_from_sums(sums: Sequence[int], hyp_len: int, den: Sequence[int]) -> float:
+    """GLEU of one single-reference draw: ``sums`` adds up the chosen
     reference row of every sentence; ``hyp_len`` and ``den`` depend on the
     hypotheses only."""
     if hyp_len == 0:
         return 0.0
-    ref_len, *num = (sum(column) for column in zip(*picked))
+    ref_len, *num = sums
     log_sum = 0.0
     orders = 0
     for n in range(len(den)):
@@ -133,6 +148,11 @@ def _gleu_from_rows(
         return 0.0
     bp = min(0.0, 1.0 - ref_len / hyp_len)
     return math.exp(bp + log_sum / orders)
+
+
+# Draws whose picked rows are gathered at once: at most this many rows, so the
+# gather's memory does not grow with the corpus.
+_GATHER_ROWS = 1 << 16
 
 
 def gleu(
@@ -149,7 +169,9 @@ def gleu(
     mean over orders 1..n_max, BLEU brevity penalty.  With multiple
     references per sentence the score is the mean over ``samples`` seeded
     single-reference draws.  The n-gram statistics of every (sentence,
-    reference) pair are computed once; a draw only adds up integer rows.
+    reference) pair are counted once, in plain dicts, into an integer row;
+    a draw picks one row per sentence and its score needs only their sum,
+    which an int64 gather over a block of draws computes exactly.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -169,10 +191,17 @@ def gleu(
         for src, hyp, refs in zip(sources, hypotheses, references)
     ]
     if all(len(r) == 1 for r in rows):
-        return _gleu_from_rows([r[0] for r in rows], hyp_len, den)
+        return _gleu_from_sums([sum(column) for column in zip(*(r[0] for r in rows))], hyp_len, den)
+    n_refs = [len(r) for r in rows]
+    table = np.zeros((len(rows), max(n_refs), n_max + 1), dtype=np.int64)
+    for s, r in enumerate(rows):
+        table[s, : len(r)] = r
+    sentences = np.arange(len(rows))
+    block = max(1, _GATHER_ROWS // len(rows))
     rng = random.Random(seed)
     total = 0.0
-    for _ in range(samples):
-        picked = [r[rng.randrange(len(r))] for r in rows]
-        total += _gleu_from_rows(picked, hyp_len, den)
+    for start in range(0, samples, block):
+        picks = [[rng.randrange(k) for k in n_refs] for _ in range(min(block, samples - start))]
+        for sums in table[sentences, picks].sum(axis=1).tolist():
+            total += _gleu_from_sums(sums, hyp_len, den)
     return total / samples

@@ -1,7 +1,10 @@
 """Alignment kernel tests: frozen examples, a brute-force cost oracle, the
-per-cell reference kernel, and the C kernel against the pure one.
+per-cell full-table reference kernel, and the C kernel against the pure one.
 
-The C kernel is built from this checkout by the ``c_align_ops`` fixture."""
+The pure kernel fills a band of the DP table and the reference kernel the
+whole table, so the GEC-like pairs below (a few edits to a sentence with
+repeated tokens) check the band, its acceptance test and its rerun.  The C
+kernel is built from this checkout by the ``c_align_ops`` fixture."""
 
 import random
 from collections import Counter
@@ -162,8 +165,9 @@ def test_similar_token_pairs_up_instead_of_delete_insert():
 
 
 # -- per-cell reference kernel -----------------------------------------------
-# The pure kernel before its per-call cost table: a full character LCS in every
-# DP cell.  The table must change nothing, so outputs are compared with ==.
+# The pure kernel before its cost memo and its band: a full character LCS in
+# every cell of the whole DP table.  Neither may change anything, so outputs
+# are compared with ==.
 
 
 def reference_lcs_len(a: str, b: str) -> int:
@@ -264,12 +268,75 @@ def _suffix_pairs(draw):
     return src + tail, tgt + tail
 
 
+# Words that repeat within a sentence, so that equal-cost alignments tie, and
+# that pair up under the similarity discount ("cat"/"cats", "over"/"overall").
+_GEC_WORDS = ["the", "a", "cat", "cats", "went", "go", "goes", "he", "in", "on", ".", ",",
+              "over", "all", "overall"]
+
+
+@st.composite
+def _gec_pairs(draw):
+    """A 0-40 token sentence and a correction of it by 0-8 inserts, deletes
+    and substitutions, the shape of the pairs the tagger aligns."""
+    word = st.sampled_from(_GEC_WORDS)
+    n = draw(st.integers(0, 40))  # spread evenly, where st.lists favours short lists
+    src = draw(st.lists(word, min_size=n, max_size=n))
+    tgt = list(src)
+    edits = draw(st.lists(st.tuples(st.sampled_from("ids"), st.integers(0, 48), word), max_size=8))
+    for kind, pos, w in edits:
+        if kind == "i":
+            tgt.insert(pos % (len(tgt) + 1), w)
+        elif tgt and kind == "d":
+            del tgt[pos % len(tgt)]
+        elif tgt:
+            tgt[pos % len(tgt)] = w
+    return src, tgt
+
+
 class TestCostTableMatchesReference:
     @settings(max_examples=1500, deadline=None)
     @given(pair=_pairs())
     def test_identical_to_reference_kernel(self, pair):
         src, tgt = pair
         assert align_ops(src, tgt) == reference_align_ops(src, tgt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_gec_pairs())
+    def test_band_identical_to_reference_on_gec_pairs(self, pair):
+        src, tgt = pair
+        assert _align_py.align_ops(src, tgt) == reference_align_ops(src, tgt)
+
+    @pytest.mark.parametrize(
+        "src, tgt, bounds",
+        [
+            # a leading insertion runs the optimal path three diagonals off the
+            # main one, outside the first band, whose best path costs 7.0
+            ("b c d e f g", "x y z b c d e", [3, 7]),
+            # the first band costs 5.0, exactly the indels of the nearest
+            # diagonal outside it, and its ops are not the full table's
+            ("c d a c b d", "b c x d a", [3, 5]),
+            # the first band costs 5.0, and so would the band one diagonal wider
+            ("b b a a b c", "b d x b a a", [2, 5]),
+        ],
+    )
+    def test_rejected_band_reruns_once(self, monkeypatch, src, tgt, bounds):
+        src, tgt = src.split(), tgt.split()
+        seen = []
+        band_dp = _align_py._band_dp
+
+        def spy(src, tgt, bound, *memo):
+            seen.append(bound)
+            return band_dp(src, tgt, bound, *memo)
+
+        monkeypatch.setattr(_align_py, "_band_dp", spy)
+        assert _align_py.align_ops(src, tgt) == reference_align_ops(src, tgt)
+        assert seen == bounds
+
+    def test_leading_insertion_ops(self):
+        src, tgt = "b c d e f g".split(), "x y z b c d e".split()
+        assert _align_py.align_ops(src, tgt) == [(OP_INS, -1, 0), (OP_INS, -1, 1), (OP_INS, -1, 2)] + [
+            (OP_KEEP, i, i + 3) for i in range(4)
+        ] + [(OP_DEL, 4, -1), (OP_DEL, 5, -1)]
 
     @pytest.mark.parametrize(
         "src, tgt",
@@ -326,6 +393,13 @@ def test_pure_and_compiled_agree_exactly(c_align_ops, pair, as_tuples):
     if as_tuples:
         src, tgt = tuple(src), tuple(tgt)
     assert c_align_ops(src, tgt) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_gec_pairs())
+def test_compiled_full_table_equals_pure_band_on_gec_pairs(c_align_ops, pair):
+    src, tgt = pair
+    assert c_align_ops(src, tgt) == _align_py.align_ops(src, tgt)
 
 
 @pytest.mark.parametrize("src, tgt", [(["a", 1], ["a"]), (["a"], [b"a"]), (["a"], [None]), (1, ["a"])])

@@ -579,6 +579,10 @@ def _noise_edit_dict(d):
          "labels.jsonl:1: tag $APPEND_zzz not in tagset"),
         (_train(_LABEL + "\n" + _LABEL.replace('"detection": [1]', '"detection": [0]') + "\n"), 2,
          "labels.jsonl:2: key 'detection' holds [0], but the correction tags give [1]"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"deletion": [1]', '"deletion": [true]') + "\n"), 2,
+         "labels.jsonl:2: key 'deletion' must hold integers 0 and 1, found [True]"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"detection": [1]', '"detection": [1.0]') + "\n"), 2,
+         "labels.jsonl:2: key 'detection' must hold integers 0 and 1, found [1.0]"),
         (_train(_LABEL + "\n" + _EMPTY_LABEL + "\n"), 2,
          "labels.jsonl:2: a training example needs at least one token"),
         pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
@@ -609,6 +613,8 @@ def _noise_edit_dict(d):
         (_predict("x", "--keep-bias", "-1"), 1, "argument --keep-bias: must be greater than -1"),
         (_predict("x", "--keep-bias", "-2"), 1, "argument --keep-bias: must be greater than -1"),
         (_predict("x", "--min-error-prob", "inf"), 1, "argument --min-error-prob: must be a"),
+        (_predict("x", "--min-error-prob", "1.5"), 1, "argument --min-error-prob: must be in [0, 1]"),
+        (_predict("x", "--min-error-prob", "-0.1"), 1, "argument --min-error-prob: must be in [0, 1]"),
         (lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
                     "--hyp", _write(d / "hyp.txt", "a\nb\n"),
                     "--ref", _write(d / "ref.txt", "a\nb\n")], 2, "src.txt:2: empty source"),
@@ -619,13 +625,14 @@ def _noise_edit_dict(d):
          "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
          "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
-         "train-no-tokens", "train-diverges", "train-epochs-0",
+         "train-deletion-bool", "train-detection-float", "train-no-tokens", "train-diverges", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
          "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
          "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
          "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
          "predict-keep-bias-nan", "predict-keep-bias-minus-1", "predict-keep-bias-minus-2",
-         "predict-min-error-prob-inf", "score-empty-source"],
+         "predict-min-error-prob-inf", "predict-min-error-prob-above-1",
+         "predict-min-error-prob-negative", "score-empty-source"],
 )
 def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):
     argv = argv(tmp_path)

@@ -134,10 +134,13 @@ def _with(key, value):
         (_with("correction", [None]), "must be strings"),
         (_with("tokens", ["a", "b"]), "2 tokens but 1 correction tags"),
         (_with("deletion", [0]), r"key 'deletion' holds \[0\], but the correction tags give \[1\]"),
+        (_with("deletion", [True]), r"key 'deletion' must hold integers 0 and 1, found \[True\]"),
+        (_with("detection", [1.0]), r"key 'detection' must hold integers 0 and 1, found \[1.0\]"),
+        (_with("merge", [False]), r"key 'merge' must hold integers 0 and 1, found \[False\]"),
         ("{", "Expecting"),
     ],
     ids=["list", "number", "no-stream", "no-tokens", "stream-int", "token-int",
-         "tag-null", "token-count", "stream-contradicts-tags", "not-json"],
+         "tag-null", "token-count", "stream-contradicts-tags", "stream-bool", "stream-float", "stream-false", "not-json"],
 )
 def test_malformed_record_is_a_value_error(line, message):
     with pytest.raises(ValueError, match=message):

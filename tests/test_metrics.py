@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gecedit import metrics
 from gecedit.metrics import F05Accumulator, extract_spans, f_beta, gleu
 
 
@@ -283,6 +284,27 @@ def _corpora(draw):
     return sources, hyps, refs
 
 
+def _varied_corpus():
+    """8 sentences with 1-3 references each; a sentence's source, hypothesis
+    and references are variants of one base."""
+    rng = random.Random(41)
+    vocab = "the a cat sat on mat dog ran".split()
+
+    def variant(base):
+        # a few substitutions, so that sentences share n-grams of every order
+        out = list(base)
+        for _ in range(rng.randrange(0, 3)):
+            out[rng.randrange(len(out))] = rng.choice(vocab)
+        return out
+
+    bases = [[rng.choice(vocab) for _ in range(rng.randrange(5, 12))] for _ in range(8)]
+    sources = [variant(b) for b in bases]
+    hyps = [variant(b) for b in bases]
+    # uneven reference counts, sentences with a single reference among them
+    refs = [[variant(b) for _ in range(1 + k % 3)] for k, b in enumerate(bases)]
+    return sources, hyps, refs
+
+
 class TestGleuMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -297,21 +319,35 @@ class TestGleuMatchesReference:
         assert ours == reference_gleu(sources, hyps, refs, n_max=n_max, seed=seed, samples=samples)
 
     def test_default_samples_bit_identical(self):
-        rng = random.Random(41)
-        vocab = "the a cat sat on mat dog ran".split()
-
-        def variant(base):
-            # a few substitutions, so that sentences share n-grams of every order
-            out = list(base)
-            for _ in range(rng.randrange(0, 3)):
-                out[rng.randrange(len(out))] = rng.choice(vocab)
-            return out
-
-        bases = [[rng.choice(vocab) for _ in range(rng.randrange(5, 12))] for _ in range(8)]
-        sources = [variant(b) for b in bases]
-        hyps = [variant(b) for b in bases]
-        # uneven reference counts, sentences with a single reference among them
-        refs = [[variant(b) for _ in range(1 + k % 3)] for k, b in enumerate(bases)]
+        sources, hyps, refs = _varied_corpus()
         score = gleu(sources, hyps, refs, seed=9)
         assert 0.0 < score < 1.0
         assert score == reference_gleu(sources, hyps, refs, seed=9)
+
+    def test_draws_gathered_in_blocks_bit_identical(self, monkeypatch):
+        # 24 rows gather the 500 draws of the 8 sentences three at a time,
+        # the last two in a shorter block
+        monkeypatch.setattr(metrics, "_GATHER_ROWS", 24)
+        sources, hyps, refs = _varied_corpus()
+        assert gleu(sources, hyps, refs, seed=9) == reference_gleu(sources, hyps, refs, seed=9)
+
+    def test_repeated_ngrams_the_reference_drops_bit_identical(self):
+        # The source repeats "a" and "a a", the hypothesis keeps every repeat,
+        # and the references drop some or all of them: the penalty
+        # min(h, s - r) is partial at "a a b a c e f" and outweighs the matches at
+        # "b c d", where the order's count is floored at 0.
+        sources = ["a a a b a a c".split(), "x y x y z".split()]
+        hyps = ["a a a b a a c e f".split(), "x y x y w".split()]
+        refs = [
+            ["a a b a c e f".split(), "b c d".split(), "a a a b a a c".split()],
+            ["x y z".split(), "x y x y w".split()],
+        ]
+        h, s = _ngrams(hyps[0], 1), _ngrams(sources[0], 1)
+        partial, floored = _ngrams(refs[0][0], 1), _ngrams(refs[0][1], 1)
+        assert 0 < (s - partial)[("a",)] < h[("a",)]
+        assert sum((h & floored).values()) < sum((h & (s - floored)).values())
+        for seed in (0, 1, 2):
+            assert gleu(sources, hyps, refs, seed=seed) == reference_gleu(sources, hyps, refs, seed=seed)
+        for pick in ((0, 0), (1, 0), (1, 1), (2, 1)):
+            chosen = [[r[k]] for r, k in zip(refs, pick)]
+            assert gleu(sources, hyps, chosen) == reference_gleu(sources, hyps, chosen)
