@@ -72,8 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The running command's shared inputs, read by the line functions; set only by
-# _set_state, in this process and in each pool worker.  The one exception is
-# predict's encoder memo, which _block_memo keeps there for one block of lines.
+# _set_state, in this process and in each pool worker.
 _G: dict = {}
 
 
@@ -103,7 +102,10 @@ def _raise_after(items, exc):
 def _map_ordered(func, items, workers, state):
     """``func`` over ``items`` in order, with ``state`` loaded and checked by the
     caller.  Forked workers inherit it; other start methods pickle it once per
-    worker."""
+    worker.  Items go through ``func`` in ``_CHUNK``-item blocks, in a pool or
+    in this process alike, and a block yields its results only when all of
+    them are made: a fault in a block, of its input or of ``func``, yields
+    none of the block, whatever the worker count."""
     _set_state(state)
     cpus = os.cpu_count()
     workers = _pool_size(workers, cpus, workers)  # the cores' cap alone, for now
@@ -124,7 +126,9 @@ def _map_ordered(func, items, workers, state):
         with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
             yield from pool.imap(func, items, chunksize=_CHUNK)
     else:
-        yield from map(func, items)
+        items = iter(items)
+        while block := list(islice(items, _CHUNK)):
+            yield from [func(item) for item in block]
 
 
 def _numbered_lines(path):
@@ -298,26 +302,14 @@ def _cmd_train_toy(args) -> int:
 
 # -- predict -----------------------------------------------------------------
 
-def _block_memo(lineno: int) -> dict:
-    """The encoder memo of the ``_CHUNK``-line block holding ``lineno``, the unit
-    a pool worker receives.  A line of another block replaces it, so it holds
-    one block's tokens and those of their refinement outputs."""
-    block = (lineno - 1) // _CHUNK
-    if _G.get("memo_block") != block:
-        _G["memo_block"], _G["memo"] = block, {}
-    return _G["memo"]
-
-
-def _predict_line(item):
-    lineno, line = item
+def _predict_line(line):
     tokens = tokenize(line)
     if not tokens:
         return ""
     model = _G["model"]
-    memo = _block_memo(lineno)
 
     def predictor(toks):
-        return predict_tags(model, toks, _G["keep_bias"], _G["min_error_prob"], memo=memo)
+        return predict_tags(model, toks, _G["keep_bias"], _G["min_error_prob"])
 
     out, _iters = refine(tokens, predictor, _G["iters"], _G["lexicon"])
     return detokenize(out)
@@ -331,27 +323,17 @@ def _cmd_predict(args) -> int:
         "keep_bias": args.keep_bias,
         "min_error_prob": args.min_error_prob,
     }
-    items = _numbered_lines(args.inp)
-    try:
-        with open(args.out, "w", encoding="utf-8") as out:
-            for line in _map_ordered(_predict_line, items, args.workers, state):
-                out.write(line + "\n")
-    finally:  # a run in this process leaves its last block's memo behind
-        _G.pop("memo_block", None)
-        _G.pop("memo", None)
+    with open(args.out, "w", encoding="utf-8") as out:
+        for line in _map_ordered(_predict_line, text_lines(args.inp), args.workers, state):
+            out.write(line + "\n")
     return EXIT_OK
 
 
 # -- score -------------------------------------------------------------------
 
 def _score_line(item):
-    lineno, src_line, hyp_line, ref_line = item
-    src = tokenize(src_line)
-    if not src:
-        raise DataError(f"{_G['src_path']}:{lineno}: empty source sentence")
-    hyp_edits = extract_spans(src, tokenize(hyp_line))
-    ref_edits = extract_spans(src, tokenize(ref_line))
-    return hyp_edits, ref_edits
+    src, hyp_line, ref_line = item
+    return extract_spans(src, tokenize(hyp_line)), extract_spans(src, tokenize(ref_line))
 
 
 def _cmd_score(args) -> int:
@@ -365,19 +347,18 @@ def _cmd_score(args) -> int:
                 f"{path}: {name} stream has {len(lines)} lines, "
                 f"source has {len(src_lines)} (--src {args.src})"
             )
+    sources = [tokenize(s) for s in src_lines]
+    for lineno, src in enumerate(sources, start=1):
+        if not src:
+            raise DataError(f"{args.src}:{lineno}: empty source sentence")
     report: dict = {"sentence_count": len(src_lines)}
     if args.metric in ("f05", "both"):
         acc = F05Accumulator()
-        items = (
-            (i + 1, s, h, r)
-            for i, (s, h, r) in enumerate(zip(src_lines, hyp_lines, ref_files[0]))
-        )
-        state = {"src_path": str(args.src)}
-        for hyp_edits, ref_edits in _map_ordered(_score_line, items, args.workers, state):
+        items = zip(sources, hyp_lines, ref_files[0])
+        for hyp_edits, ref_edits in _map_ordered(_score_line, items, args.workers, {}):
             acc.add(hyp_edits, ref_edits)
         report.update(acc.result())
     if args.metric in ("gleu", "both"):
-        sources = [tokenize(s) for s in src_lines]
         hyps = [tokenize(h) for h in hyp_lines]
         refs = [[tokenize(r[i]) for r in ref_files] for i in range(len(src_lines))]
         report["GLEU"] = gleu(sources, hyps, refs, seed=args.seed)

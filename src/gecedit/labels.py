@@ -69,8 +69,9 @@ def to_json_line(tokens: Sequence[str], labels: MultiHeadLabels) -> str:
 
 def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     """Parse one record; raises ``ValueError`` for any malformed record,
-    including one whose binary streams hold anything but integers (JSON
-    ``true`` and ``1.0`` included) or are not those of its correction tags."""
+    including one with an empty token or a token holding whitespace, and one
+    whose binary streams hold anything but integers (JSON ``true`` and ``1.0``
+    included) or are not those of its correction tags."""
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
@@ -80,6 +81,9 @@ def from_json_line(line: str) -> tuple[list[str], MultiHeadLabels]:
     if not all(isinstance(t, str) for t in obj["tokens"] + obj["correction"]):
         raise ValueError("tokens and correction tags must be strings")
     tokens = list(obj["tokens"])
+    for i, tok in enumerate(tokens):
+        if tok.split() != [tok]:  # the token format of ``gecedit.core``
+            raise ValueError(f"token {i} {tok!r} is empty or holds whitespace")
     labels = MultiHeadLabels(tuple(EditTag.parse(t) for t in obj["correction"]))
     if len(tokens) != len(labels):
         raise ValueError(f"{len(tokens)} tokens but {len(labels)} correction tags")

@@ -457,17 +457,18 @@ class Noiser:
         n = self._ngram_sizes(rng, len(st.tokens))
         if n is None:
             return False
+        windows = [st.tokens[p : p + n] for p in range(len(st.tokens) - n + 1)]
         pairs = [
             (p, q)
-            for p in range(len(st.tokens) - n + 1)
+            for p, here in enumerate(windows)
             if st.window_free(p, n)
-            for q in range(len(st.tokens) - n + 1)
-            if abs(p - q) >= n and st.tokens[p : p + n] != st.tokens[q : q + n]
+            for q, there in enumerate(windows)
+            if abs(p - q) >= n and here != there
         ]
         if not pairs:
             return False
         p, q = rng.choice(pairs)
-        st.replace_span(p, list(st.tokens[q : q + n]))
+        st.replace_span(p, windows[q])
         return True
 
     def _op_char_pattern(self, st, rng) -> bool:

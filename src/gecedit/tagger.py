@@ -70,6 +70,13 @@ def _local_strings(tok: str) -> list[str]:
     ]
 
 
+# Tokens an encoder's memo holds before it is emptied: the distinct tokens of a
+# 128-line block of ordinary text fit.  An entry takes 1.4 KB for words of about
+# 6 characters and 3.7 KB for 20 (tracemalloc, dim 4096), so a full memo holds
+# 3-8 MB.
+_MEMO_TOKENS = 2048
+
+
 def _shifted(column: list, offset: int, pad) -> list:
     """``column[i + offset]`` for each position i, or ``pad`` past either end."""
     k = abs(offset)
@@ -79,11 +86,10 @@ def _shifted(column: list, offset: int, pad) -> list:
 class FeatureEncoder:
     """Deterministic hashed sparse features for a token in context.
 
-    ``encode`` hashes each distinct token's strings once per memo: a caller
-    that encodes many sentences passes one dict for all of them, and the
-    memo's lifetime is the caller's (see ``_encode_batch`` and the ``predict``
-    command).  A memo serves one encoder, since its hashes are reduced by
-    ``dim``.
+    A token's hashes depend only on the token and ``dim``, so the encoder
+    memoises them: ``encode`` hashes a token's strings on its first use and
+    keeps them in a private memo, which it empties when the memo holds
+    ``_MEMO_TOKENS`` tokens and another one is new.
     """
 
     def __init__(self, dim: int = 4096):
@@ -93,6 +99,7 @@ class FeatureEncoder:
         self._pads = [_hash_feature(f"{role}={pad}", dim) for role, _, pad in _ROLES]
         self._bos = _hash_feature("bos", dim)
         self._eos = _hash_feature("eos", dim)
+        self._memo: dict[str, tuple[frozenset, tuple[int, ...]]] = {}
 
     def feature_strings(self, tokens: Sequence[str], i: int) -> list[str]:
         n = len(tokens)
@@ -113,14 +120,15 @@ class FeatureEncoder:
             tuple(_hash_feature(f"{role}={tok}", self.dim) for role, _, _ in _ROLES),
         )
 
-    def encode(self, tokens: Sequence[str], memo: Optional[dict] = None) -> "EncodedSentence":
-        """Each position's sorted distinct feature hashes; ``memo`` (token ->
-        ``_hashes``) is read and filled, and a fresh one is used if none is given."""
-        memo = {} if memo is None else memo
+    def encode(self, tokens: Sequence[str]) -> "EncodedSentence":
+        """Each position's sorted distinct feature hashes."""
+        memo = self._memo
         entries = []
         for tok in tokens:
             entry = memo.get(tok)
             if entry is None:
+                if len(memo) >= _MEMO_TOKENS:
+                    memo.clear()
                 entry = memo[tok] = self._hashes(tok)
             entries.append(entry)
         neighbours = [
@@ -294,9 +302,7 @@ Encoded = list[tuple[EncodedSentence, np.ndarray, ScatterPlan]]
 
 def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
     """Encode each sentence, with the weight row of each head's gold label per
-    token and the plan that scatters its gradient.  One encoder memo serves
-    the call, so it holds no more than the batch's distinct tokens."""
-    memo: dict = {}
+    token and the plan that scatters its gradient."""
     encs, golds = [], []
     for tokens, labels in batch:
         if len(labels) != len(tokens):
@@ -305,7 +311,7 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
         streams = labels.streams()
         for j, name in enumerate(model.aux_heads):
             gold.append([len(model.tagset) + 2 * j + y for y in streams[name]])
-        encs.append(model.encoder.encode(tokens, memo))
+        encs.append(model.encoder.encode(tokens))
         golds.append(np.asarray(gold, dtype=np.int64))
     return list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
 
@@ -420,21 +426,19 @@ def predict_tags(
     tokens: Sequence[str],
     keep_bias: float = 0.0,
     min_error_prob: float = 0.0,
-    memo: Optional[dict] = None,
 ) -> list[EditTag]:
     """Decode one sentence with the inference tweaks.
 
     ``keep_bias`` (above -1) is added to the KEEP probability (post-softmax,
     then renormalized); if no token's detection-head error probability reaches
     ``min_error_prob`` (capped at 1) the whole sentence decodes to KEEP.
-    ``memo`` is the encoder memo (see ``FeatureEncoder``).
     """
     if not keep_bias > -1.0:
         raise ValueError(f"keep_bias must be greater than -1, got {keep_bias}")
     if not tokens:
         return []
     keep_id = model.tagset.keep_id
-    head_probs = model.split(_probs(model, model.encoder.encode(tokens, memo)))
+    head_probs = model.split(_probs(model, model.encoder.encode(tokens)))
     if float(head_probs["detection"][1].max()) < min(min_error_prob, 1.0):
         return [model.tagset.tag_of(keep_id)] * len(tokens)
     probs = head_probs["correction"].T

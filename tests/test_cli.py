@@ -9,7 +9,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from gecedit import cli
+from gecedit import cli, tagger
 from gecedit.cli import _pool_size, _start_method, main
 from gecedit.labels import BINARY_STREAMS
 from gecedit.lexicon import load_lexicon
@@ -546,6 +546,12 @@ def _apply_edits(edits):
                       "--edits", _write(d / "e.txt", edits), "--out", str(d / "o.txt")]
 
 
+def _score_empty_source(*flags):
+    return lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
+                      "--hyp", _write(d / "hyp.txt", "a\nb\n"),
+                      "--ref", _write(d / "ref.txt", "a\nb\n"), *flags]
+
+
 def _noise_edit_dict(d):
     _write(d / "ed.tsv", "in\tat\nbad line\n")
     return _noise("edit_dict = ed.tsv\ntoken_dict = 1.0\n")(d)
@@ -585,6 +591,10 @@ def _noise_edit_dict(d):
          "labels.jsonl:2: key 'detection' must hold integers 0 and 1, found [1.0]"),
         (_train(_LABEL + "\n" + _EMPTY_LABEL + "\n"), 2,
          "labels.jsonl:2: a training example needs at least one token"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"tokens": ["a"]', '"tokens": ["a b"]') + "\n"), 2,
+         "labels.jsonl:2: token 0 'a b' is empty or holds whitespace"),
+        (_train(_LABEL + "\n" + _LABEL.replace('"tokens": ["a"]', '"tokens": [""]') + "\n"), 2,
+         "labels.jsonl:2: token 0 '' is empty or holds whitespace"),
         pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
                      "loss became NaN at update step 1",
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
@@ -615,9 +625,9 @@ def _noise_edit_dict(d):
         (_predict("x", "--min-error-prob", "inf"), 1, "argument --min-error-prob: must be a"),
         (_predict("x", "--min-error-prob", "1.5"), 1, "argument --min-error-prob: must be in [0, 1]"),
         (_predict("x", "--min-error-prob", "-0.1"), 1, "argument --min-error-prob: must be in [0, 1]"),
-        (lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
-                    "--hyp", _write(d / "hyp.txt", "a\nb\n"),
-                    "--ref", _write(d / "ref.txt", "a\nb\n")], 2, "src.txt:2: empty source"),
+        (_score_empty_source(), 2, "src.txt:2: empty source sentence"),
+        (_score_empty_source("--metric", "f05"), 2, "src.txt:2: empty source sentence"),
+        (_score_empty_source("--metric", "gleu"), 2, "src.txt:2: empty source sentence"),
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
          "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-empty-source",
@@ -625,14 +635,16 @@ def _noise_edit_dict(d):
          "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
          "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
-         "train-deletion-bool", "train-detection-float", "train-no-tokens", "train-diverges", "train-epochs-0",
+         "train-deletion-bool", "train-detection-float", "train-no-tokens",
+         "train-token-with-space", "train-empty-token", "train-diverges", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
          "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
          "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
          "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
          "predict-keep-bias-nan", "predict-keep-bias-minus-1", "predict-keep-bias-minus-2",
          "predict-min-error-prob-inf", "predict-min-error-prob-above-1",
-         "predict-min-error-prob-negative", "score-empty-source"],
+         "predict-min-error-prob-negative", "score-empty-source", "score-empty-source-f05",
+         "score-empty-source-gleu"],
 )
 def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):
     argv = argv(tmp_path)
@@ -796,7 +808,7 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
         assert np.array_equal(rows, model.W[name]), name
 
 
-# -- pools and the predict memo over several 128-line blocks -----------------------
+# -- pools, faults and the encoder memo over several 128-line blocks --------------
 
 def _three_block_inputs(workdir):
     """Source, edits, hypothesis and reference files of 360 lines, three ``_CHUNK``
@@ -838,43 +850,56 @@ def test_worker_invariant_over_three_blocks(workdir, trained_model, capsys, comm
         assert json.loads(results[0][1])["sentence_count"] == 360
 
 
-def test_predict_memo_holds_one_block(workdir, trained_model, monkeypatch):
-    """predict gives each 128-line block a fresh encoder memo, holding only that
-    block's tokens and those of their refinement passes, and drops the last
-    memo when it ends."""
-    # a token of its own on each line, so the blocks' vocabularies differ
+@pytest.mark.parametrize(
+    "fault, lineno, kept",
+    [("no-tab", 200, 128), ("not-utf8", 200, 128), ("not-utf8", 300, 256)],
+    ids=["line-fault-in-block-2", "input-fault-in-block-2", "input-fault-past-read-ahead"],
+)
+def test_partial_output_on_a_fault_is_worker_invariant(workdir, capsys, fault, lineno, kept):
+    """A fault in a block writes none of that block's lines, in a pool or in
+    this process: the lines of the blocks before it, and the same error."""
+    pairs = workdir / "pairs.tsv"
+    assert main(["noise", "--in", str(workdir / "clean.txt"), "--out", str(pairs),
+                 "--profile", str(workdir / "profile.txt"), "--workers", "1"]) == 0
+    lines = pairs.read_bytes().splitlines(keepends=True) * 3
+    assert 2 * cli._CHUNK < len(lines) <= 3 * cli._CHUNK
+    good = workdir / "good.jsonl"
+    argv = ["tag", "--src-tgt", str(pairs), "--tagset", str(workdir / "small.tagset")]
+    pairs.write_bytes(b"".join(lines))
+    assert main([*argv, "--out", str(good), "--workers", "1"]) == 0
+    lines[lineno - 1] = lines[lineno - 1].replace(b"\t", b" ") if fault == "no-tab" else b"\xff\n"
+    pairs.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    results = []
+    for workers in ("1", "2"):
+        out = workdir / f"out.w{workers}"
+        assert main([*argv, "--out", str(out), "--workers", workers]) == 2
+        results.append((out.read_bytes(), capsys.readouterr()))
+    assert results[0] == results[1]
+    written, (stdout, stderr) = results[0]
+    assert written == b"".join(good.read_bytes().splitlines(keepends=True)[:kept])
+    assert stdout == "" and stderr.startswith(f"gecedit: error: {pairs}:{lineno}: ")
+
+
+def test_predict_memo_stays_within_its_bound(workdir, trained_model, monkeypatch):
+    """Over a predict of three blocks the encoder's memo never holds more than
+    ``_MEMO_TOKENS`` tokens, and emptying it changes no output."""
+    # a token of its own on each line, so the input's vocabulary outgrows the bound
     sources = [" ".join(json.loads(line)["tokens"]) for line in open(workdir / "labels.jsonl")] * 3
-    lines = [f"{s} line{n}" for n, s in enumerate(sources, start=1)]
-    src = _write(workdir / "src3.txt", "".join(line + "\n" for line in lines))
-    calls = []  # (line number, memo, tokens) of each predict_tags call
-    lineno = [0]
-    real_refine, real_predict_tags = cli.refine, cli.predict_tags
+    src = _write(workdir / "src3.txt", "".join(f"{s} line{n}\n" for n, s in enumerate(sources)))
+    argv = ["predict", "--model", str(trained_model), "--in", src, "--workers", "1"]
+    assert main([*argv, "--out", str(workdir / "unbounded.txt")]) == 0
+    sizes = []  # the memo's size after each predict_tags call
+    real_predict_tags = cli.predict_tags
 
-    def refine(tokens, *args):
-        lineno[0] += 1
-        return real_refine(tokens, *args)
+    def predict_tags(model, tokens, *args):
+        tags = real_predict_tags(model, tokens, *args)
+        sizes.append(len(model.encoder._memo))
+        return tags
 
-    def predict_tags(model, tokens, *args, memo=None):
-        calls.append((lineno[0], memo, list(tokens)))
-        return real_predict_tags(model, tokens, *args, memo=memo)
-
-    monkeypatch.setattr(cli, "refine", refine)
+    monkeypatch.setattr(tagger, "_MEMO_TOKENS", 50)
     monkeypatch.setattr(cli, "predict_tags", predict_tags)
-    assert main(["predict", "--model", str(trained_model), "--in", src,
-                 "--out", str(workdir / "o.txt"), "--workers", "1"]) == 0
-    assert lineno[0] == len(lines)
-    memos = {}
-    for n, memo, _ in calls:
-        assert memos.setdefault((n - 1) // cli._CHUNK, memo) is memo, n
-    assert len({id(memo) for memo in memos.values()}) == 3
-
-    last = [(n, tokens) for n, _, tokens in calls if n > 2 * cli._CHUNK]
-    first_passes = {}
-    for n, tokens in last:
-        first_passes.setdefault(n, tokens)
-    assert [first_passes[n] for n in sorted(first_passes)] == [
-        tokenize(line) for line in lines[2 * cli._CHUNK:]
-    ]
-    # the lines' tokens, and those of each later pass: the outputs of refinement
-    assert set(memos[2]) == {tok for _, tokens in last for tok in tokens}
-    assert "memo" not in cli._G and "memo_block" not in cli._G
+    assert main([*argv, "--out", str(workdir / "bounded.txt")]) == 0
+    assert len(sizes) >= len(sources) and max(sizes) == 50
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 3  # emptied again and again
+    assert (workdir / "bounded.txt").read_bytes() == (workdir / "unbounded.txt").read_bytes()

@@ -137,10 +137,16 @@ def _with(key, value):
         (_with("deletion", [True]), r"key 'deletion' must hold integers 0 and 1, found \[True\]"),
         (_with("detection", [1.0]), r"key 'detection' must hold integers 0 and 1, found \[1.0\]"),
         (_with("merge", [False]), r"key 'merge' must hold integers 0 and 1, found \[False\]"),
+        (_with("tokens", [""]), "token 0 '' is empty or holds whitespace"),
+        (_with("tokens", ["a b"]), "token 0 'a b' is empty or holds whitespace"),
+        (_with("tokens", ["a\n"]), r"token 0 'a\\n' is empty or holds whitespace"),
+        (_with("tokens", ["a\u00a0b"]), r"token 0 'a\\xa0b' is empty or holds whitespace"),
         ("{", "Expecting"),
     ],
     ids=["list", "number", "no-stream", "no-tokens", "stream-int", "token-int",
-         "tag-null", "token-count", "stream-contradicts-tags", "stream-bool", "stream-float", "stream-false", "not-json"],
+         "tag-null", "token-count", "stream-contradicts-tags", "stream-bool", "stream-float",
+         "stream-false", "token-empty", "token-space", "token-newline", "token-no-break-space",
+         "not-json"],
 )
 def test_malformed_record_is_a_value_error(line, message):
     with pytest.raises(ValueError, match=message):

@@ -355,8 +355,9 @@ class TestDeletionRestoreSite:
 # before Noiser._rewrite_one, each picking, checking and replacing by itself,
 # over an EditDictionary-like mapping.  They differ from that code only by the
 # deletion guard: a deletion at the sentence start also needs a free token
-# after the deleted ones.  ngram_swap, ngram_insert and ngram_replace are the
-# Noiser's own.
+# after the deleted ones.  ngram_replace compares the slices of every (p, q)
+# pair, as written before the Noiser built each window once, so the test pins
+# its candidate order.  ngram_swap and ngram_insert are the Noiser's own.
 
 
 def reference_delete_span(st_, p, n):
@@ -466,6 +467,24 @@ def reference_ngram_delete(nz, st_, rng):
     if not starts:
         return False
     reference_delete_span(st_, rng.choice(starts), n)
+    return True
+
+
+def reference_ngram_replace(nz, st_, rng):
+    n = nz._ngram_sizes(rng, len(st_.tokens))
+    if n is None:
+        return False
+    pairs = [
+        (p, q)
+        for p in range(len(st_.tokens) - n + 1)
+        if st_.window_free(p, n)
+        for q in range(len(st_.tokens) - n + 1)
+        if abs(p - q) >= n and st_.tokens[p : p + n] != st_.tokens[q : q + n]
+    ]
+    if not pairs:
+        return False
+    p, q = rng.choice(pairs)
+    st_.replace_span(p, list(st_.tokens[q : q + n]))
     return True
 
 

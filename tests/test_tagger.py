@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gecedit.edit2seq import refine
 from gecedit.labels import BINARY_STREAMS, derive_labels
+from gecedit import tagger
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, TagFamily, TagSet
@@ -117,31 +119,49 @@ _edge_strings = st.sampled_from(["<s>", "</s>", "bos", "eos"])
 _vocabularies = st.lists(st.one_of(_edge_strings, st.text(max_size=6)), min_size=1, max_size=8)
 
 
+def _feature_rows(encoder, tokens):
+    """Each position's sorted distinct hashes of its feature strings."""
+    return [
+        sorted({_hash_feature(f, encoder.dim) for f in encoder.feature_strings(tokens, i)})
+        for i in range(len(tokens))
+    ]
+
+
 class TestEncoderMemo:
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dim=st.integers(2, 8), vocab=_vocabularies)
-    def test_memoised_encode_matches_feature_strings(self, data, dim, vocab):
-        """One memo shared by several sentences, in any order and repeated,
-        gives each position the sorted distinct hashes of its feature strings."""
+    @given(data=st.data(), dim=st.integers(2, 8), vocab=_vocabularies, bound=st.integers(1, 5))
+    def test_memoised_encode_matches_feature_strings(self, data, dim, vocab, bound):
+        """One encoder over several sentences, in any order and repeated, with
+        its memo bound so low that the memo empties mid-run, gives each
+        position the sorted distinct hashes of its feature strings."""
         encoder = FeatureEncoder(dim=dim)
         sentences = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=9), max_size=6))
         order = data.draw(st.permutations(sentences + sentences))
-        memo: dict = {}
-        for tokens in order:
-            enc = encoder.encode(tokens, memo)
-            rows = [
-                sorted({_hash_feature(s, dim) for s in encoder.feature_strings(tokens, i)})
-                for i in range(len(tokens))
-            ]
-            sizes = np.asarray([len(r) for r in rows], dtype=np.int64)
-            assert enc.n_tokens == len(tokens)
-            assert enc.idx.dtype == enc.starts.dtype == enc.tok_of.dtype == np.int64
-            assert enc.idx.tolist() == [h for r in rows for h in r]
-            assert enc.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
-            assert enc.tok_of.tolist() == np.repeat(np.arange(len(rows)), sizes).tolist()
-            fresh = encoder.encode(tokens)  # no memo: a fresh one, the same result
-            assert np.array_equal(fresh.idx, enc.idx) and np.array_equal(fresh.starts, enc.starts)
-        assert set(memo) == {tok for tokens in sentences for tok in tokens}
+        seen: set = set()
+        with mock.patch.object(tagger, "_MEMO_TOKENS", bound):
+            for tokens in order:
+                enc = encoder.encode(tokens)
+                seen.update(tokens)
+                assert len(encoder._memo) <= bound and set(encoder._memo) <= seen
+                assert not tokens or tokens[-1] in encoder._memo
+                rows = _feature_rows(encoder, tokens)
+                sizes = np.asarray([len(r) for r in rows], dtype=np.int64)
+                assert enc.n_tokens == len(tokens)
+                assert enc.idx.dtype == enc.starts.dtype == enc.tok_of.dtype == np.int64
+                assert enc.idx.tolist() == [h for r in rows for h in r]
+                assert enc.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+                assert enc.tok_of.tolist() == np.repeat(np.arange(len(rows)), sizes).tolist()
+
+    def test_memo_empties_when_a_new_token_finds_it_full(self):
+        encoder = FeatureEncoder(dim=64)
+        with mock.patch.object(tagger, "_MEMO_TOKENS", 3):
+            encoder.encode(["a", "b", "a"])
+            assert list(encoder._memo) == ["a", "b"]
+            encoder.encode(["c", "b"])
+            assert list(encoder._memo) == ["a", "b", "c"]  # full, and "b" is no new token
+            enc = encoder.encode(["b", "d", "e", "a"])
+            assert list(encoder._memo) == ["d", "e", "a"]  # emptied at "d"
+        assert enc.idx.tolist() == [h for r in _feature_rows(encoder, ["b", "d", "e", "a"]) for h in r]
 
     def test_feature_strings_of_a_sentence_edge(self):
         assert FeatureEncoder(dim=16).feature_strings(["Ab"], 0) == [
