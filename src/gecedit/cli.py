@@ -105,8 +105,8 @@ def _map_ordered(func, items, workers, state):
     worker.  Items go through ``func`` in ``_CHUNK``-item blocks, in a pool or
     in this process alike, and a block yields its results only when all of
     them are made: a fault in a block, of its input or of ``func``, yields
-    none of the block, whatever the worker count."""
-    _set_state(state)
+    none of the block, whatever the worker count.  ``state`` is dropped
+    when the map ends, on success or on error."""
     cpus = os.cpu_count()
     workers = _pool_size(workers, cpus, workers)  # the cores' cap alone, for now
     if workers > 1:
@@ -121,14 +121,18 @@ def _map_ordered(func, items, workers, state):
         else:
             workers = _pool_size(workers, cpus, math.ceil(len(head) / _CHUNK))
             items = chain(head, items)
-    if workers > 1:
-        ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
-        with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
-            yield from pool.imap(func, items, chunksize=_CHUNK)
-    else:
-        items = iter(items)
-        while block := list(islice(items, _CHUNK)):
-            yield from [func(item) for item in block]
+    _set_state(state)
+    try:
+        if workers > 1:
+            ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
+            with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
+                yield from pool.imap(func, items, chunksize=_CHUNK)
+        else:
+            items = iter(items)
+            while block := list(islice(items, _CHUNK)):
+                yield from [func(item) for item in block]
+    finally:
+        _G.clear()
 
 
 def _numbered_lines(path):
@@ -347,6 +351,8 @@ def _cmd_score(args) -> int:
                 f"{path}: {name} stream has {len(lines)} lines, "
                 f"source has {len(src_lines)} (--src {args.src})"
             )
+    if not src_lines:
+        raise DataError(f"{args.src}: no sentences")
     sources = [tokenize(s) for s in src_lines]
     for lineno, src in enumerate(sources, start=1):
         if not src:

@@ -128,26 +128,42 @@ def _reference_rows(
     return rows
 
 
-def _gleu_from_sums(sums: Sequence[int], hyp_len: int, den: Sequence[int]) -> float:
-    """GLEU of one single-reference draw: ``sums`` adds up the chosen
-    reference row of every sentence; ``hyp_len`` and ``den`` depend on the
-    hypotheses only."""
-    if hyp_len == 0:
-        return 0.0
-    ref_len, *num = sums
-    log_sum = 0.0
-    orders = 0
-    for n in range(len(den)):
-        if den[n] == 0:
-            continue
-        if num[n] == 0:
-            return 0.0
-        log_sum += math.log(num[n] / den[n])
-        orders += 1
-    if orders == 0:
-        return 0.0
-    bp = min(0.0, 1.0 - ref_len / hyp_len)
-    return math.exp(bp + log_sum / orders)
+def _picks(rng: random.Random, n_refs: Sequence[int], draws: int) -> list[int]:
+    """The reference picks of ``draws`` draws, draw after draw: one per
+    sentence, below its reference count, from the calls CPython's
+    ``rng.randrange(k)`` makes itself: ``k.bit_length()`` random bits, drawn
+    again while they reach ``k``."""
+    getrandbits = rng.getrandbits
+    picks: list[int] = []
+    append = picks.append
+    for k, bits in [(k, k.bit_length()) for k in n_refs] * draws:
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        append(r)
+    return picks
+
+
+def _draw_scores(sums: np.ndarray, hyp_len: int, den: Sequence[int]) -> list[float]:
+    """GLEU of each single-reference draw in a block: row ``d`` of the int64
+    ``sums`` adds up the chosen reference row of every sentence in draw ``d``;
+    ``hyp_len`` and ``den`` depend on the hypotheses only.
+
+    The logarithm of an order's precision depends only on its numerator, so
+    it is taken once per distinct numerator; a zero numerator's is -inf,
+    which gives its draw exp(-inf) = 0.0.  The orders are added in order,
+    elementwise, which rounds as the scalar adds do.
+    """
+    if hyp_len == 0:  # then no order has n-grams either
+        return [0.0] * len(sums)
+    orders = [n for n in range(len(den)) if den[n]]
+    log_sum = np.zeros(len(sums))
+    for n in orders:
+        nums, inverse = np.unique(sums[:, 1 + n], return_inverse=True)
+        logs = [math.log(v / den[n]) if v else -math.inf for v in nums.tolist()]
+        log_sum += np.array(logs)[inverse]
+    bp = np.minimum(0.0, 1.0 - sums[:, 0] / hyp_len)
+    return [math.exp(x) for x in (bp + log_sum / len(orders)).tolist()]
 
 
 # Draws whose picked rows are gathered at once: at most this many rows, so the
@@ -168,10 +184,15 @@ def gleu(
     Modified n-gram precision with source-kept n-grams subtracted, geometric
     mean over orders 1..n_max, BLEU brevity penalty.  With multiple
     references per sentence the score is the mean over ``samples`` seeded
-    single-reference draws.  The n-gram statistics of every (sentence,
-    reference) pair are counted once, in plain dicts, into an integer row;
-    a draw picks one row per sentence and its score needs only their sum,
-    which an int64 gather over a block of draws computes exactly.
+    single-reference draws: draw after draw, each sentence picks reference
+    ``random.Random(seed).randrange(k)`` of its ``k``, and the scores equal
+    that formulation's to the bit.  The picks come from the generator's own
+    ``getrandbits`` calls, as ``randrange`` makes them.  The n-gram
+    statistics of every (sentence, reference) pair are counted once, in
+    plain dicts, into an integer row; a draw's score needs only the sum of
+    its picked rows, which an int64 gather computes exactly for a block of
+    draws at a time, and one routine scores the block.  A corpus with one
+    reference per sentence is scored as a single draw.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -186,22 +207,25 @@ def gleu(
             raise ValueError(f"sentence {i} has no reference")
     hyp_len = sum(len(hyp) for hyp in hypotheses)
     den = [sum(max(len(hyp) + 1 - n, 0) for hyp in hypotheses) for n in range(1, n_max + 1)]
-    rows = [
-        _reference_rows(src, hyp, refs, n_max)
-        for src, hyp, refs in zip(sources, hypotheses, references)
-    ]
-    if all(len(r) == 1 for r in rows):
-        return _gleu_from_sums([sum(column) for column in zip(*(r[0] for r in rows))], hyp_len, den)
-    n_refs = [len(r) for r in rows]
-    table = np.zeros((len(rows), max(n_refs), n_max + 1), dtype=np.int64)
-    for s, r in enumerate(rows):
-        table[s, : len(r)] = r
-    sentences = np.arange(len(rows))
-    block = max(1, _GATHER_ROWS // len(rows))
+    n_refs = [len(refs) for refs in references]
+    # every (sentence, reference) row, each sentence's rows in turn
+    table = np.array(
+        [
+            row
+            for src, hyp, refs in zip(sources, hypotheses, references)
+            for row in _reference_rows(src, hyp, refs, n_max)
+        ],
+        dtype=np.int64,
+    )
+    if max(n_refs) == 1:
+        return _draw_scores(table.sum(axis=0, keepdims=True), hyp_len, den)[0]
+    first = np.cumsum(n_refs) - n_refs  # each sentence's first row
+    block = max(1, _GATHER_ROWS // len(n_refs))
     rng = random.Random(seed)
     total = 0.0
     for start in range(0, samples, block):
-        picks = [[rng.randrange(k) for k in n_refs] for _ in range(min(block, samples - start))]
-        for sums in table[sentences, picks].sum(axis=1).tolist():
-            total += _gleu_from_sums(sums, hyp_len, den)
+        draws = min(block, samples - start)
+        picks = np.fromiter(_picks(rng, n_refs, draws), np.intp).reshape(draws, len(n_refs))
+        for score in _draw_scores(table[picks + first].sum(axis=1), hyp_len, den):
+            total += score
     return total / samples

@@ -552,6 +552,11 @@ def _score_empty_source(*flags):
                       "--ref", _write(d / "ref.txt", "a\nb\n"), *flags]
 
 
+def _score_no_sentences(*flags):
+    return lambda d: ["score", "--src", _write(d / "src.txt", ""), "--hyp", _write(d / "hyp.txt", ""),
+                      "--ref", _write(d / "ref.txt", ""), *flags]
+
+
 def _noise_edit_dict(d):
     _write(d / "ed.tsv", "in\tat\nbad line\n")
     return _noise("edit_dict = ed.tsv\ntoken_dict = 1.0\n")(d)
@@ -628,6 +633,9 @@ def _noise_edit_dict(d):
         (_score_empty_source(), 2, "src.txt:2: empty source sentence"),
         (_score_empty_source("--metric", "f05"), 2, "src.txt:2: empty source sentence"),
         (_score_empty_source("--metric", "gleu"), 2, "src.txt:2: empty source sentence"),
+        (_score_no_sentences(), 2, "src.txt: no sentences"),
+        (_score_no_sentences("--metric", "f05"), 2, "src.txt: no sentences"),
+        (_score_no_sentences("--metric", "gleu"), 2, "src.txt: no sentences"),
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
          "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-empty-source",
@@ -644,7 +652,8 @@ def _noise_edit_dict(d):
          "predict-keep-bias-nan", "predict-keep-bias-minus-1", "predict-keep-bias-minus-2",
          "predict-min-error-prob-inf", "predict-min-error-prob-above-1",
          "predict-min-error-prob-negative", "score-empty-source", "score-empty-source-f05",
-         "score-empty-source-gleu"],
+         "score-empty-source-gleu", "score-no-sentences", "score-no-sentences-f05",
+         "score-no-sentences-gleu"],
 )
 def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, message):
     argv = argv(tmp_path)
@@ -806,6 +815,31 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
     for name, rows in restored.W.items():
         assert np.shares_memory(rows, restored.weights), name
         assert np.array_equal(rows, model.W[name]), name
+
+
+def test_line_state_is_dropped_when_the_map_ends(workdir, trained_model, capsys, monkeypatch):
+    """Once predict returns, on success or on a fault inside the map, none of
+    its state stays behind in this process."""
+    loaded = []
+    real_set_state = cli._set_state
+
+    def set_state(state):
+        loaded.append(state)
+        real_set_state(state)
+
+    monkeypatch.setattr(cli, "_set_state", set_state)
+    src = workdir / "src.txt"
+    argv = ["predict", "--model", str(trained_model), "--in", str(src),
+            "--out", str(workdir / "o.txt"), "--workers", "1"]
+    for text, code in ((b"a b c\nd e f\n", 0), (b"a b c\n\xff\n", 2)):
+        src.write_bytes(text)
+        loaded.clear()
+        assert main(argv) == code
+        assert [sorted(state) for state in loaded] == [
+            ["iters", "keep_bias", "lexicon", "min_error_prob", "model"]
+        ]
+        assert cli._G == {}
+    assert f"{src}:2: not valid UTF-8" in capsys.readouterr().err
 
 
 # -- pools, faults and the encoder memo over several 128-line blocks --------------

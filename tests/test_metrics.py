@@ -201,6 +201,17 @@ class TestGleu:
         # another seed draws another mix of the three references
         assert s1 != s3
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_picks_follow_randrange(self, seed):
+        # Each pick repeats CPython's randrange(k) on this interpreter, and
+        # leaves the generator where randrange leaves it.
+        n_refs = [3, 1, 9, 2, 1, 7, 4, 8, 5, 6, 2, 9, 1]
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        for draws in (1, 40):
+            expected = [expected_rng.randrange(k) for _ in range(draws) for k in n_refs]
+            assert metrics._picks(rng, n_refs, draws) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gleu([["a"]], [["a"], ["b"]], [[["a"]], [["b"]]])
