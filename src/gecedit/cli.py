@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from functools import partial
 from itertools import chain, islice, zip_longest
 
 from gecedit.core import (
@@ -38,7 +39,13 @@ from gecedit.core import (
 )
 from gecedit.edit2seq import edit2seq, refine
 from gecedit.labels import derive_labels, from_json_line, to_json_line
-from gecedit.lexicon import default_profile_path, default_tagset_path, load_lexicon
+from gecedit.lexicon import (
+    default_plurals_path,
+    default_profile_path,
+    default_tagset_path,
+    default_verbs_path,
+    load_lexicon,
+)
 from gecedit.metrics import F05Accumulator, extract_spans, gleu
 from gecedit.noiser import OPERATIONS, Noiser, ProfileError, load_profile
 from gecedit.seq2edit import seq2edit
@@ -100,18 +107,20 @@ def _raise_after(items, exc):
 
 
 def _map_ordered(func, items, workers, state):
-    """``func`` over ``items`` in order, with ``state`` loaded and checked by the
-    caller.  Forked workers inherit it; other start methods pickle it once per
-    worker.  Items go through ``func`` in ``_CHUNK``-item blocks, in a pool or
-    in this process alike, and a block yields its results only when all of
-    them are made: a fault in a block, of its input or of ``func``, yields
-    none of the block, whatever the worker count.  ``state`` is dropped
-    when the map ends, on success or on error."""
+    """The results of ``func`` over ``items``, in order, with ``state`` loaded
+    and checked by the caller.  ``func`` maps a block of up to ``_CHUNK``
+    items to the list of their results, in a pool or in this process alike.
+    Forked workers inherit ``state``; other start methods pickle it once per
+    worker.  A block yields its results only when all of them are made: a
+    fault in a block, of its input or of ``func``, yields none of the block,
+    whatever the worker count.  ``state`` is dropped when the map ends, on
+    success or on error."""
     cpus = os.cpu_count()
     workers = _pool_size(workers, cpus, workers)  # the cores' cap alone, for now
+    items = iter(items)
     if workers > 1:
         # Read ahead just far enough to tell how many workers the input keeps busy.
-        items, head = iter(items), []
+        head = []
         try:
             for item in islice(items, workers * _CHUNK):
                 head.append(item)
@@ -121,18 +130,24 @@ def _map_ordered(func, items, workers, state):
         else:
             workers = _pool_size(workers, cpus, math.ceil(len(head) / _CHUNK))
             items = chain(head, items)
+    blocks = iter(lambda: list(islice(items, _CHUNK)), [])
     _set_state(state)
     try:
         if workers > 1:
             ctx = multiprocessing.get_context(_start_method(multiprocessing.get_all_start_methods()))
             with ctx.Pool(workers, initializer=_set_state, initargs=(state,)) as pool:
-                yield from pool.imap(func, items, chunksize=_CHUNK)
+                for results in pool.imap(func, blocks):
+                    yield from results
         else:
-            items = iter(items)
-            while block := list(islice(items, _CHUNK)):
-                yield from [func(item) for item in block]
+            for block in blocks:
+                yield from func(block)
     finally:
         _G.clear()
+
+
+def _each(func, block):
+    """``func`` over each item of a block: the block function of a line command."""
+    return [func(item) for item in block]
 
 
 def _numbered_lines(path):
@@ -166,7 +181,8 @@ def _cmd_tag(args) -> int:
     families: Counter = Counter()
     pairs = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for line, line_families in _map_ordered(_tag_line, items, args.workers, state):
+        lines = _map_ordered(partial(_each, _tag_line), items, args.workers, state)
+        for line, line_families in lines:
             out.write(line + "\n")
             families.update(line_families)
             pairs += 1
@@ -210,7 +226,7 @@ def _cmd_apply(args) -> int:
     state = {"edits_path": str(args.edits), "lexicon": load_lexicon(args.lexicon, args.plurals)}
     items = _paired_lines(args.src, args.edits)
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_apply_line, items, args.workers, state):
+        for line in _map_ordered(partial(_each, _apply_line), items, args.workers, state):
             out.write(line + "\n")
     return EXIT_OK
 
@@ -245,7 +261,8 @@ def _cmd_noise(args) -> int:
     realized: Counter = Counter()
     sentences = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for pair_line, counts in _map_ordered(_noise_line, items(), args.workers, state):
+        pairs = _map_ordered(partial(_each, _noise_line), items(), args.workers, state)
+        for pair_line, counts in pairs:
             out.write(pair_line + "\n")
             realized.update(counts)
             sentences += 1
@@ -306,17 +323,15 @@ def _cmd_train_toy(args) -> int:
 
 # -- predict -----------------------------------------------------------------
 
-def _predict_line(line):
-    tokens = tokenize(line)
-    if not tokens:
-        return ""
+def _predict_block(lines):
+    """The corrected text of a block of lines, refined in lockstep."""
     model = _G["model"]
 
-    def predictor(toks):
-        return predict_tags(model, toks, _G["keep_bias"], _G["min_error_prob"])
+    def predictor(sentences):
+        return predict_tags(model, sentences, _G["keep_bias"], _G["min_error_prob"])
 
-    out, _iters = refine(tokens, predictor, _G["iters"], _G["lexicon"])
-    return detokenize(out)
+    outs, _passes = refine(list(map(tokenize, lines)), predictor, _G["iters"], _G["lexicon"])
+    return list(map(detokenize, outs))
 
 
 def _cmd_predict(args) -> int:
@@ -328,7 +343,7 @@ def _cmd_predict(args) -> int:
         "min_error_prob": args.min_error_prob,
     }
     with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_predict_line, text_lines(args.inp), args.workers, state):
+        for line in _map_ordered(_predict_block, text_lines(args.inp), args.workers, state):
             out.write(line + "\n")
     return EXIT_OK
 
@@ -361,7 +376,8 @@ def _cmd_score(args) -> int:
     if args.metric in ("f05", "both"):
         acc = F05Accumulator()
         items = zip(sources, hyp_lines, ref_files[0])
-        for hyp_edits, ref_edits in _map_ordered(_score_line, items, args.workers, {}):
+        edits = _map_ordered(partial(_each, _score_line), items, args.workers, {})
+        for hyp_edits, ref_edits in edits:
             acc.add(hyp_edits, ref_edits)
         report.update(acc.result())
     if args.metric in ("gleu", "both"):
@@ -395,6 +411,32 @@ _positive_float = _checked(_finite_float, lambda v: v > 0.0, "greater than 0")
 _unit_float = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
+def _input(sub, flag, **kwargs):
+    """Add an input file's flag to ``sub``, and list it among the inputs that
+    ``--out`` may not name."""
+    action = sub.add_argument(flag, **kwargs)
+    sub.set_defaults(inputs=[*(sub.get_default("inputs") or []), (flag, action.dest)])
+
+
+def _out_input(args):
+    """The flag and path of an input that ``--out`` names, if any: the same
+    file, by device and inode, which opening ``--out`` would empty."""
+    if not hasattr(args, "out"):  # score writes to standard output
+        return None
+    try:
+        out = os.stat(args.out)
+    except OSError:  # --out is not there yet
+        return None
+    for flag, dest in args.inputs:
+        path = getattr(args, dest)
+        try:
+            if path is not None and os.path.samestat(os.stat(path), out):
+                return flag, path
+        except OSError:  # the command reports an unreadable input itself
+            continue
+    return None
+
+
 def _add_common(sub, lexicon_flag=True):
     sub.add_argument(
         "--workers",
@@ -404,10 +446,10 @@ def _add_common(sub, lexicon_flag=True):
         "(default: all cores)",
     )
     if lexicon_flag:
-        sub.add_argument("--lexicon", default=None, help="verb lexicon TSV (default: bundled)")
-        sub.add_argument(
-            "--plurals", default=None, help="irregular plural TSV (default: bundled)"
-        )
+        _input(sub, "--lexicon", default=str(default_verbs_path()),
+               help="verb lexicon TSV (default: bundled)")
+        _input(sub, "--plurals", default=str(default_plurals_path()),
+               help="irregular plural TSV (default: bundled)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,30 +457,30 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("tag", help="convert source<TAB>target pairs to labeled JSON lines")
-    p.add_argument("--src-tgt", required=True, help="parallel corpus, source<TAB>target per line")
-    p.add_argument("--tagset", default=str(default_tagset_path()), help="tagset file")
+    _input(p, "--src-tgt", required=True, help="parallel corpus, source<TAB>target per line")
+    _input(p, "--tagset", default=str(default_tagset_path()), help="tagset file")
     p.add_argument("--out", required=True, help="output JSON-lines file")
     _add_common(p)
     p.set_defaults(func=_cmd_tag)
 
     p = subs.add_parser("apply", help="apply edit-tag sequences to sentences")
-    p.add_argument("--src", required=True, help="source sentences, one per line")
-    p.add_argument("--edits", required=True, help="space-separated tags, one line per sentence")
+    _input(p, "--src", required=True, help="source sentences, one per line")
+    _input(p, "--edits", required=True, help="space-separated tags, one line per sentence")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_apply)
 
     p = subs.add_parser("noise", help="corrupt clean sentences into corrupted<TAB>clean pairs")
-    p.add_argument("--in", dest="inp", required=True, help="clean sentences, one per line")
-    p.add_argument("--profile", default=str(default_profile_path()), help="noise profile file")
+    _input(p, "--in", dest="inp", required=True, help="clean sentences, one per line")
+    _input(p, "--profile", default=str(default_profile_path()), help="noise profile file")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the profile rng seed")
     _add_common(p)
     p.set_defaults(func=_cmd_noise)
 
     p = subs.add_parser("train-toy", help="train the desk-scale multi-head tagger")
-    p.add_argument("--data", required=True, help="labeled JSON-lines file from `tag`")
-    p.add_argument("--tagset", default=str(default_tagset_path()))
+    _input(p, "--data", required=True, help="labeled JSON-lines file from `tag`")
+    _input(p, "--tagset", default=str(default_tagset_path()))
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument(
         "--lambda",
@@ -468,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_toy)
 
     p = subs.add_parser("predict", help="tag and iteratively correct sentences with a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="inp", required=True)
+    _input(p, "--model", required=True)
+    _input(p, "--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=_positive_int, default=4, help="max refinement passes")
     p.add_argument(
@@ -510,6 +552,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    clash = _out_input(args)
+    if clash is not None:
+        print(
+            f"gecedit {args.command}: error: --out {args.out} is the same file as "
+            f"{clash[0]} {clash[1]}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, OSError, TrainingDivergedError) as exc:  # every data error is a ValueError

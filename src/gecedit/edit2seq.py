@@ -100,26 +100,34 @@ def edit2seq(
 
 
 def refine(
-    source: Sequence[str],
-    predictor: Callable[[list[str]], Sequence[EditTag]],
+    sources: Sequence[Sequence[str]],
+    predictor: Callable[[list[list[str]]], Sequence[Sequence[EditTag]]],
     max_iters: int,
     lexicon: Lexicon,
-) -> tuple[list[str], int]:
-    """Repeatedly predict and apply edits until an all-KEEP pass or the cap.
+) -> tuple[list[list[str]], int]:
+    """Repeatedly predict and apply edits to each sentence until an all-KEEP
+    pass or the cap, all sentences in lockstep: each pass makes one
+    ``predictor`` call on the sentences still being refined.  A sentence
+    leaves after an all-KEEP pass or when its edits delete every token.
 
-    Returns (final sentence, number of prediction passes made).  Inapplicable
-    predicted tags leave their token unchanged.
+    Returns (final sentences, number of sentence passes made, summed over
+    the sentences).  Inapplicable predicted tags leave their token unchanged.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    current = list(source)
-    iterations = 0
+    current = [list(source) for source in sources]
+    live = list(range(len(current)))
+    passes = 0
     for _ in range(max_iters):
-        edits = list(predictor(current))
-        iterations += 1
-        if all(tag.family is TagFamily.KEEP for tag in edits):
+        if not live:
             break
-        current = edit2seq(current, edits, lexicon, on_error="copy")
-        if not current:
-            break  # everything deleted; nothing left to refine
-    return current, iterations
+        passes += len(live)
+        still = []
+        for k, edits in zip(live, predictor([current[k] for k in live]), strict=True):
+            if all(tag.family is TagFamily.KEEP for tag in edits):
+                continue
+            current[k] = edit2seq(current[k], edits, lexicon, on_error="copy")
+            if current[k]:  # a sentence with no tokens left has nothing to refine
+                still.append(k)
+        live = still
+    return current, passes

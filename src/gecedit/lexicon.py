@@ -82,8 +82,8 @@ def load_lexicon(
     plurals_path: Union[str, Path, None] = None,
 ) -> Lexicon:
     """Load the verb lexicon and irregular-plural list (bundled by default)."""
-    verbs_path = Path(verbs_path) if verbs_path else data_dir() / "verbs.tsv"
-    plurals_path = Path(plurals_path) if plurals_path else data_dir() / "irregular_plurals.tsv"
+    verbs_path = Path(verbs_path) if verbs_path else default_verbs_path()
+    plurals_path = Path(plurals_path) if plurals_path else default_plurals_path()
 
     verb_forms: dict[str, dict[str, str]] = {}
     for lineno, line in enumerate(read_lines(verbs_path), start=1):
@@ -193,3 +193,11 @@ def default_tagset_path() -> Path:
 
 def default_profile_path() -> Path:
     return data_dir() / "default.profile"
+
+
+def default_verbs_path() -> Path:
+    return data_dir() / "verbs.tsv"
+
+
+def default_plurals_path() -> Path:
+    return data_dir() / "irregular_plurals.tsv"

@@ -16,8 +16,9 @@ import json
 import math
 import os
 import stat
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
@@ -71,16 +72,10 @@ def _local_strings(tok: str) -> list[str]:
 
 
 # Tokens an encoder's memo holds before it is emptied: the distinct tokens of a
-# 128-line block of ordinary text fit.  An entry takes 1.4 KB for words of about
-# 6 characters and 3.7 KB for 20 (tracemalloc, dim 4096), so a full memo holds
-# 3-8 MB.
+# 128-line block of ordinary text fit.  An entry takes 0.46 KB for words of about
+# 6 characters and 0.64 KB for 20 (tracemalloc, dim 4096, the key included), so
+# a full memo holds 0.9-1.3 MB.
 _MEMO_TOKENS = 2048
-
-
-def _shifted(column: list, offset: int, pad) -> list:
-    """``column[i + offset]`` for each position i, or ``pad`` past either end."""
-    k = abs(offset)
-    return ([pad] * k + column + [pad] * k)[k + offset : k + offset + len(column)]
 
 
 class FeatureEncoder:
@@ -96,10 +91,12 @@ class FeatureEncoder:
         if dim < 2:
             raise ValueError("feature dimension must be >= 2")
         self.dim = dim
-        self._pads = [_hash_feature(f"{role}={pad}", dim) for role, _, pad in _ROLES]
+        self._pads = np.asarray(
+            [_hash_feature(f"{role}={pad}", dim) for role, _, pad in _ROLES], dtype=np.int64
+        )
         self._bos = _hash_feature("bos", dim)
         self._eos = _hash_feature("eos", dim)
-        self._memo: dict[str, tuple[frozenset, tuple[int, ...]]] = {}
+        self._memo: dict[str, tuple[np.ndarray, tuple[int, ...]]] = {}
 
     def feature_strings(self, tokens: Sequence[str], i: int) -> list[str]:
         n = len(tokens)
@@ -113,50 +110,104 @@ class FeatureEncoder:
             feats.append("eos")
         return feats
 
-    def _hashes(self, tok: str) -> tuple[frozenset, tuple[int, ...]]:
-        """A token's local feature hashes, and its hash in each neighbour role."""
+    def _hashes(self, tok: str) -> tuple[np.ndarray, tuple[int, ...]]:
+        """A token's sorted distinct local feature hashes, and its hash in each
+        neighbour role."""
         return (
-            frozenset(_hash_feature(s, self.dim) for s in _local_strings(tok)),
+            np.asarray(
+                sorted({_hash_feature(s, self.dim) for s in _local_strings(tok)}), dtype=np.int64
+            ),
             tuple(_hash_feature(f"{role}={tok}", self.dim) for role, _, _ in _ROLES),
         )
 
-    def encode(self, tokens: Sequence[str]) -> "EncodedSentence":
-        """Each position's sorted distinct feature hashes."""
+    def encode(self, sentences: Sequence[Sequence[str]]) -> "EncodedBlock":
+        """Each position's sorted distinct feature hashes, for the tokens of
+        ``sentences`` in turn: one sort and dedupe of (token, hash) keys."""
         memo = self._memo
         entries = []
-        for tok in tokens:
-            entry = memo.get(tok)
-            if entry is None:
-                if len(memo) >= _MEMO_TOKENS:
-                    memo.clear()
-                entry = memo[tok] = self._hashes(tok)
-            entries.append(entry)
-        neighbours = [
-            _shifted([roles[r] for _, roles in entries], offset, self._pads[r])
-            for r, (_, offset, _) in enumerate(_ROLES)
-        ]
-        feats = [{*local, *near} for (local, _), *near in zip(entries, *neighbours)]
-        if feats:
-            feats[0].add(self._bos)
-            feats[-1].add(self._eos)
-        rows = [sorted(f) for f in feats]
-        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        return EncodedSentence(
-            idx=np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(sizes.sum())),
-            starts=np.cumsum(sizes) - sizes,
-            tok_of=np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
-            n_tokens=len(tokens),
-        )
+        for tokens in sentences:
+            for tok in tokens:
+                entry = memo.get(tok)
+                if entry is None:
+                    if len(memo) >= _MEMO_TOKENS:
+                        memo.clear()
+                    entry = memo[tok] = self._hashes(tok)
+                entries.append(entry)
+        n, dim = len(entries), self.dim
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+        if not n:
+            empty = np.empty(0, dtype=np.int64)
+            return EncodedBlock(empty, empty, empty, lengths)
+        token = np.arange(n, dtype=np.int64)
+        ends = np.cumsum(lengths)
+        first = np.repeat(ends - lengths, lengths)  # each token's sentence: its first token
+        last = np.repeat(ends - 1, lengths)  # and its last
+        roles = np.asarray([near for _, near in entries], dtype=np.int64)
+        # A key is token * dim + hash: sorting the keys sorts each token's
+        # hashes, and the distinct keys are each token's distinct hashes.
+        local = [loc for loc, _ in entries]
+        keys = [np.repeat(token * dim, list(map(len, local))) + np.concatenate(local)]
+        for r, (_, offset, _) in enumerate(_ROLES):
+            j = token + offset
+            inside = (j >= first) & (j <= last)
+            keys.append(token * dim + np.where(inside, roles[np.clip(j, 0, n - 1), r], self._pads[r]))
+        whole = lengths > 0
+        keys.append((ends - lengths)[whole] * dim + self._bos)
+        keys.append((ends - 1)[whole] * dim + self._eos)
+        keys = np.sort(np.concatenate(keys))
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        tok_of = keys // dim
+        sizes = np.bincount(tok_of, minlength=n)
+        return EncodedBlock(keys - tok_of * dim, np.cumsum(sizes) - sizes, tok_of, lengths)
 
 
 @dataclass
-class EncodedSentence:
-    """Concatenated sparse feature indices for one sentence."""
+class EncodedBlock:
+    """Concatenated sparse feature indices of a block of sentences.
+
+    Token t, numbered over the block, has the features
+    ``idx[starts[t]:starts[t + 1]]``; ``tok_of`` names the token of each entry
+    of ``idx``, and ``lengths`` holds each sentence's token count.
+    """
 
     idx: np.ndarray
     starts: np.ndarray
     tok_of: np.ndarray
-    n_tokens: int
+    lengths: np.ndarray
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.starts)
+
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """Where each sentence starts, and where the last one ends: in tokens,
+        and in entries of ``idx``."""
+        tokens = [0, *accumulate(self.lengths.tolist())]
+        return tokens, np.append(self.starts, self.idx.size)[tokens].tolist()
+
+    def sentences(self) -> list["EncodedBlock"]:
+        """Each sentence's own record, over views of this block's arrays."""
+        tokens, cols = self.bounds()
+        starts = self.starts - np.repeat(cols[:-1], self.lengths)
+        tok_of = self.tok_of - np.repeat(tokens[:-1], np.diff(cols))
+        return [
+            EncodedBlock(
+                self.idx[cols[k] : cols[k + 1]],
+                starts[tokens[k] : tokens[k + 1]],
+                tok_of[cols[k] : cols[k + 1]],
+                self.lengths[k : k + 1],
+            )
+            for k in range(len(self.lengths))
+        ]
+
+    def lone(self) -> list[int]:
+        """The tokens that are a sentence of their own, when the block holds
+        more sentences than one (see ``_sums``)."""
+        if len(self.lengths) < 2:
+            return []
+        return (np.cumsum(self.lengths) - 1)[self.lengths == 1].tolist()
 
 
 def _aux_heads(heads: int) -> tuple[str, ...]:
@@ -212,35 +263,79 @@ class MultiHeadModel:
         return {name: rows[a:b] for name, a, b in zip(self.head_names, bounds, bounds[1:])}
 
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+def _sums(z: np.ndarray, axis: int, lone: Sequence[int] = ()) -> np.ndarray:
+    """``z.sum(axis, keepdims=True)``, with each column in ``lone`` (axis 0)
+    summed on its own.  NumPy sums a column of a wider array in row order but a
+    one-column array pairwise, so a one-token sentence's column in a block
+    gets the bits it has when the sentence is alone."""
+    total = z.sum(axis=axis, keepdims=True)
+    for t in lone:
+        total[0, t] = z[:, t].sum()
+    return total
+
+
+def _softmax(z: np.ndarray, axis: int, lone: Sequence[int] = ()) -> np.ndarray:
     z -= z.max(axis=axis, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= _sums(z, axis, lone)
     return z
 
 
-def _logits(W: np.ndarray, enc: EncodedSentence) -> np.ndarray:
-    """Logits of every row of ``W`` for every token: (rows, tokens)."""
+# The elements (weight rows x columns) of the largest array that predicting a
+# block makes, or of one sentence's if that is larger: a cut's gather of weight
+# columns, and a decode run's probabilities, a column per token.  0.5 MB: 550
+# columns of a 119-row model (a ~100-tag tagset) and 13 of one with the bundled
+# 5,019 tags, so that such a model gathers and decodes a sentence at a time.  A
+# constant, not a setting.
+_ARRAY_ELEMENTS = 1 << 16
+
+
+def _cuts(enc: EncodedBlock, rows: int) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The forward pass's cuts of a block: runs of whole sentences whose gather
+    of ``rows`` weight rows holds at most ``_ARRAY_ELEMENTS`` elements, or one
+    sentence that holds more, as (first token, end token, the cut's ``idx``,
+    its ``starts``)."""
+    if len(enc.lengths) == 1:
+        return [(0, enc.n_tokens, enc.idx, enc.starts)]
+    width = max(1, _ARRAY_ELEMENTS // rows)
+    tokens, cols = enc.bounds()
+    cuts, k = [], 0
+    while k < len(enc.lengths):
+        e = max(k + 1, bisect_right(cols, cols[k] + width) - 1)
+        a, b = tokens[k], tokens[e]
+        if a < b:
+            cuts.append((a, b, enc.idx[cols[k] : cols[e]], enc.starts[a:b] - cols[k]))
+        k = e
+    return cuts
+
+
+def _probs(model: MultiHeadModel, enc: EncodedBlock) -> np.ndarray:
+    """Per-head probabilities of every token of a block: (weight rows, tokens).
+    Each cut's logits (every row of the weights for every token of the cut)
+    are one gather and one ``reduceat``; its correction block is normalised
+    along its slow axis, where NumPy sums in row order (see ``_sums``)."""
+    W = model.weights
     top = int(enc.idx.max()) if enc.idx.size else -1
     if top >= W.shape[1]:
         raise ValueError(f"feature index {top} out of range for weights of dimension {W.shape[1]}")
-    return np.add.reduceat(W[:, enc.idx], enc.starts, axis=1)
-
-
-def _probs(model: MultiHeadModel, enc: EncodedSentence) -> np.ndarray:
-    """Per-head probabilities, laid out like ``_logits``.  The correction block
-    is normalised along its slow axis: NumPy sums a contiguous axis pairwise."""
-    z = _logits(model.weights, enc)
-    _softmax(z[: len(model.tagset)], axis=0)
-    _softmax(z[len(model.tagset) :].reshape(len(model.aux_heads), 2, enc.n_tokens), axis=1)
+    n, lone, cuts = len(model.tagset), enc.lone(), _cuts(enc, W.shape[0])
+    z = None if len(cuts) == 1 else np.empty((W.shape[0], enc.n_tokens))
+    for a, b, idx, starts in cuts:
+        zc = np.add.reduceat(W[:, idx], starts, axis=1)
+        _softmax(zc[:n], 0, [t - a for t in lone if a <= t < b])
+        _softmax(zc[n:].reshape(len(model.aux_heads), 2, b - a), 1)
+        if z is None:  # one cut: its array is the block's, with no copy
+            return zc
+        z[:, a:b] = zc
     return z
 
 
 def forward(
-    model: MultiHeadModel, features: Union[EncodedSentence, Sequence[str]]
+    model: MultiHeadModel, features: Union[EncodedBlock, Sequence[str]]
 ) -> dict[str, np.ndarray]:
-    """Per-token probability rows for every head; rows sum to 1."""
-    enc = features if isinstance(features, EncodedSentence) else model.encoder.encode(features)
+    """Per-token probability rows for every head; rows sum to 1.  ``features``
+    is one sentence's tokens or an encoded block."""
+    enc = features if isinstance(features, EncodedBlock) else model.encoder.encode([features])
     return {name: p.T for name, p in model.split(_probs(model, enc)).items()}
 
 
@@ -263,7 +358,7 @@ class ScatterPlan:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def of_sentences(cls, encs: Sequence[EncodedSentence]) -> list["ScatterPlan"]:
+    def of_sentences(cls, encs: Sequence[EncodedBlock]) -> list["ScatterPlan"]:
         """The plan of each sentence, built for all of them in one set of array
         operations: entries are sorted by (sentence, column), then by (sentence,
         rank), and the result is cut into each sentence's columns and layers."""
@@ -297,13 +392,18 @@ class ScatterPlan:
         return out
 
 
-Encoded = list[tuple[EncodedSentence, np.ndarray, ScatterPlan]]
+Encoded = list[tuple[EncodedBlock, np.ndarray, ScatterPlan]]
+
+
+# Sentences per ``encode`` call when a dataset is encoded, which bounds the
+# block's key arrays.
+_ENCODE_SENTENCES = 128
 
 
 def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
     """Encode each sentence, with the weight row of each head's gold label per
     token and the plan that scatters its gradient."""
-    encs, golds = [], []
+    golds = []
     for tokens, labels in batch:
         if len(labels) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
@@ -311,8 +411,11 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
         streams = labels.streams()
         for j, name in enumerate(model.aux_heads):
             gold.append([len(model.tagset) + 2 * j + y for y in streams[name]])
-        encs.append(model.encoder.encode(tokens))
         golds.append(np.asarray(gold, dtype=np.int64))
+    encs = []
+    for k in range(0, len(batch), _ENCODE_SENTENCES):
+        block = [tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]]
+        encs += model.encoder.encode(block).sentences()
     return list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
 
 
@@ -348,7 +451,7 @@ def _row_weights(model: MultiHeadModel) -> np.ndarray:
 
 def _sentence_grad(
     model: MultiHeadModel,
-    enc: EncodedSentence,
+    enc: EncodedBlock,
     gold: np.ndarray,
     plan: ScatterPlan,
     scale: np.ndarray,
@@ -423,31 +526,57 @@ def train(
 
 def predict_tags(
     model: MultiHeadModel,
-    tokens: Sequence[str],
+    sentences: Sequence[Sequence[str]],
     keep_bias: float = 0.0,
     min_error_prob: float = 0.0,
-) -> list[EditTag]:
-    """Decode one sentence with the inference tweaks.
+) -> list[list[EditTag]]:
+    """Decode a block of sentences with the inference tweaks, from one encode
+    and one forward pass over each run of whole sentences whose probabilities
+    hold at most ``_ARRAY_ELEMENTS`` elements (or one sentence that holds more).
 
     ``keep_bias`` (above -1) is added to the KEEP probability (post-softmax,
-    then renormalized); if no token's detection-head error probability reaches
-    ``min_error_prob`` (capped at 1) the whole sentence decodes to KEEP.
+    then renormalized); if no token of a sentence has a detection-head error
+    probability that reaches ``min_error_prob`` (capped at 1), the whole
+    sentence decodes to KEEP.
     """
     if not keep_bias > -1.0:
         raise ValueError(f"keep_bias must be greater than -1, got {keep_bias}")
-    if not tokens:
-        return []
+    width = max(1, _ARRAY_ELEMENTS // model.weights.shape[0])
+    tags, run, size = [], [], 0
+    for tokens in sentences:
+        if run and size + len(tokens) > width:
+            tags += _decode(model, run, keep_bias, min_error_prob)
+            run, size = [], 0
+        run.append(tokens)
+        size += len(tokens)
+    return tags + _decode(model, run, keep_bias, min_error_prob)
+
+
+def _decode(
+    model: MultiHeadModel,
+    sentences: Sequence[Sequence[str]],
+    keep_bias: float,
+    min_error_prob: float,
+) -> list[list[EditTag]]:
+    """``predict_tags`` over one run of sentences, all of its tokens at once."""
+    enc = model.encoder.encode(sentences)
+    if not enc.n_tokens:
+        return [[] for _ in sentences]
     keep_id = model.tagset.keep_id
-    head_probs = model.split(_probs(model, model.encoder.encode(tokens)))
-    if float(head_probs["detection"][1].max()) < min(min_error_prob, 1.0):
-        return [model.tagset.tag_of(keep_id)] * len(tokens)
-    probs = head_probs["correction"].T
-    probs[:, keep_id] += keep_bias
-    probs /= probs.sum(axis=1, keepdims=True)
-    ids = probs.argmax(axis=1)
-    keep_ties = probs[np.arange(len(tokens)), ids] == probs[:, keep_id]
-    ids[keep_ties] = keep_id
-    return [model.tagset.tag_of(int(i)) for i in ids]
+    head_probs = model.split(_probs(model, enc))
+    probs = head_probs["correction"]
+    probs[keep_id] += keep_bias
+    probs /= _sums(probs, 0, enc.lone())
+    ids = probs.argmax(axis=0)
+    ids[probs[ids, np.arange(enc.n_tokens)] == probs[keep_id]] = keep_id
+    # reduceat gives an empty segment the element at its index, which is past
+    # the end for a trailing one: only the non-empty sentences are segments.
+    whole = enc.lengths > 0
+    firsts = (np.cumsum(enc.lengths) - enc.lengths)[whole]
+    error = np.maximum.reduceat(head_probs["detection"][1], firsts)
+    ids[np.repeat(error < min(min_error_prob, 1.0), enc.lengths[whole])] = keep_id
+    tags = map(model.tagset.tag_of, ids.tolist())
+    return [list(islice(tags, n)) for n in enc.lengths.tolist()]
 
 
 def gradient_check(model: MultiHeadModel, batch: Batch, h: float = 1e-5) -> float:

@@ -165,10 +165,10 @@ def test_criterion_03_iterative_convergence(lexicon, default_tagset):
         target = sentence[:pos] + rng.sample(fillers, k) + sentence[pos:]
         source = list(sentence)
 
-        def predictor(toks, target=target):
-            return seq2edit(toks, target, lexicon, default_tagset)
+        def predictor(sentences, target=target):
+            return [seq2edit(toks, target, lexicon, default_tagset) for toks in sentences]
 
-        out, iters = refine(source, predictor, 4, lexicon)
+        [out], iters = refine([source], predictor, 4, lexicon)
         assert out == target, (source, target, out)
         assert iters <= 4
         converged += 1
@@ -351,8 +351,8 @@ def test_criterion_08_toy_training(lexicon, patterns):
     train(model, train_data, epochs=8, lr=0.5, seed=12)
 
     correct = total = 0
-    for tokens, labels in held_out:
-        predicted = predict_tags(model, tokens)
+    predictions = predict_tags(model, [tokens for tokens, _ in held_out])
+    for predicted, (_, labels) in zip(predictions, held_out):
         for tag, gold in zip(predicted, labels.correction):
             total += 1
             correct += tag == gold
@@ -381,12 +381,12 @@ def test_criterion_09_inference_tweaks(lexicon, patterns):
     keep = tagset.tag_of(tagset.keep_id)
     plain_differs = 0
     for tokens in sample:
-        assert predict_tags(model, tokens, min_error_prob=1.0) == [keep] * len(tokens)
-        assert predict_tags(model, tokens, keep_bias=1.0) == [keep] * len(tokens)
-        assert predict_tags(model, tokens, keep_bias=5.0) == [keep] * len(tokens)
+        assert predict_tags(model, [tokens], min_error_prob=1.0) == [[keep] * len(tokens)]
+        assert predict_tags(model, [tokens], keep_bias=1.0) == [[keep] * len(tokens)]
+        assert predict_tags(model, [tokens], keep_bias=5.0) == [[keep] * len(tokens)]
         probs = forward(model, tokens)["correction"]
         plain = [tagset.tag_of(int(i)) for i in probs.argmax(axis=1)]
-        assert predict_tags(model, tokens, 0.0, 0.0) == plain
+        assert predict_tags(model, [tokens], 0.0, 0.0) == [plain]
         plain_differs += plain != [keep] * len(tokens)
     assert plain_differs > 0  # the tweaks are doing real work in this sample
     report(9, "tweak dominance and plain-argmax equivalence hold on all 100 sentences")

@@ -1,4 +1,5 @@
 import json
+import os
 import pickle
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from gecedit import cli, tagger
 from gecedit.cli import _pool_size, _start_method, main
 from gecedit.labels import BINARY_STREAMS
-from gecedit.lexicon import load_lexicon
+from gecedit.lexicon import data_dir, load_lexicon
 from gecedit.core import format_pair_line, tokenize
 from gecedit.noiser import OPERATIONS, Noiser, load_profile
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
@@ -793,17 +794,16 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
     ):
         assert main([*argv, *tail]) == 0, argv
     capsys.readouterr()
-    assert [func.__name__ for func, _, _ in calls] == [
-        "_tag_line", "_apply_line", "_noise_line", "_predict_line",
-        "_score_line",
-    ]
+    # each command's input fits one block; a line command maps a line function over it
+    names = [getattr(func, "args", [func])[0].__name__ for func, _, _ in calls]
+    assert names == ["_tag_line", "_apply_line", "_noise_line", "_predict_block", "_score_line"]
 
-    for func, items, state in calls:
-        assert items, func.__name__
+    for (func, items, state), name in zip(calls, names):
+        assert 0 < len(items) <= cli._CHUNK, name
         cli._set_state(state)
-        expected = [func(item) for item in items]
+        expected = func(items)
         cli._set_state(pickle.loads(pickle.dumps(state)))
-        assert [func(item) for item in items] == expected, func.__name__
+        assert pickle.loads(pickle.dumps(func))(items) == expected, name
 
     model = calls[3][2]["model"]
     assert np.abs(model.weights).sum() > 0  # trained, not the zero initialisation
@@ -840,6 +840,55 @@ def test_line_state_is_dropped_when_the_map_ends(workdir, trained_model, capsys,
         ]
         assert cli._G == {}
     assert f"{src}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, link",
+    [
+        ("tag", "--src-tgt", False),
+        ("apply", "--edits", False),
+        ("noise", "--in", False),
+        ("predict", "--model", False),
+        ("predict", "--in", True),
+        ("train-toy", "--data", False),
+        ("train-toy", "--tagset", True),
+        ("apply", "--lexicon", False),
+        ("predict", "--plurals", True),
+    ],
+)
+def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, capsys,
+                                                       monkeypatch, command, flag, link):
+    """``--out`` naming an input, by its path or by a hard link to it, is a
+    usage error that names both flags; the input is not opened for writing.
+    ``--lexicon`` and ``--plurals`` are left at their bundled defaults, here
+    copies in a data directory of the test's own."""
+    data = workdir / "data"
+    data.mkdir()
+    for name in ("verbs.tsv", "irregular_plurals.tsv"):
+        (data / name).write_bytes((data_dir() / name).read_bytes())
+    monkeypatch.setattr("gecedit.lexicon.data_dir", lambda: data)
+    defaults = {"--lexicon": str(data / "verbs.tsv"), "--plurals": str(data / "irregular_plurals.tsv")}
+    src = _write(workdir / "src.txt", "a b\nc\n")
+    inputs = {
+        "tag": {"--src-tgt": str(workdir / "pairs.tsv"), "--tagset": str(workdir / "small.tagset")},
+        "apply": {"--src": src, "--edits": _write(workdir / "edits.txt", "$KEEP $KEEP\n$KEEP\n")},
+        "noise": {"--in": str(workdir / "clean.txt"), "--profile": str(workdir / "profile.txt")},
+        "predict": {"--model": str(trained_model), "--in": src},
+        "train-toy": {"--data": str(workdir / "labels.jsonl"),
+                      "--tagset": str(workdir / "small.tagset")},
+    }[command]
+    target = Path(inputs[flag] if flag in inputs else defaults[flag])
+    before = target.read_bytes()
+    out = target
+    if link:
+        out = workdir / "link"
+        os.link(target, out)
+    capsys.readouterr()
+    argv = [command, *(arg for pair in inputs.items() for arg in pair), "--out", str(out)]
+    assert main([*argv, "--workers", "1"] if command != "train-toy" else argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"gecedit {command}: error: --out {out} is the same file as {flag} {target}\n"
+    assert target.read_bytes() == before
 
 
 # -- pools, faults and the encoder memo over several 128-line blocks --------------
@@ -917,23 +966,30 @@ def test_partial_output_on_a_fault_is_worker_invariant(workdir, capsys, fault, l
 
 def test_predict_memo_stays_within_its_bound(workdir, trained_model, monkeypatch):
     """Over a predict of three blocks the encoder's memo never holds more than
-    ``_MEMO_TOKENS`` tokens, and emptying it changes no output."""
+    ``_MEMO_TOKENS`` tokens, and emptying it changes no output: in blocks of
+    ``_CHUNK`` lines, where it empties inside an encode call, and in blocks of
+    one line, where it is sampled after every sentence's pass as well."""
     # a token of its own on each line, so the input's vocabulary outgrows the bound
     sources = [" ".join(json.loads(line)["tokens"]) for line in open(workdir / "labels.jsonl")] * 3
     src = _write(workdir / "src3.txt", "".join(f"{s} line{n}\n" for n, s in enumerate(sources)))
     argv = ["predict", "--model", str(trained_model), "--in", src, "--workers", "1"]
     assert main([*argv, "--out", str(workdir / "unbounded.txt")]) == 0
-    sizes = []  # the memo's size after each predict_tags call
-    real_predict_tags = cli.predict_tags
+    sizes = []  # the memo's size after each encode call
+    real_encode = tagger.FeatureEncoder.encode
 
-    def predict_tags(model, tokens, *args):
-        tags = real_predict_tags(model, tokens, *args)
-        sizes.append(len(model.encoder._memo))
-        return tags
+    def encode(encoder, sentences):
+        enc = real_encode(encoder, sentences)
+        sizes.append(len(encoder._memo))
+        return enc
 
     monkeypatch.setattr(tagger, "_MEMO_TOKENS", 50)
-    monkeypatch.setattr(cli, "predict_tags", predict_tags)
-    assert main([*argv, "--out", str(workdir / "bounded.txt")]) == 0
+    monkeypatch.setattr(tagger.FeatureEncoder, "encode", encode)
+    for chunk in (cli._CHUNK, 1):
+        sizes.clear()
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        bounded = workdir / f"bounded{chunk}.txt"
+        assert main([*argv, "--out", str(bounded)]) == 0
+        assert sizes and max(sizes) <= 50
+        assert bounded.read_bytes() == (workdir / "unbounded.txt").read_bytes()
     assert len(sizes) >= len(sources) and max(sizes) == 50
     assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 3  # emptied again and again
-    assert (workdir / "bounded.txt").read_bytes() == (workdir / "unbounded.txt").read_bytes()

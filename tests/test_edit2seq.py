@@ -99,11 +99,16 @@ class TestEdit2Seq:
         assert any("copying" in rec.message for rec in caplog.records)
 
 
+def each(predictor):
+    """A block predictor that calls a sentence predictor on each sentence."""
+    return lambda sentences: [predictor(tokens) for tokens in sentences]
+
+
 class TestRefine:
     def test_all_keep_predictor_fixpoint(self, lexicon):
         src = ["a", "b"]
-        out, iters = refine(src, lambda toks: [KEEP_TAG] * len(toks), 4, lexicon)
-        assert out == src and iters == 1
+        out, iters = refine([src], each(lambda toks: [KEEP_TAG] * len(toks)), 4, lexicon)
+        assert out == [src] and iters == 1
 
     def test_two_pass_insertions(self, lexicon, default_tagset):
         source = "He lives in the city .".split()
@@ -113,7 +118,7 @@ class TestRefine:
         def predictor(toks):
             return seq2edit(toks, target, lexicon, default_tagset)
 
-        out, iters = refine(source, predictor, 4, lexicon)
+        [out], iters = refine([source], each(predictor), 4, lexicon)
         assert out == target
         assert iters == 3  # two corrective passes plus the all-KEEP pass
 
@@ -127,7 +132,7 @@ class TestRefine:
         def predictor(toks):
             return seq2edit(toks, target, lexicon, default_tagset)
 
-        out, iters = refine(source, predictor, 2, lexicon)
+        [out], iters = refine([source], each(predictor), 2, lexicon)
         assert out == target and iters == 2
 
     def test_max_iters_one_returns_intermediate(self, lexicon, default_tagset):
@@ -137,7 +142,7 @@ class TestRefine:
         def predictor(toks):
             return seq2edit(toks, target, lexicon, default_tagset)
 
-        out, iters = refine(source, predictor, 1, lexicon)
+        [out], iters = refine([source], each(predictor), 1, lexicon)
         assert iters == 1
         assert out != target and out != source
 
@@ -148,8 +153,8 @@ class TestRefine:
         def predictor(toks):
             return seq2edit(toks, target, lexicon, default_tagset)
 
-        out4, _ = refine(source, predictor, 4, lexicon)
-        out8, _ = refine(source, predictor, 8, lexicon)
+        [out4], _ = refine([source], each(predictor), 4, lexicon)
+        [out8], _ = refine([source], each(predictor), 8, lexicon)
         assert out4 == out8 == target
 
     def test_lenient_mode_survives_bad_tags(self, lexicon):
@@ -161,9 +166,9 @@ class TestRefine:
                 return [T("$TRANSFORM_VERB_VB_VBD")] * len(toks)
             return [KEEP_TAG] * len(toks)
 
-        out, iters = refine(["zzz"], predictor, 4, lexicon)
+        [out], iters = refine([["zzz"]], each(predictor), 4, lexicon)
         assert out == ["zzz"] and iters == 2
 
     def test_max_iters_validation(self, lexicon):
         with pytest.raises(ValueError):
-            refine(["a"], lambda t: [KEEP_TAG], 0, lexicon)
+            refine([["a"]], each(lambda t: [KEEP_TAG]), 0, lexicon)

@@ -403,13 +403,13 @@ def test_refine_is_idempotent_at_its_fixpoint(lexicon, default_tagset, pair, max
     source, target = pair
     passes = []
 
-    def oracle(tokens):
-        passes.append(seq2edit(tokens, target, lexicon, default_tagset))
+    def oracle(sentences):
+        passes.append([seq2edit(tokens, target, lexicon, default_tagset) for tokens in sentences])
         return passes[-1]
 
-    out, _ = refine(source, oracle, max_iters, lexicon)
-    assume(all(t.family is TagFamily.KEEP for t in passes[-1]))
-    assert refine(out, oracle, max_iters, lexicon) == (out, 1)
+    [out], _ = refine([source], oracle, max_iters, lexicon)
+    assume(all(t.family is TagFamily.KEEP for t in passes[-1][0]))
+    assert refine([out], oracle, max_iters, lexicon) == ([out], 1)
 
 
 def test_coverage_monotonicity_without_transform_families(lexicon, default_tagset, tmp_path):

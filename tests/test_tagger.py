@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gecedit.edit2seq import refine
+from gecedit.cli import main
+from gecedit.edit2seq import edit2seq, refine
 from gecedit.labels import BINARY_STREAMS, derive_labels
 from gecedit import tagger
 from gecedit.noiser import NoiseProfile, Noiser
@@ -18,7 +19,7 @@ from gecedit.tagger import (
     _CLIP,
     AUX_HEADS_5,
     FEATURE_TEMPLATES_V1,
-    EncodedSentence,
+    EncodedBlock,
     FeatureEncoder,
     MultiHeadModel,
     ScatterPlan,
@@ -94,7 +95,7 @@ class TestForward:
     def test_hand_set_binary_head(self, small_tagset):
         encoder = FeatureEncoder(dim=32)
         model = MultiHeadModel(small_tagset, encoder)
-        enc = encoder.encode(["word"])
+        enc = encoder.encode([["word"]])
         model.W["detection"][1, enc.idx] = math.log(3.0) / enc.idx.size
         probs = forward(model, ["word"])["detection"]
         np.testing.assert_allclose(probs[0], [0.25, 0.75], atol=1e-12)
@@ -107,8 +108,8 @@ class TestForward:
 
     def test_encoder_deterministic(self):
         enc = FeatureEncoder(dim=512)
-        a = enc.encode(["He", "lives", "here"])
-        b = enc.encode(["He", "lives", "here"])
+        a = enc.encode([["He", "lives", "here"]])
+        b = enc.encode([["He", "lives", "here"]])
         assert all(np.array_equal(x.idx, y.idx) for x, y in ((a, b),))
         assert np.array_equal(a.starts, b.starts)
 
@@ -127,39 +128,56 @@ def _feature_rows(encoder, tokens):
     ]
 
 
+def _assert_encodes(enc, rows, lengths):
+    """``enc`` holds ``rows``, each token's sorted distinct hashes, in turn, for
+    sentences of ``lengths`` tokens."""
+    sizes = np.asarray([len(r) for r in rows], dtype=np.int64)
+    assert enc.n_tokens == len(rows) and enc.lengths.tolist() == lengths
+    assert enc.idx.dtype == enc.starts.dtype == enc.tok_of.dtype == enc.lengths.dtype == np.int64
+    assert enc.idx.tolist() == [h for r in rows for h in r]
+    assert enc.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+    assert enc.tok_of.tolist() == np.repeat(np.arange(len(rows)), sizes).tolist()
+
+
 class TestEncoderMemo:
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dim=st.integers(2, 8), vocab=_vocabularies, bound=st.integers(1, 5))
-    def test_memoised_encode_matches_feature_strings(self, data, dim, vocab, bound):
-        """One encoder over several sentences, in any order and repeated, with
-        its memo bound so low that the memo empties mid-run, gives each
-        position the sorted distinct hashes of its feature strings."""
+    @given(
+        data=st.data(),
+        dim=st.integers(2, 8),
+        vocab=_vocabularies,
+        bound=st.integers(1, 5),
+        block=st.integers(1, 4),
+    )
+    def test_memoised_encode_matches_feature_strings(self, data, dim, vocab, bound, block):
+        """One encoder over blocks of several sentences, in any order and
+        repeated, with its memo bound so low that the memo empties mid-run,
+        gives each position the sorted distinct hashes of its feature
+        strings, and each sentence's own record the arrays it has alone."""
         encoder = FeatureEncoder(dim=dim)
         sentences = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=9), max_size=6))
         order = data.draw(st.permutations(sentences + sentences))
         seen: set = set()
         with mock.patch.object(tagger, "_MEMO_TOKENS", bound):
-            for tokens in order:
-                enc = encoder.encode(tokens)
-                seen.update(tokens)
+            for k in range(0, len(order), block):
+                group = order[k : k + block]
+                enc = encoder.encode(group)
+                flat = [tok for tokens in group for tok in tokens]
+                seen.update(flat)
                 assert len(encoder._memo) <= bound and set(encoder._memo) <= seen
-                assert not tokens or tokens[-1] in encoder._memo
-                rows = _feature_rows(encoder, tokens)
-                sizes = np.asarray([len(r) for r in rows], dtype=np.int64)
-                assert enc.n_tokens == len(tokens)
-                assert enc.idx.dtype == enc.starts.dtype == enc.tok_of.dtype == np.int64
-                assert enc.idx.tolist() == [h for r in rows for h in r]
-                assert enc.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
-                assert enc.tok_of.tolist() == np.repeat(np.arange(len(rows)), sizes).tolist()
+                assert not flat or flat[-1] in encoder._memo
+                rows = [_feature_rows(encoder, tokens) for tokens in group]
+                _assert_encodes(enc, [r for rs in rows for r in rs], [len(t) for t in group])
+                for tokens, one, own in zip(group, enc.sentences(), rows, strict=True):
+                    _assert_encodes(one, own, [len(tokens)])
 
     def test_memo_empties_when_a_new_token_finds_it_full(self):
         encoder = FeatureEncoder(dim=64)
         with mock.patch.object(tagger, "_MEMO_TOKENS", 3):
-            encoder.encode(["a", "b", "a"])
+            encoder.encode([["a", "b", "a"]])
             assert list(encoder._memo) == ["a", "b"]
-            encoder.encode(["c", "b"])
+            encoder.encode([["c"], ["b"]])
             assert list(encoder._memo) == ["a", "b", "c"]  # full, and "b" is no new token
-            enc = encoder.encode(["b", "d", "e", "a"])
+            enc = encoder.encode([["b", "d", "e", "a"]])
             assert list(encoder._memo) == ["d", "e", "a"]  # emptied at "d"
         assert enc.idx.tolist() == [h for r in _feature_rows(encoder, ["b", "d", "e", "a"]) for h in r]
 
@@ -187,11 +205,11 @@ def _sentence_features(draw, dim):
     """One sentence whose tokens name a few columns many times."""
     features = draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=12), max_size=10))
     sizes = np.asarray([len(f) for f in features], dtype=np.int64)
-    return EncodedSentence(
+    return EncodedBlock(
         idx=np.asarray([c for f in features for c in f], dtype=np.int64),
         starts=np.cumsum(sizes) - sizes,
         tok_of=np.repeat(np.arange(len(features), dtype=np.int64), sizes),
-        n_tokens=len(features),
+        lengths=np.asarray([len(features)], dtype=np.int64),
     )
 
 
@@ -410,7 +428,7 @@ def reference_head_losses(model, weights, batch):
     sums = {name: 0.0 for name in model.head_names}
     total = 0
     for tokens, labels in batch:
-        enc = model.encoder.encode(tokens)
+        enc = model.encoder.encode([tokens])
         total += enc.n_tokens
         for name in model.head_names:
             probs = reference_probs(weights[name], enc)
@@ -422,7 +440,7 @@ def reference_head_losses(model, weights, batch):
 
 def reference_train(model, weights, dataset, epochs, lr, seed, optimizer):
     """Train a dict of per-head matrices in place with one update per head and sentence."""
-    encoded = [model.encoder.encode(tokens) for tokens, _ in dataset]
+    encoded = [model.encoder.encode([tokens]) for tokens, _ in dataset]
     label_ids = [
         {name: reference_labels(model, name, labels) for name in model.head_names}
         for _, labels in dataset
@@ -475,7 +493,9 @@ def reference_dump(model, weights):
 
 def reference_predict_tags(model, weights, tokens, keep_bias, min_error_prob):
     keep_id = model.tagset.keep_id
-    enc = model.encoder.encode(tokens)
+    if not tokens:
+        return []
+    enc = model.encoder.encode([tokens])
     if min_error_prob > 0.0:
         if float(reference_probs(weights["detection"], enc)[:, 1].max()) < min_error_prob:
             return [model.tagset.tag_of(keep_id)] * len(tokens)
@@ -529,9 +549,9 @@ class TestMatchesPerHeadReference:
         weights = {name: W.copy() for name, W in model.W.items()}
         for tokens, _ in data:
             for keep_bias, min_error_prob in ((0.0, 0.0), (0.2, 0.0), (0.1, 0.5), (0.0, 0.9)):
-                assert predict_tags(model, tokens, keep_bias, min_error_prob) == (
+                assert predict_tags(model, [tokens], keep_bias, min_error_prob) == [
                     reference_predict_tags(model, weights, tokens, keep_bias, min_error_prob)
-                )
+                ]
 
     def test_heads_are_views_of_one_matrix(self, small_tagset):
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=16), heads=5)
@@ -545,12 +565,12 @@ class TestMatchesPerHeadReference:
 class TestPredict:
     def test_min_error_prob_one_gives_all_keep(self, small_tagset):
         model = seeded_model(small_tagset)
-        tags = predict_tags(model, ["a", "b", "c"], min_error_prob=1.0)
+        [tags] = predict_tags(model, [["a", "b", "c"]], min_error_prob=1.0)
         assert all(t.render() == "$KEEP" for t in tags)
 
     def test_large_keep_bias_gives_all_keep(self, small_tagset):
         model = seeded_model(small_tagset)
-        tags = predict_tags(model, ["a", "b", "c"], keep_bias=1.0)
+        [tags] = predict_tags(model, [["a", "b", "c"]], keep_bias=1.0)
         assert all(t.render() == "$KEEP" for t in tags)
 
     @pytest.mark.parametrize("keep_bias", [-1.0, -2.0])
@@ -558,30 +578,30 @@ class TestPredict:
         # the KEEP-biased probabilities would sum to 1 + keep_bias <= 0
         model = seeded_model(small_tagset)
         with pytest.raises(ValueError, match="keep_bias must be greater than -1"):
-            predict_tags(model, ["a", "b"], keep_bias=keep_bias)
+            predict_tags(model, [["a", "b"]], keep_bias=keep_bias)
 
     def test_no_tweaks_equals_plain_argmax(self, small_tagset):
         model = seeded_model(small_tagset, seed=3)
         tokens = ["He", "lives", "at", "the", "city"]
         probs = forward(model, tokens)["correction"]
         expected = [small_tagset.tag_of(int(i)) for i in probs.argmax(axis=1)]
-        assert predict_tags(model, tokens, 0.0, 0.0) == expected
+        assert predict_tags(model, [tokens], 0.0, 0.0) == [expected]
 
     def test_argmax_invariant_to_constant_logit_shift(self, small_tagset):
         model = seeded_model(small_tagset, seed=5)
         tokens = ["She", "works", "in"]
-        before = predict_tags(model, tokens)
+        before = predict_tags(model, [tokens])
         model.W["correction"][:, :] += 3.7  # same shift for every class
-        assert predict_tags(model, tokens) == before
+        assert predict_tags(model, [tokens]) == before
 
     def test_min_error_prob_clamped(self, small_tagset):
         model = seeded_model(small_tagset)
-        assert predict_tags(model, ["a"], min_error_prob=2.0) == [T("$KEEP")]
+        assert predict_tags(model, [["a"]], min_error_prob=2.0) == [[T("$KEEP")]]
 
     def test_published_operating_point_accepted(self, small_tagset):
         # keep_bias 0.35 with error threshold 0.66 is a valid configuration
         model = seeded_model(small_tagset, seed=8)
-        tags = predict_tags(model, ["He", "lives", "here"], 0.35, 0.66)
+        [tags] = predict_tags(model, [["He", "lives", "here"]], 0.35, 0.66)
         assert len(tags) == 3
         assert all(t in small_tagset for t in tags)
 
@@ -590,6 +610,7 @@ class TestPredict:
 
     def test_empty_sentence(self, small_tagset):
         model = seeded_model(small_tagset)
+        assert predict_tags(model, [[]]) == [[]]
         assert predict_tags(model, []) == []
 
     # Most random models end on max_iters, not on an all-KEEP pass, so most
@@ -612,13 +633,167 @@ class TestPredict:
         model = seeded_model(TagSet(SMALL_TAGS), seed=seed)
         passes = []
 
-        def predictor(toks):
-            passes.append(predict_tags(model, toks, keep_bias))
+        def predictor(sentences):
+            passes.append(predict_tags(model, sentences, keep_bias))
             return passes[-1]
 
-        out, _ = refine(tokens, predictor, max_iters, lexicon)
-        assume(all(t.family is TagFamily.KEEP for t in passes[-1]))
-        assert refine(out, predictor, max_iters, lexicon) == (out, 1)
+        [out], _ = refine([tokens], predictor, max_iters, lexicon)
+        assume(all(t.family is TagFamily.KEEP for t in passes[-1][0]))
+        assert refine([out], predictor, max_iters, lexicon) == ([out], 1)
+
+
+def reference_refine(model, weights, tokens, iters, keep_bias, min_error_prob, lexicon):
+    """One sentence refined on its own, pass after pass, by the per-sentence oracle."""
+    for _ in range(iters):
+        tags = reference_predict_tags(model, weights, tokens, keep_bias, min_error_prob)
+        if all(t.family is TagFamily.KEEP for t in tags):
+            break
+        tokens = edit2seq(tokens, tags, lexicon, on_error="copy")
+        if not tokens:
+            break
+    return tokens
+
+
+def block_model():
+    """A random model that deletes "zap" and keeps "stay", and whose detection
+    head flags "zap" and "err"; other tokens get random tags and error
+    probabilities."""
+    model = seeded_model(TagSet(SMALL_TAGS), dim=1024, seed=4)
+    for tag, word in (("$DELETE", "zap"), ("$KEEP", "stay")):
+        for text in (f"w0={word}", f"lw0={word}"):
+            model.W["correction"][model.tagset.id_of(tag), _hash_feature(text, 1024)] += 20.0
+    for word in ("zap", "err"):
+        model.W["detection"][1, _hash_feature(f"w0={word}", 1024)] += 20.0
+    return model
+
+
+def block_lines():
+    """129 lines: sentences of 1 to 14 tokens, one-token sentences among
+    longer ones, blank lines, also at the end of each 128-line block, and
+    lines that refinement deletes ("zap zap") or shrinks to one token
+    ("stay zap")."""
+    words = ["He", "lives", "at", "the", "city", "She", "works", "in", "a", "err"]
+    rng = np.random.default_rng(9)
+    lines = ["", ""]
+    for k in range(127):
+        kind = k % 6
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(str(rng.choice(words)))
+        elif kind == 2:
+            lines.append(" ".join(["zap"] * (1 + k % 3)))
+        elif kind == 3:
+            lines.append(" ".join(["stay"] + ["zap"] * (1 + k % 4)))
+        else:
+            lines.append(" ".join(rng.choice(words, size=1 + k % 14).tolist()))
+    return lines[2:] + lines[:2]
+
+
+class TestBlockPath:
+    """Predicting a block of sentences at once gives each sentence the bits
+    and tags it has alone."""
+
+    KEEP_BIAS, MIN_ERROR_PROB = 0.1, 0.9
+
+    @pytest.mark.parametrize("cut", [1, 3, 40, None, 10**9])
+    def test_block_probs_and_tags_equal_each_sentence_alone(self, monkeypatch, cut):
+        """``cut`` is the gathered columns per cut and the tokens per decode run
+        (None: the module's bound)."""
+        model = block_model()
+        weights = {name: W.copy() for name, W in model.W.items()}
+        sentences = [line.split() for line in block_lines()]
+        if cut is not None:
+            monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", cut * model.weights.shape[0])
+        block = tagger._probs(model, model.encoder.encode(sentences))
+        alone = [tagger._probs(model, model.encoder.encode([s])) for s in sentences if s]
+        assert block.tobytes() == np.hstack(alone).tobytes()
+        for keep_bias, min_error_prob in ((0.0, 0.0), (self.KEEP_BIAS, self.MIN_ERROR_PROB)):
+            assert predict_tags(model, sentences, keep_bias, min_error_prob) == [
+                reference_predict_tags(model, weights, s, keep_bias, min_error_prob)
+                for s in sentences
+            ]
+
+    def test_block_gates_some_sentences_and_not_others(self):
+        model = block_model()
+        probs = [forward(model, line.split())["detection"][:, 1] for line in block_lines() if line]
+        gated = [p.max() < self.MIN_ERROR_PROB for p in probs]
+        assert any(gated) and not all(gated)
+
+    @pytest.mark.parametrize("rows", [1, 119, 5031])
+    def test_cuts_bound_the_gathered_elements(self, rows):
+        """The cuts cover the block in order; each is a run of whole sentences
+        whose gather of ``rows`` weight rows stays within ``_ARRAY_ELEMENTS``, or
+        one sentence."""
+        model = block_model()
+        enc = model.encoder.encode([line.split() for line in block_lines()])
+        tokens, _ = enc.bounds()
+        sentences = set(zip(tokens, tokens[1:]))
+        entry = np.append(enc.starts, enc.idx.size)  # each token's first entry of idx
+        cuts = tagger._cuts(enc, rows)
+        assert [a for a, *_ in cuts] == [0, *(b for _, b, *_ in cuts[:-1])]
+        assert cuts[-1][1] == enc.n_tokens
+        for a, b, idx, starts in cuts:
+            assert a in tokens and b in tokens
+            assert idx.size * rows <= tagger._ARRAY_ELEMENTS or (a, b) in sentences
+            assert idx.tobytes() == enc.idx[entry[a] : entry[b]].tobytes()
+            assert starts.tobytes() == (enc.starts[a:b] - entry[a]).tobytes()
+        if rows == 5031:  # a bundled-tagset model gathers one sentence per cut
+            assert len(cuts) == np.count_nonzero(enc.lengths)
+
+    @pytest.mark.parametrize("tokens", [1, 5, 40, None])
+    def test_decode_runs_bound_the_probabilities(self, monkeypatch, tokens):
+        """``predict_tags`` decodes runs of whole sentences of at most
+        ``_ARRAY_ELEMENTS`` probabilities, or one longer sentence, and each
+        sentence gets the tags it has alone."""
+        model = block_model()
+        weights = {name: W.copy() for name, W in model.W.items()}
+        sentences = [line.split() for line in block_lines()]
+        rows = model.weights.shape[0]
+        if tokens is not None:
+            monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", tokens * rows)
+        expected = [
+            reference_predict_tags(model, weights, s, self.KEEP_BIAS, self.MIN_ERROR_PROB)
+            for s in sentences
+        ]
+        runs = []
+        encode = model.encoder.encode
+        monkeypatch.setattr(model.encoder, "encode", lambda run: runs.append(run) or encode(run))
+        assert predict_tags(model, sentences, self.KEEP_BIAS, self.MIN_ERROR_PROB) == expected
+        assert [s for run in runs for s in run] == sentences
+        for run in runs:
+            assert sum(map(len, run)) * rows <= tagger._ARRAY_ELEMENTS or sum(map(bool, run)) == 1
+        if tokens is None:  # the default bound decodes a 128-line block of this model at once
+            assert len(runs) == 1
+        elif tokens == 1:
+            assert all(sum(map(bool, run)) <= 1 for run in runs)
+
+    @pytest.mark.parametrize("cut", [1, 3, None])
+    @pytest.mark.parametrize("iters", [1, 4])
+    def test_predict_equals_a_per_sentence_refine(self, lexicon, tmp_path, monkeypatch, cut, iters):
+        model = block_model()
+        weights = {name: W.copy() for name, W in model.W.items()}
+        save_model(model, tmp_path / "m.bin")
+        lines = block_lines()
+        (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines))
+        expected = [
+            " ".join(reference_refine(
+                model, weights, line.split(), iters, self.KEEP_BIAS, self.MIN_ERROR_PROB, lexicon
+            ))
+            for line in lines
+        ]
+        assert sum(len(e.split()) == 1 for e, line in zip(expected, lines) if "zap" in line) > 3
+        assert sum(not e for e, line in zip(expected, lines) if line) > 3  # deleted lines
+        if cut is not None:
+            monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", cut * model.weights.shape[0])
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}.txt"
+            assert main([
+                "predict", "--model", str(tmp_path / "m.bin"), "--in", str(tmp_path / "in.txt"),
+                "--out", str(out), "--iters", str(iters), "--keep-bias", str(self.KEEP_BIAS),
+                "--min-error-prob", str(self.MIN_ERROR_PROB), "--workers", workers,
+            ]) == 0
+            assert out.read_text().splitlines() == expected
 
 
 class TestSerialization:
@@ -638,7 +813,7 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.lam == model.lam and loaded.heads == model.heads
         tokens = ["He", "lives", "at", "the", "city"]
-        assert predict_tags(loaded, tokens) == predict_tags(model, tokens)
+        assert predict_tags(loaded, [tokens]) == predict_tags(model, [tokens])
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
