@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, zip_longest
 
 from gecedit.core import (
@@ -58,6 +58,7 @@ from gecedit.tagger import (
     predict_tags,
     save_model,
     train,
+    weight_rows,
 )
 
 EXIT_OK = 0
@@ -278,6 +279,16 @@ def _cmd_noise(args) -> int:
 
 # -- train-toy ---------------------------------------------------------------
 
+def _memory_bytes() -> int | None:
+    """The machine's physical memory in bytes, or None where the platform
+    does not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
 def _cmd_train_toy(args) -> int:
     tagset = load_tagset(args.tagset)
     dataset = []
@@ -294,6 +305,15 @@ def _cmd_train_toy(args) -> int:
             dataset.append((tokens, labels))
     if not dataset:
         raise DataError(f"{args.data}: no training examples")
+    # Under memory overcommit the allocation may be granted; save_model would then
+    # write every byte of it.
+    rows = weight_rows(len(tagset), args.heads)
+    size, memory = rows * args.dim * 8, _memory_bytes()
+    if memory is not None and size > memory:
+        raise DataError(
+            f"--dim {args.dim}: cannot allocate the {rows} x {args.dim} weight matrix: "
+            f"{size} bytes, more than the machine's {memory} bytes of memory"
+        )
     try:
         model = MultiHeadModel(
             tagset,
@@ -413,9 +433,10 @@ _unit_float = _checked(_finite_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 def _input(sub, flag, **kwargs):
     """Add an input file's flag to ``sub``, and list it among the inputs that
-    ``--out`` may not name."""
+    ``--out`` may not name.  The list is a tuple, since every parse of the
+    cached parser gets the same default object."""
     action = sub.add_argument(flag, **kwargs)
-    sub.set_defaults(inputs=[*(sub.get_default("inputs") or []), (flag, action.dest)])
+    sub.set_defaults(inputs=(*(sub.get_default("inputs") or ()), (flag, action.dest)))
 
 
 def _out_input(args):
@@ -452,7 +473,12 @@ def _add_common(sub, lexicon_flag=True):
                help="irregular plural TSV (default: bundled)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gecedit`` parser, built on the first call and shared by every later
+    one: ``main`` parses each call's argv with it.  Its defaults, the
+    ``--workers`` core count and the bundled data paths, are fixed when it is
+    built, once per process, as a one-shot ``gecedit`` process fixes them."""
     parser = _Parser(prog="gecedit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

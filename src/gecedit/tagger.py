@@ -216,6 +216,11 @@ def _aux_heads(heads: int) -> tuple[str, ...]:
     return BINARY_STREAMS if heads == 7 else AUX_HEADS_5
 
 
+def weight_rows(tags: int, heads: int) -> int:
+    """The rows of the weight matrix of a ``heads``-head model over ``tags`` tags."""
+    return tags + 2 * len(_aux_heads(heads))
+
+
 class MultiHeadModel:
     """Linear softmax heads over hashed features; 5- or 7-head variants.
 
@@ -239,7 +244,7 @@ class MultiHeadModel:
         self.encoder = encoder if encoder is not None else FeatureEncoder()
         self.lam = float(lam)
         self.heads = heads
-        rows = len(tagset) + 2 * len(self.aux_heads)
+        rows = weight_rows(len(tagset), heads)
         try:
             self.weights = np.zeros((rows, self.encoder.dim), order="F")
         except (MemoryError, ValueError):  # ValueError: too big for any address space
@@ -695,7 +700,7 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
                 f"shapes of a {header['heads']}-head model with {len(tagset)} tags and "
                 f"dim {encoder.dim}: expected {expected}"
             )
-        rows = len(tagset) + 2 * len(aux_heads)
+        rows = weight_rows(len(tagset), header["heads"])
         truncated = f"{path}: truncated weight data"
         if stat.S_ISREG(info.st_mode) and info.st_size - len(line) < rows * encoder.dim * 8:
             raise ValueError(truncated)

@@ -207,8 +207,9 @@ class TagSet:
     """The enumerated edit space: dense id <-> tag mapping in file order.
 
     A tag's identity is its text: ``names`` holds the tag strings and every
-    lookup is by text.  ``tags``, the parsed ``EditTag`` of each name, is built
-    on first use.  ``origin``, a file name, starts each error message:
+    lookup is by text.  ``tag_of`` parses one name, on its first use, and
+    ``tags``, the parsed ``EditTag`` of every name, is built from it on first
+    use.  ``origin``, a file name, starts each error message:
     ``origin:line:`` for a malformed tag, ``origin:`` for a fault of the set as
     a whole.
     """
@@ -237,10 +238,11 @@ class TagSet:
             raise TagError(f"{origin}: {fault}" if origin else fault)
         self._index = index
         self.keep_id = index["$KEEP"]
+        self._parsed: dict[int, EditTag] = {}
 
     @functools.cached_property
     def tags(self) -> tuple[EditTag, ...]:
-        return tuple(EditTag.parse(name) for name in self.names)
+        return tuple(map(self.tag_of, range(len(self.names))))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -260,7 +262,10 @@ class TagSet:
             raise TagError(f"tag {key} not in tagset") from None
 
     def tag_of(self, tag_id: int) -> EditTag:
-        return self.tags[tag_id]
+        tag = self._parsed.get(tag_id)
+        if tag is None:
+            tag = self._parsed[tag_id] = EditTag.parse(self.names[tag_id])
+        return tag
 
 
 def load_tagset(path: Union[str, Path]) -> TagSet:

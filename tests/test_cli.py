@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pickle
@@ -667,6 +668,34 @@ def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, me
         assert err.startswith("gecedit: error: ") and "Traceback" not in err
 
 
+def test_train_dim_beyond_the_machine_memory_exits_two(tmp_path, capsys, monkeypatch):
+    """A ``--dim`` whose weights the machine's memory cannot hold is refused
+    before they are allocated; here the machine holds about the 38 x 16
+    weights' 4,864 bytes."""
+    argv = _train(_LABEL + "\n")(tmp_path)
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: 4863)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "gecedit: error: --dim 16: cannot allocate the 38 x 16 weight matrix: "
+        "4864 bytes, more than the machine's 4863 bytes of memory\n"
+    )
+    assert not (tmp_path / "m.bin").exists()
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: 4864)
+    assert main(argv) == 0
+    assert tagger.load_model(tmp_path / "m.bin").weights.shape == (38, 16)
+
+
+def test_memory_bytes_reads_the_machine_or_nothing(monkeypatch):
+    if hasattr(os, "sysconf"):
+        assert cli._memory_bytes() == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(os, "sysconf", unknown, raising=False)
+    assert cli._memory_bytes() is None
+
+
 _apply = _apply_edits("$KEEP $KEEP\n")
 
 
@@ -861,12 +890,14 @@ def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, 
     """``--out`` naming an input, by its path or by a hard link to it, is a
     usage error that names both flags; the input is not opened for writing.
     ``--lexicon`` and ``--plurals`` are left at their bundled defaults, here
-    copies in a data directory of the test's own."""
+    copies in a data directory of the test's own, read by a parser built after
+    the redirect."""
     data = workdir / "data"
     data.mkdir()
     for name in ("verbs.tsv", "irregular_plurals.tsv"):
         (data / name).write_bytes((data_dir() / name).read_bytes())
     monkeypatch.setattr("gecedit.lexicon.data_dir", lambda: data)
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
     defaults = {"--lexicon": str(data / "verbs.tsv"), "--plurals": str(data / "irregular_plurals.tsv")}
     src = _write(workdir / "src.txt", "a b\nc\n")
     inputs = {
@@ -993,3 +1024,59 @@ def test_predict_memo_stays_within_its_bound(workdir, trained_model, monkeypatch
         assert bounded.read_bytes() == (workdir / "unbounded.txt").read_bytes()
     assert len(sizes) >= len(sources) and max(sizes) == 50
     assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 3  # emptied again and again
+
+
+# -- one parser for every call in a process -------------------------------------
+
+def _pipeline(d, run, refs):
+    """The argvs of noise -> tag -> train-toy -> predict -> score over ``d``'s
+    inputs, each writing ``run``-named files, and those files in order;
+    ``score`` runs with every reference in ``refs``, then with the first."""
+    pairs, labels, model, hyp = (d / f"{run}.{ext}" for ext in ("tsv", "jsonl", "bin", "txt"))
+    tagset, clean = str(d / "small.tagset"), str(d / "clean.txt")
+    argvs = [
+        ["noise", "--in", clean, "--profile", str(d / "profile.txt"), "--out", str(pairs),
+         "--seed", "5", "--workers", "1"],
+        ["tag", "--src-tgt", str(pairs), "--tagset", tagset, "--out", str(labels), "--workers", "1"],
+        ["train-toy", "--data", str(labels), "--tagset", tagset, "--out", str(model),
+         "--epochs", "2", "--dim", "256"],
+        ["predict", "--model", str(model), "--in", clean, "--out", str(hyp), "--workers", "1"],
+        ["score", "--src", clean, "--hyp", str(hyp), *(a for r in refs for a in ("--ref", r)),
+         "--workers", "1"],
+        ["score", "--src", clean, "--hyp", str(hyp), "--ref", refs[0], "--workers", "1"],
+    ]
+    return argvs, [pairs, labels, model, hyp]
+
+
+def test_main_reuses_its_parser_and_carries_nothing_between_calls(workdir, capsys):
+    """The pipeline run twice through ``main`` in one process, with a usage
+    error and a data error between, writes and prints what one run of fresh
+    ``gecedit`` processes does; a one-reference ``score`` after a
+    three-reference one prints the fresh one-reference line."""
+    assert cli.build_parser() is cli.build_parser()
+    lines = (workdir / "clean.txt").read_text().splitlines()
+    ref = str(workdir / "clean.txt")
+    refs = [ref, _write(workdir / "ref2.txt", "".join(line[::-1] + "\n" for line in lines)),
+            _write(workdir / "ref3.txt", "".join(line.upper() + "\n" for line in lines))]
+
+    def in_process(run):
+        argvs, files = _pipeline(workdir, run, refs)
+        printed = []
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            printed.append(capsys.readouterr().out)
+        return printed, [path.read_bytes() for path in files]
+
+    first = in_process("a")
+    assert main(["tag", "--src-tgt", ref, "--out", str(workdir / "x.jsonl"), "--workers", "0"]) == 1
+    assert main(["score", "--src", ref, "--hyp", ref, "--ref", ref,
+                 "--ref", _write(workdir / "short.txt", "a\n")]) == 2
+    capsys.readouterr()
+    second = in_process("b")
+    assert second == first
+
+    argvs, files = _pipeline(workdir, "fresh", refs)
+    fresh = [run_cli(*argv) for argv in argvs]
+    assert [proc.returncode for proc in fresh] == [0] * len(argvs)
+    assert ([proc.stdout for proc in fresh], [path.read_bytes() for path in files]) == first
+    assert first[0][-1] != first[0][-2]  # the three references did move GLEU

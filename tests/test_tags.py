@@ -229,3 +229,13 @@ def test_load_tagset_parses_the_bundled_file_as_edit_tag_parse_does():
     tagset = load_tagset(path)
     assert tagset.names == tuple(lines) and tagset._index == ids
     assert tagset.tags == tags
+
+
+def test_tag_of_parses_only_the_ids_asked_for():
+    tagset = load_tagset(default_tagset_path())
+    asked = [len(tagset) - 1, 0, 7, 0]
+    assert [tagset.tag_of(i) for i in asked] == [EditTag.parse(tagset.names[i]) for i in asked]
+    assert sorted(tagset._parsed) == [0, 7, len(tagset) - 1]
+    assert "tags" not in vars(tagset)
+    assert [tagset.tag_of(i) for i in range(len(tagset))] == list(map(EditTag.parse, tagset.names))
+    assert tagset.tags == tuple(map(EditTag.parse, tagset.names)) == tuple(tagset)
