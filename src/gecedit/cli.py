@@ -53,7 +53,6 @@ from gecedit.tags import EditTag, TagFamily, load_tagset
 from gecedit.tagger import (
     FeatureEncoder,
     MultiHeadModel,
-    TrainingDivergedError,
     load_model,
     predict_tags,
     save_model,
@@ -329,7 +328,6 @@ def _cmd_train_toy(args) -> int:
         epochs=args.epochs,
         lr=args.lr,
         seed=args.seed,
-        optimizer=args.optimizer,
     )
     save_model(model, args.out)
     print(
@@ -504,7 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_noise)
 
-    p = subs.add_parser("train-toy", help="train the desk-scale multi-head tagger")
+    p = subs.add_parser(
+        "train-toy",
+        help="train the desk-scale multi-head tagger",
+        description="Train the desk-scale multi-head tagger with Adagrad, its one update rule: "
+        "one update per sentence, with a per-element accumulator of squared gradients. "
+        "The model file holds no Adagrad state, so every run starts it afresh.",
+    )
     _input(p, "--data", required=True, help="labeled JSON-lines file from `tag`")
     _input(p, "--tagset", default=str(default_tagset_path()))
     p.add_argument("--out", required=True, help="model output path")
@@ -532,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4096,
         help="hashed feature dimension",
     )
-    p.add_argument("--optimizer", choices=("sgd", "adagrad"), default="adagrad")
     p.set_defaults(func=_cmd_train_toy)
 
     p = subs.add_parser("predict", help="tag and iteratively correct sentences with a model")
@@ -588,7 +591,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDivergedError) as exc:  # every data error is a ValueError
+    except (ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"gecedit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -43,11 +43,11 @@ AUX_HEADS_5 = ("deletion", "insertion", "substitution", "detection")
 _CLIP = 1e-300
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(ValueError):
     def __init__(self, step: int, epoch: int):
         self.step = step
         self.epoch = epoch
-        super().__init__(f"loss became NaN at update step {step} (epoch {epoch})")
+        super().__init__(f"loss became NaN by the end of epoch {epoch} (update step {step})")
 
 
 def _hash_feature(text: str, dim: int) -> int:
@@ -488,44 +488,40 @@ def train(
     epochs: int = 10,
     lr: float = 0.5,
     seed: int = 0,
-    optimizer: str = "adagrad",
 ) -> list[float]:
-    """Per-sentence gradient training; returns the per-epoch loss curve.
+    """Per-sentence Adagrad training; returns the per-epoch loss curve.
 
     Deterministic for a fixed seed: zero init, seeded shuffling, fixed update
-    order.  ``optimizer`` is "sgd" or "adagrad" (per-parameter step scaling).
+    order.  The per-element accumulator starts at zero on every call.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if optimizer not in ("sgd", "adagrad"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
     encoded = _encode_batch(model, dataset)
     if any(enc.n_tokens == 0 for enc, _, _ in encoded):
         raise ValueError("every training example needs at least one token")
-    accum = np.zeros_like(model.weights) if optimizer == "adagrad" else None
+    accum = np.zeros_like(model.weights)
     row_weights = _row_weights(model)
     rng = np.random.default_rng(seed)
     order = np.arange(len(encoded))
     history: list[float] = []
     step = 0
-    for epoch in range(epochs):
-        rng.shuffle(order)
-        for si in order:
-            enc, gold, plan = encoded[si]
-            step += 1
-            grad = _sentence_grad(model, enc, gold, plan, row_weights / enc.n_tokens)
-            cols = plan.cols
-            if accum is not None:
+    # A divergence overflows before the epoch-end loss reads NaN: report it once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            rng.shuffle(order)
+            for si in order:
+                enc, gold, plan = encoded[si]
+                step += 1
+                grad = _sentence_grad(model, enc, gold, plan, row_weights / enc.n_tokens)
+                cols = plan.cols
                 acc = accum[:, cols]
                 acc += grad * grad
                 accum[:, cols] = acc
                 model.weights[:, cols] -= lr * grad / (np.sqrt(acc) + 1e-8)
-            else:
-                model.weights[:, cols] -= lr * grad
-        epoch_loss = total_loss(model, dataset, encoded=encoded)
-        if math.isnan(epoch_loss):
-            raise TrainingDivergedError(step, epoch)
-        history.append(epoch_loss)
+            epoch_loss = total_loss(model, dataset, encoded=encoded)
+            if math.isnan(epoch_loss):
+                raise TrainingDivergedError(step, epoch)
+            history.append(epoch_loss)
     return history
 
 

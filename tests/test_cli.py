@@ -602,9 +602,9 @@ def _noise_edit_dict(d):
          "labels.jsonl:2: token 0 'a b' is empty or holds whitespace"),
         (_train(_LABEL + "\n" + _LABEL.replace('"tokens": ["a"]', '"tokens": [""]') + "\n"), 2,
          "labels.jsonl:2: token 0 '' is empty or holds whitespace"),
-        pytest.param(_train(_LABEL + "\n", "--lr", "1e308", "--optimizer", "sgd"), 2,
-                     "loss became NaN at update step 1",
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        (_train(_LABEL + "\n", "--lr", "1e308"), 2,
+         "loss became NaN by the end of epoch 1 (update step 1)"),
+        (_train(_LABEL + "\n", "--optimizer", "sgd"), 1, "unrecognized arguments: --optimizer sgd"),
         (_train(_LABEL + "\n", "--epochs", "0"), 1, "argument --epochs: must be at least 1"),
         (_train(_LABEL + "\n", "--lr", "nan"), 1, "argument --lr: must be a finite number"),
         (_train(_LABEL + "\n", "--lambda", "inf"), 1, "argument --lambda: must be a finite"),
@@ -646,7 +646,8 @@ def _noise_edit_dict(d):
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
          "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
          "train-deletion-bool", "train-detection-float", "train-no-tokens",
-         "train-token-with-space", "train-empty-token", "train-diverges", "train-epochs-0",
+         "train-token-with-space", "train-empty-token", "train-diverges",
+         "train-optimizer-removed", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
          "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
          "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
@@ -666,6 +667,13 @@ def test_malformed_input_exit_code_and_location(tmp_path, capsys, argv, code, me
     assert message in err
     if code == 2:
         assert err.startswith("gecedit: error: ") and "Traceback" not in err
+
+
+def test_diverging_train_writes_one_stderr_line(tmp_path):
+    """NumPy's overflow warnings stay off stderr: the divergence is its one line."""
+    proc = run_cli(*_train(_LABEL + "\n", "--lr", "1e308")(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == "gecedit: error: loss became NaN by the end of epoch 1 (update step 1)\n"
 
 
 def test_train_dim_beyond_the_machine_memory_exits_two(tmp_path, capsys, monkeypatch):

@@ -309,7 +309,7 @@ class TestGradients:
     def test_near_zero_gradient_at_confident_correct_model(self, small_tagset):
         batch = tiny_batch(small_tagset)
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=64), lam=0.5)
-        train(model, batch, epochs=300, lr=1.0, seed=0, optimizer="adagrad")
+        train(model, batch, epochs=300, lr=1.0, seed=0)
         grads = grad_total_loss(model, batch)
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert norm < 0.05
@@ -368,15 +368,7 @@ class TestTrain:
         for name, w in model.W.items():
             assert np.array_equal(w, before[name])
 
-    def test_sgd_optimizer_also_learns(self, lexicon, patterns):
-        ts = training_tagset(lexicon, patterns)
-        data = toy_dataset(lexicon, ts, 100, seed=4)
-        model = MultiHeadModel(ts, FeatureEncoder(dim=1024))
-        hist = train(model, data, epochs=5, lr=0.5, seed=0, optimizer="sgd")
-        assert hist[-1] < hist[0]
-
-    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    def test_correction_rows_ignore_lambda_and_heads(self, lexicon, patterns, optimizer):
+    def test_correction_rows_ignore_lambda_and_heads(self, lexicon, patterns):
         # Each head owns its rows and every update is per element, so lambda and
         # the head count reach predictions only through the detection gate.
         ts = training_tagset(lexicon, patterns)
@@ -385,7 +377,7 @@ class TestTrain:
         for lam in (0.0, 0.5):
             for heads in (5, 7):
                 model = MultiHeadModel(ts, FeatureEncoder(dim=512), lam=lam, heads=heads)
-                train(model, data, epochs=3, lr=0.5, seed=7, optimizer=optimizer)
+                train(model, data, epochs=3, lr=0.5, seed=7)
                 corrections.append(model.W["correction"])
         assert corrections[0].any()
         assert all(np.array_equal(w, corrections[0]) for w in corrections[1:])
@@ -402,11 +394,15 @@ class TestTrain:
             train(model, batch, epochs=1, lr=0.1, seed=0)
 
     def test_nan_loss_reported_with_step(self, small_tagset):
+        # NaN weights make the loss NaN from the first epoch on; the check at
+        # its end has seen both sentences' updates.
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=32))
         model.W["correction"][0, :] = np.nan
-        with pytest.raises(TrainingDivergedError) as exc:
-            train(model, tiny_batch(small_tagset), epochs=1, lr=0.1, seed=0)
-        assert exc.value.step >= 1
+        with pytest.raises(ValueError) as exc:
+            train(model, tiny_batch(small_tagset), epochs=3, lr=0.1, seed=0)
+        assert isinstance(exc.value, TrainingDivergedError)
+        assert (exc.value.epoch, exc.value.step) == (1, 2)
+        assert str(exc.value) == "loss became NaN by the end of epoch 1 (update step 2)"
 
 
 def reference_probs(W, enc):
@@ -438,14 +434,14 @@ def reference_head_losses(model, weights, batch):
     return {name: s / total for name, s in sums.items()}
 
 
-def reference_train(model, weights, dataset, epochs, lr, seed, optimizer):
-    """Train a dict of per-head matrices in place with one update per head and sentence."""
+def reference_train(model, weights, dataset, epochs, lr, seed):
+    """Train a dict of per-head matrices in place with one Adagrad update per head and sentence."""
     encoded = [model.encoder.encode([tokens]) for tokens, _ in dataset]
     label_ids = [
         {name: reference_labels(model, name, labels) for name in model.head_names}
         for _, labels in dataset
     ]
-    accum = {name: np.zeros_like(W) for name, W in weights.items()} if optimizer == "adagrad" else None
+    accum = {name: np.zeros_like(W) for name, W in weights.items()}
     rng = np.random.default_rng(seed)
     order = np.arange(len(encoded))
     history = []
@@ -460,12 +456,9 @@ def reference_train(model, weights, dataset, epochs, lr, seed, optimizer):
                 delta *= (1.0 if name == "correction" else model.lam) / enc.n_tokens
                 gsub = np.zeros((weights[name].shape[0], cols.size))
                 np.add.at(gsub, (slice(None), inv), delta.T[:, enc.tok_of])
-                if accum is not None:
-                    acc = accum[name]
-                    acc[:, cols] += gsub * gsub
-                    weights[name][:, cols] -= lr * gsub / (np.sqrt(acc[:, cols]) + 1e-8)
-                else:
-                    weights[name][:, cols] -= lr * gsub
+                acc = accum[name]
+                acc[:, cols] += gsub * gsub
+                weights[name][:, cols] -= lr * gsub / (np.sqrt(acc[:, cols]) + 1e-8)
         losses = reference_head_losses(model, weights, dataset)
         history.append(
             losses["correction"] + model.lam * sum(losses[name] for name in model.aux_heads)
@@ -523,16 +516,15 @@ class TestMatchesPerHeadReference:
     """The one stacked weight matrix reproduces the per-head tagger bit for bit."""
 
     @pytest.mark.parametrize("heads", [5, 7])
-    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-    def test_train_and_losses_identical(self, lexicon, patterns, tmp_path, heads, optimizer, lam):
+    def test_train_and_losses_identical(self, lexicon, patterns, tmp_path, heads, lam):
         ts = training_tagset(lexicon, patterns)
         for seed in (0, 1, 2):
             data = mixed_dataset(lexicon, ts, seed)
             model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=lam, heads=heads)
             weights = {name: np.zeros_like(W) for name, W in model.W.items()}
-            history = train(model, data, epochs=3, lr=0.5, seed=seed, optimizer=optimizer)
-            expected = reference_train(model, weights, data, 3, 0.5, seed, optimizer)
+            history = train(model, data, epochs=3, lr=0.5, seed=seed)
+            expected = reference_train(model, weights, data, 3, 0.5, seed)
             assert history == expected
             for name in model.head_names:
                 assert np.array_equal(model.W[name], weights[name]), name
