@@ -9,7 +9,7 @@ desk-scale trainable multi-head tagger.
 from gecedit.alignment import BACKEND, AlignedPair, align, available_backends
 from gecedit.core import detokenize, tokenize
 from gecedit.edit2seq import TagApplicationError, apply_tag, edit2seq, refine
-from gecedit.labels import MultiHeadLabels, derive_labels
+from gecedit.labels import derive_labels
 from gecedit.lexicon import (
     Lexicon,
     PatternInventories,
@@ -27,7 +27,6 @@ from gecedit.seq2edit import classify_edit, seq2edit
 from gecedit.tagger import (
     FeatureEncoder,
     MultiHeadModel,
-    forward,
     gradient_check,
     load_model,
     predict_tags,
@@ -45,7 +44,6 @@ __all__ = [
     "EditTag",
     "FeatureEncoder",
     "Lexicon",
-    "MultiHeadLabels",
     "MultiHeadModel",
     "NoiseProfile",
     "Noiser",
@@ -63,7 +61,6 @@ __all__ = [
     "detokenize",
     "edit2seq",
     "extract_spans",
-    "forward",
     "gleu",
     "gradient_check",
     "load_lexicon",

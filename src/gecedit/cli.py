@@ -294,14 +294,14 @@ def _cmd_train_toy(args) -> int:
     for lineno, line in _numbered_lines(args.data):
         if line.strip():
             try:
-                tokens, labels = from_json_line(line)
+                tokens, tags = from_json_line(line)
                 if not tokens:
                     raise ValueError("a training example needs at least one token")
-                for tag in labels.correction:
+                for tag in tags:
                     tagset.id_of(tag)
             except ValueError as exc:
                 raise DataError(f"{args.data}:{lineno}: {exc}") from None
-            dataset.append((tokens, labels))
+            dataset.append((tokens, tags))
     if not dataset:
         raise DataError(f"{args.data}: no training examples")
     # Under memory overcommit the allocation may be granted; save_model would then

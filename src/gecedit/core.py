@@ -10,10 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-Token = str
-Sentence = list[str]
-
-
 class CorpusFormatError(ValueError):
     """A corpus line violates the expected format, or a text file is not UTF-8."""
 

@@ -99,6 +99,14 @@ def edit2seq(
     return out
 
 
+# The longest a pass may leave a sentence of n source tokens, as
+# ``_GROWTH * n + _SLACK``, for it to be refined again.  An APPEND or SPLIT tag
+# makes two or more tokens of one, so a model that appends to every token would
+# otherwise double the sentence on every pass.  Constants, not settings.
+_GROWTH = 2
+_SLACK = 4
+
+
 def refine(
     sources: Sequence[Sequence[str]],
     predictor: Callable[[list[list[str]]], Sequence[Sequence[EditTag]]],
@@ -108,7 +116,9 @@ def refine(
     """Repeatedly predict and apply edits to each sentence until an all-KEEP
     pass or the cap, all sentences in lockstep: each pass makes one
     ``predictor`` call on the sentences still being refined.  A sentence
-    leaves after an all-KEEP pass or when its edits delete every token.
+    leaves after an all-KEEP pass, when its edits delete every token, or when
+    a pass leaves it longer than ``_GROWTH`` times its source's length plus
+    ``_SLACK`` tokens.
 
     Returns (final sentences, number of sentence passes made, summed over
     the sentences).  Inapplicable predicted tags leave their token unchanged.
@@ -127,7 +137,7 @@ def refine(
             if all(tag.family is TagFamily.KEEP for tag in edits):
                 continue
             current[k] = edit2seq(current[k], edits, lexicon, on_error="copy")
-            if current[k]:  # a sentence with no tokens left has nothing to refine
+            if 0 < len(current[k]) <= _GROWTH * len(sources[k]) + _SLACK:
                 still.append(k)
         live = still
     return current, passes

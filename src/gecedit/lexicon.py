@@ -53,15 +53,15 @@ class Lexicon:
     verb_forms: dict[str, dict[str, str]]
     plural_of: dict[str, str]
     singular_of: dict[str, str]
-    _by_surface: dict[str, list[tuple[str, str]]] = field(default_factory=dict, repr=False)
+    _by_surface: dict[str, list[tuple[str, str]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._by_surface:
-            for lemma, forms in self.verb_forms.items():
-                for form_name in VERB_FORM_NAMES:
-                    surface = forms.get(form_name)
-                    if surface:
-                        self._by_surface.setdefault(surface, []).append((lemma, form_name))
+        self._by_surface = {}
+        for lemma, forms in self.verb_forms.items():
+            for form_name in VERB_FORM_NAMES:
+                surface = forms.get(form_name)
+                if surface:
+                    self._by_surface.setdefault(surface, []).append((lemma, form_name))
 
     def forms_of(self, surface: str) -> list[tuple[str, str]]:
         """All (lemma, form name) readings of a surface token, in file order."""

@@ -61,13 +61,11 @@ class F05Accumulator:
         self.tp = 0
         self.n_hyp = 0
         self.n_ref = 0
-        self.sentences = 0
 
     def add(self, hyp_edits: set[SpanEdit], ref_edits: set[SpanEdit]) -> None:
         self.tp += len(hyp_edits & ref_edits)
         self.n_hyp += len(hyp_edits)
         self.n_ref += len(ref_edits)
-        self.sentences += 1
 
     def result(self) -> dict[str, float]:
         if self.n_hyp == 0:

@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from gecedit.alignment import AlignedPair, align
 from gecedit.core import CorpusFormatError, parse_pair_line, read_lines, text_lines
-from gecedit.lexicon import Lexicon, load_lexicon, load_patterns
-from gecedit.transforms import pluralize, singularize
+from gecedit.lexicon import Lexicon, load_patterns
+from gecedit.transforms import VOWELS, pluralize, singularize
 
 OPERATIONS = (
     "token_dict",
@@ -57,8 +57,22 @@ VERB_TYPE_FORMS = {
     "ppart": "VBN",
 }
 
-_VOWELS = "aeiou"
 MAX_RETRIES = 10
+
+
+def literal_suffix_safe(adjective: str) -> bool:
+    """Whether the adjective's comparative and superlative are it plus -er and
+    -est: not when a final e or y or a doubled consonant (big -> bigger)
+    changes the spelling."""
+    if len(adjective) < 3 or adjective[-1] in "ey":
+        return False
+    a, b, c = adjective[-3:]
+    return not (a not in VOWELS and b in VOWELS and c not in VOWELS and c not in "wxy")
+
+
+def literal_ly_safe(adjective: str) -> bool:
+    """Whether the adjective's adverb is it plus -ly: not for a final y."""
+    return not adjective.endswith("y")
 
 
 class ProfileError(ValueError):
@@ -237,10 +251,11 @@ class Noiser:
         self,
         profile: NoiseProfile,
         edit_dict: Optional[dict[str, dict[str, int]]] = None,
-        lexicon: Optional[Lexicon] = None,
+        *,
+        lexicon: Lexicon,
     ):
         self.profile = profile
-        self.lexicon = lexicon if lexicon is not None else load_lexicon()
+        self.lexicon = lexicon
         self.patterns = load_patterns()
         if edit_dict is None and profile.edit_dict_path is not None:
             edit_dict = build_edit_dictionary_from_file(profile.edit_dict_path)
@@ -377,24 +392,15 @@ class Noiser:
         ]
         return self._rewrite_one(st, rng, cands, lambda _tok, flip, _rng: flip)
 
-    def _literal_suffix_safe(self, token: str) -> bool:
-        # Reject tokens whose -er/-est/-ly form needs orthographic changes.
-        if len(token) < 3 or token[-1] in "ey":
-            return False
-        a, b, c = token[-3], token[-2], token[-1]
-        if a not in _VOWELS and b in _VOWELS and c not in _VOWELS and c not in "wxy":
-            return False  # consonant doubling (big -> bigger)
-        return True
-
     def _pos_conversions(self, token: str) -> list[str]:
         adj = self.patterns.adjectives
         if token in self._prep_set or token in self._det_set:
             return []
         out: list[str] = []
         if token in adj:
-            if self._literal_suffix_safe(token):
+            if literal_suffix_safe(token):
                 out.extend([token + "er", token + "est"])
-            if not token.endswith("ly") and not token.endswith("y"):
+            if literal_ly_safe(token):
                 out.append(token + "ly")
         elif token.endswith("ly") and token[:-2] in adj:
             out.append(token[:-2])

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from gecedit.labels import BINARY_STREAMS, MultiHeadLabels
+from gecedit.labels import BINARY_STREAMS, streams
 from gecedit.tags import EditTag, TagSet
 
 FEATURE_TEMPLATES_V1 = (
@@ -335,16 +335,7 @@ def _probs(model: MultiHeadModel, enc: EncodedBlock) -> np.ndarray:
     return z
 
 
-def forward(
-    model: MultiHeadModel, features: Union[EncodedBlock, Sequence[str]]
-) -> dict[str, np.ndarray]:
-    """Per-token probability rows for every head; rows sum to 1.  ``features``
-    is one sentence's tokens or an encoded block."""
-    enc = features if isinstance(features, EncodedBlock) else model.encoder.encode([features])
-    return {name: p.T for name, p in model.split(_probs(model, enc)).items()}
-
-
-Batch = Sequence[tuple[Sequence[str], MultiHeadLabels]]
+Batch = Sequence[tuple[Sequence[str], Sequence[EditTag]]]
 
 
 @dataclass
@@ -409,13 +400,13 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
     """Encode each sentence, with the weight row of each head's gold label per
     token and the plan that scatters its gradient."""
     golds = []
-    for tokens, labels in batch:
-        if len(labels) != len(tokens):
+    for tokens, tags in batch:
+        if len(tags) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
-        gold = [[model.tagset.id_of(t) for t in labels.correction]]
-        streams = labels.streams()
+        gold = [[model.tagset.id_of(t) for t in tags]]
+        binary = streams(tags)
         for j, name in enumerate(model.aux_heads):
-            gold.append([len(model.tagset) + 2 * j + y for y in streams[name]])
+            gold.append([len(model.tagset) + 2 * j + y for y in binary[name]])
         golds.append(np.asarray(gold, dtype=np.int64))
     encs = []
     for k in range(0, len(batch), _ENCODE_SENTENCES):
@@ -469,8 +460,8 @@ def _sentence_grad(
     return plan.scatter(delta)
 
 
-def grad_total_loss(model: MultiHeadModel, batch: Batch) -> dict[str, np.ndarray]:
-    """Analytic gradient of total_loss with respect to every head matrix."""
+def grad_total_loss(model: MultiHeadModel, batch: Batch) -> np.ndarray:
+    """Analytic gradient of total_loss, laid out like ``weights``."""
     encoded = _encode_batch(model, batch)
     if not encoded:
         raise ValueError("empty batch")
@@ -479,7 +470,7 @@ def grad_total_loss(model: MultiHeadModel, batch: Batch) -> dict[str, np.ndarray
     grad = np.zeros_like(model.weights)
     for enc, gold, plan in encoded:
         grad[:, plan.cols] += _sentence_grad(model, enc, gold, plan, scale)
-    return model.split(grad)
+    return grad
 
 
 def train(
@@ -587,7 +578,7 @@ def gradient_check(model: MultiHeadModel, batch: Batch, h: float = 1e-5) -> floa
     if model.encoder.dim > 200:
         raise ValueError("gradient_check expects feature dimension <= 200")
     encoded = _encode_batch(model, batch)
-    analytic = np.concatenate(list(grad_total_loss(model, batch).values()))  # stacked like weights
+    analytic = grad_total_loss(model, batch)
     W = model.weights
     worst = 0.0
     for r, c in np.ndindex(W.shape):

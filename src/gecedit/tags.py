@@ -7,7 +7,6 @@ assigned densely in file order.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -208,10 +207,9 @@ class TagSet:
 
     A tag's identity is its text: ``names`` holds the tag strings and every
     lookup is by text.  ``tag_of`` parses one name, on its first use, and
-    ``tags``, the parsed ``EditTag`` of every name, is built from it on first
-    use.  ``origin``, a file name, starts each error message:
-    ``origin:line:`` for a malformed tag, ``origin:`` for a fault of the set as
-    a whole.
+    iterating the set yields every name's ``EditTag`` through it.  ``origin``,
+    a file name, starts each error message: ``origin:line:`` for a malformed
+    tag, ``origin:`` for a fault of the set as a whole.
     """
 
     def __init__(self, names: Iterable[str], origin: str | None = None):
@@ -240,10 +238,6 @@ class TagSet:
         self.keep_id = index["$KEEP"]
         self._parsed: dict[int, EditTag] = {}
 
-    @functools.cached_property
-    def tags(self) -> tuple[EditTag, ...]:
-        return tuple(map(self.tag_of, range(len(self.names))))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -252,7 +246,7 @@ class TagSet:
         return key in self._index
 
     def __iter__(self):
-        return iter(self.tags)
+        return map(self.tag_of, range(len(self.names)))
 
     def id_of(self, tag: Union[EditTag, str]) -> int:
         key = tag.render() if isinstance(tag, EditTag) else tag

@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from gecedit.lexicon import Lexicon
 
 _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
-_VOWELS = "aeiou"
+VOWELS = "aeiou"
 
 
 def _suffix_rule(name: str) -> tuple[str, str]:
@@ -46,7 +46,7 @@ def pluralize(word: str, lexicon: "Lexicon") -> str:
         return irr
     if word.endswith(_SIBILANT_ENDINGS):
         return word + "es"
-    if len(word) >= 2 and word.endswith("y") and word[-2].lower() not in _VOWELS:
+    if len(word) >= 2 and word.endswith("y") and word[-2].lower() not in VOWELS:
         return word[:-1] + "ies"
     return word + "s"
 

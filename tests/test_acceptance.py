@@ -14,7 +14,7 @@ import pytest
 
 from gecedit.cli import main as cli_main
 from gecedit.edit2seq import refine
-from gecedit.labels import derive_labels
+from gecedit.labels import derive_labels, streams
 from gecedit.metrics import f_beta, gleu
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
@@ -28,7 +28,6 @@ from gecedit.tags import (
 from gecedit.tagger import (
     FeatureEncoder,
     MultiHeadModel,
-    forward,
     gradient_check,
     head_losses,
     predict_tags,
@@ -38,6 +37,7 @@ from gecedit.tagger import (
 
 from corpus_util import make_compound_corpus, make_corpus, vocabulary
 from test_metrics import oracle_gleu_single
+from test_tagger import forward
 
 T = EditTag.parse
 
@@ -220,9 +220,9 @@ def test_criterion_05_label_stream_consistency():
     for _ in range(10_000):
         n = rng.randrange(1, 9)
         tags = [random_tag() for _ in range(n)]
-        labels = derive_labels(["w"] * n, tags)
-        detection = labels.stream("detection")
-        types = [labels.stream(s) for s in type_streams]
+        labels = streams(derive_labels(["w"] * n, tags))
+        detection = labels["detection"]
+        types = [labels[s] for s in type_streams]
         for i, tag in enumerate(tags):
             active = sum(s[i] for s in types)
             if active > 1:
@@ -352,8 +352,8 @@ def test_criterion_08_toy_training(lexicon, patterns):
 
     correct = total = 0
     predictions = predict_tags(model, [tokens for tokens, _ in held_out])
-    for predicted, (_, labels) in zip(predictions, held_out):
-        for tag, gold in zip(predicted, labels.correction):
+    for predicted, (_, tags) in zip(predictions, held_out):
+        for tag, gold in zip(predicted, tags):
             total += 1
             correct += tag == gold
     elapsed = time.perf_counter() - start

@@ -294,6 +294,25 @@ def test_predict_min_error_prob_one_copies_input(workdir):
     assert out.read_bytes() == src.read_bytes()
 
 
+def test_predict_of_a_model_that_appends_everywhere_stays_bounded(workdir):
+    ts = TagSet(["$KEEP", "$DELETE", "$UNKNOWN", "$APPEND_the"])
+    model = MultiHeadModel(ts, FeatureEncoder(dim=256))
+    model.W["correction"][ts.id_of("$APPEND_the")] = 5.0
+    model_path = workdir / "doubling.bin"
+    save_model(model, model_path)
+    src = workdir / "in.txt"
+    src.write_text("He lives in the city .\n\nHi\n")
+    out = workdir / "out.txt"
+    assert main([
+        "predict", "--model", str(model_path), "--in", str(src), "--out", str(out),
+        "--iters", "40", "--workers", "1",
+    ]) == 0
+    # each pass doubles a line, until a pass leaves it longer than 2n + 4 tokens
+    lines = out.read_text().split("\n")
+    assert [len(line.split()) for line in lines] == [24, 0, 8, 0]
+    assert lines[2] == " ".join(["Hi"] + ["the"] * 7)
+
+
 def test_predict_rejects_model_with_trailing_bytes(workdir, capsys):
     model_path = workdir / "model.bin"
     save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model_path)

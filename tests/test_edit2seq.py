@@ -2,7 +2,7 @@ import logging
 
 import pytest
 
-from gecedit.edit2seq import TagApplicationError, apply_tag, edit2seq, refine
+from gecedit.edit2seq import _GROWTH, _SLACK, TagApplicationError, apply_tag, edit2seq, refine
 from gecedit.seq2edit import seq2edit
 from gecedit.tags import EditTag, KEEP_TAG
 
@@ -168,6 +168,20 @@ class TestRefine:
 
         [out], iters = refine([["zzz"]], each(predictor), 4, lexicon)
         assert out == ["zzz"] and iters == 2
+
+    def test_a_sentence_grown_past_the_bound_is_refined_no_further(self, lexicon):
+        # Appending to every token doubles a sentence on every pass: without the
+        # bound, 12 passes would turn 6 tokens into 24,576.
+        sources = ["He lives in the city .".split(), ["Hi"], ["a", "b"]]
+        bounds = [_GROWTH * len(s) + _SLACK for s in sources]
+        assert bounds == [16, 6, 8]
+        doubling = each(lambda toks: [T("$APPEND_the")] * len(toks))
+        outs, passes = refine(sources, doubling, 12, lexicon)
+        # 6 -> 12 -> 24; 1 -> 2 -> 4 -> 8; 2 -> 4 -> 8 (at its bound, refined again) -> 16
+        assert [len(out) for out in outs] == [24, 8, 16]
+        assert passes == 2 + 3 + 3
+        assert all(len(out) <= 2 * bound for out, bound in zip(outs, bounds))
+        assert outs[1] == ["Hi", *["the"] * 7]
 
     def test_max_iters_validation(self, lexicon):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from gecedit.labels import (
     BINARY_STREAMS,
     derive_labels,
     from_json_line,
+    streams,
     to_json_line,
 )
 from gecedit.tags import EditTag
@@ -30,38 +31,38 @@ EVERY_FAMILY = (
 def test_all_keep_all_zero():
     labels = derive_labels(["a", "b"], [T("$KEEP"), T("$KEEP")])
     for name in BINARY_STREAMS:
-        assert labels.stream(name) == (0, 0)
+        assert streams(labels)[name] == [0, 0]
 
 
 def test_deletion_stream():
     labels = derive_labels(["a", "b"], [T("$DELETE"), T("$KEEP")])
-    assert labels.stream("deletion") == (1, 0)
-    assert labels.stream("detection") == (1, 0)
+    assert streams(labels)["deletion"] == [1, 0]
+    assert streams(labels)["detection"] == [1, 0]
     for name in ("insertion", "substitution", "merge", "transformation"):
-        assert labels.stream(name) == (0, 0)
+        assert streams(labels)[name] == [0, 0]
 
 
 def test_transformation_stream():
     labels = derive_labels(["a", "easy"], [T("$KEEP"), T("$SUFFIXTRANSFORM_Y_TO_ILY")])
-    assert labels.stream("transformation") == (0, 1)
-    assert labels.stream("detection") == (0, 1)
+    assert streams(labels)["transformation"] == [0, 1]
+    assert streams(labels)["detection"] == [0, 1]
 
 
 def test_one_tag_of_every_family():
     tags = [T(t) for t in EVERY_FAMILY]
     labels = derive_labels(["w"] * len(tags), tags)
-    assert labels.stream("deletion") == (0, 1, 0, 0, 0, 0, 0, 0)
-    assert labels.stream("insertion") == (0, 0, 1, 0, 0, 0, 0, 0)
-    assert labels.stream("substitution") == (0, 0, 0, 1, 0, 0, 0, 0)
-    assert labels.stream("merge") == (0, 0, 0, 0, 1, 0, 0, 0)
-    assert labels.stream("transformation") == (0, 0, 0, 0, 0, 1, 1, 0)
-    assert labels.stream("detection") == (0, 1, 1, 1, 1, 1, 1, 1)
-    type_streams = [labels.stream(n) for n in BINARY_STREAMS if n != "detection"]
+    assert streams(labels)["deletion"] == [0, 1, 0, 0, 0, 0, 0, 0]
+    assert streams(labels)["insertion"] == [0, 0, 1, 0, 0, 0, 0, 0]
+    assert streams(labels)["substitution"] == [0, 0, 0, 1, 0, 0, 0, 0]
+    assert streams(labels)["merge"] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert streams(labels)["transformation"] == [0, 0, 0, 0, 0, 1, 1, 0]
+    assert streams(labels)["detection"] == [0, 1, 1, 1, 1, 1, 1, 1]
+    type_streams = [streams(labels)[n] for n in BINARY_STREAMS if n != "detection"]
     # detection is the OR of the type streams except at UNKNOWN positions
     for i in range(len(tags) - 1):
-        assert labels.stream("detection")[i] == max(s[i] for s in type_streams)
+        assert streams(labels)["detection"][i] == max(s[i] for s in type_streams)
     # UNKNOWN: detected but typeless
-    assert labels.stream("detection")[-1] == 1
+    assert streams(labels)["detection"][-1] == 1
     assert all(s[-1] == 0 for s in type_streams)
 
 
@@ -82,7 +83,7 @@ def test_at_most_one_type_stream_active():
     labels = derive_labels(["w"] * 4, tags)
     type_streams = ("deletion", "insertion", "substitution", "merge", "transformation")
     for i in range(4):
-        assert sum(labels.stream(n)[i] for n in type_streams) <= 1
+        assert sum(streams(labels)[n][i] for n in type_streams) <= 1
 
 
 def test_length_mismatch_rejected():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gecedit.cli import main
 from gecedit.edit2seq import edit2seq, refine
-from gecedit.labels import BINARY_STREAMS, derive_labels
+from gecedit.labels import BINARY_STREAMS, derive_labels, streams
 from gecedit import tagger
 from gecedit.noiser import NoiseProfile, Noiser
 from gecedit.seq2edit import seq2edit
@@ -25,7 +25,6 @@ from gecedit.tagger import (
     ScatterPlan,
     TrainingDivergedError,
     _hash_feature,
-    forward,
     gradient_check,
     grad_total_loss,
     head_losses,
@@ -69,6 +68,12 @@ def tiny_batch(small_tagset):
         (tokens1, derive_labels(tokens1, edits1)),
         (tokens2, derive_labels(tokens2, edits2)),
     ]
+
+
+def forward(model, tokens):
+    """Each head's probabilities for one sentence's tokens, a row per token."""
+    probs = model.split(tagger._probs(model, model.encoder.encode([tokens])))
+    return {name: p.T for name, p in probs.items()}
 
 
 def seeded_model(small_tagset, dim=48, lam=0.5, heads=7, seed=0):
@@ -301,7 +306,7 @@ class TestGradients:
 
     def test_lambda_zero_zeroes_aux_gradients(self, small_tagset):
         model = seeded_model(small_tagset, lam=0.0)
-        grads = grad_total_loss(model, tiny_batch(small_tagset))
+        grads = model.split(grad_total_loss(model, tiny_batch(small_tagset)))
         for name in BINARY_STREAMS:
             assert np.all(grads[name] == 0.0)
         assert np.any(grads["correction"] != 0.0)
@@ -310,7 +315,7 @@ class TestGradients:
         batch = tiny_batch(small_tagset)
         model = MultiHeadModel(small_tagset, FeatureEncoder(dim=64), lam=0.5)
         train(model, batch, epochs=300, lr=1.0, seed=0)
-        grads = grad_total_loss(model, batch)
+        grads = model.split(grad_total_loss(model, batch))
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert norm < 0.05
 
@@ -413,22 +418,22 @@ def reference_probs(W, enc):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reference_labels(model, name, labels):
+def reference_labels(model, name, tags):
     if name == "correction":
-        return np.asarray([model.tagset.id_of(t) for t in labels.correction], dtype=np.int64)
-    return np.asarray(labels.stream(name), dtype=np.int64)
+        return np.asarray([model.tagset.id_of(t) for t in tags], dtype=np.int64)
+    return np.asarray(streams(tags)[name], dtype=np.int64)
 
 
 def reference_head_losses(model, weights, batch):
     """Per-head mean cross-entropy from a dict of per-head matrices, head by head."""
     sums = {name: 0.0 for name in model.head_names}
     total = 0
-    for tokens, labels in batch:
+    for tokens, tags in batch:
         enc = model.encoder.encode([tokens])
         total += enc.n_tokens
         for name in model.head_names:
             probs = reference_probs(weights[name], enc)
-            y = reference_labels(model, name, labels)
+            y = reference_labels(model, name, tags)
             picked = np.clip(probs[np.arange(enc.n_tokens), y], _CLIP, None)
             sums[name] += float(-np.log(picked).sum())
     return {name: s / total for name, s in sums.items()}
@@ -438,8 +443,8 @@ def reference_train(model, weights, dataset, epochs, lr, seed):
     """Train a dict of per-head matrices in place with one Adagrad update per head and sentence."""
     encoded = [model.encoder.encode([tokens]) for tokens, _ in dataset]
     label_ids = [
-        {name: reference_labels(model, name, labels) for name in model.head_names}
-        for _, labels in dataset
+        {name: reference_labels(model, name, tags) for name in model.head_names}
+        for _, tags in dataset
     ]
     accum = {name: np.zeros_like(W) for name, W in weights.items()}
     rng = np.random.default_rng(seed)

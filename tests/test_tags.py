@@ -213,10 +213,10 @@ def test_one_pass_parse_matches_edit_tag_parse(lines, origin):
     assert tagset.names == tuple(lines)
     assert tagset._index == ids
     assert tagset.keep_id == ids["$KEEP"]
-    assert "tags" not in vars(tagset)  # parsed on first use only
-    assert tagset.tags == tags
-    assert [type(t) for t in tagset.tags] == [EditTag] * len(tags)
-    assert [t.render() for t in tagset.tags] == list(tagset.names)
+    assert not tagset._parsed  # parsed on first use only
+    assert tuple(tagset) == tags
+    assert [type(t) for t in tagset] == [EditTag] * len(tags)
+    assert [t.render() for t in tagset] == list(tagset.names)
     for tag in tags:
         if tag.family in (TagFamily.APPEND, TagFamily.REPLACE):
             assert f"${tag.family.value}_{tag.payload}" in tagset
@@ -228,7 +228,7 @@ def test_load_tagset_parses_the_bundled_file_as_edit_tag_parse_does():
     tags, ids = reference_tagset(lines)
     tagset = load_tagset(path)
     assert tagset.names == tuple(lines) and tagset._index == ids
-    assert tagset.tags == tags
+    assert tuple(tagset) == tags
 
 
 def test_tag_of_parses_only_the_ids_asked_for():
@@ -236,6 +236,5 @@ def test_tag_of_parses_only_the_ids_asked_for():
     asked = [len(tagset) - 1, 0, 7, 0]
     assert [tagset.tag_of(i) for i in asked] == [EditTag.parse(tagset.names[i]) for i in asked]
     assert sorted(tagset._parsed) == [0, 7, len(tagset) - 1]
-    assert "tags" not in vars(tagset)
     assert [tagset.tag_of(i) for i in range(len(tagset))] == list(map(EditTag.parse, tagset.names))
-    assert tagset.tags == tuple(map(EditTag.parse, tagset.names)) == tuple(tagset)
+    assert tuple(tagset) == tuple(map(EditTag.parse, tagset.names))

@@ -24,10 +24,8 @@ DATA = REPO / "src" / "gecedit" / "data"
 sys.path.insert(0, str(REPO / "src"))
 
 from gecedit.lexicon import PATTERN_FILES, Lexicon  # noqa: E402
-from gecedit.noiser import OPERATIONS  # noqa: E402
-from gecedit.transforms import pluralize  # noqa: E402
-
-VOWELS = "aeiou"
+from gecedit.noiser import OPERATIONS, literal_ly_safe, literal_suffix_safe  # noqa: E402
+from gecedit.transforms import VOWELS, pluralize  # noqa: E402
 
 # --------------------------------------------------------------------------
 # Verbs
@@ -586,16 +584,10 @@ def build_wordlist(verbs: dict) -> list[str]:
     for singular, plural in IRREGULAR_PLURALS:
         push([singular, plural])
     push(ADJECTIVES)
-    safe = [
-        a
-        for a in ADJECTIVES
-        if len(a) >= 3
-        and a[-1] not in "ey"
-        and not (a[-3] not in VOWELS and a[-2] in VOWELS and a[-1] not in VOWELS and a[-1] not in "wxy")
-    ]
+    safe = [a for a in ADJECTIVES if literal_suffix_safe(a)]
     push(a + "er" for a in safe)
     push(a + "est" for a in safe)
-    push(a + "ly" for a in ADJECTIVES if not a.endswith("y") and not a.endswith("ly"))
+    push(a + "ly" for a in ADJECTIVES if literal_ly_safe(a))
     push(ADVERBS)
     push(NUMBER_WORDS)
     return ranked
