@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="head count; like --lambda it reaches predictions only through "
         "predict --min-error-prob",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "at least 0"), default=0)
     p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--lr", type=_positive_float, default=0.5)
     p.add_argument(

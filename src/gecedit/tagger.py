@@ -16,7 +16,6 @@ import json
 import math
 import os
 import stat
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
@@ -181,15 +180,10 @@ class EncodedBlock:
     def n_tokens(self) -> int:
         return len(self.starts)
 
-    def bounds(self) -> tuple[list[int], list[int]]:
-        """Where each sentence starts, and where the last one ends: in tokens,
-        and in entries of ``idx``."""
-        tokens = [0, *accumulate(self.lengths.tolist())]
-        return tokens, np.append(self.starts, self.idx.size)[tokens].tolist()
-
     def sentences(self) -> list["EncodedBlock"]:
         """Each sentence's own record, over views of this block's arrays."""
-        tokens, cols = self.bounds()
+        tokens = [0, *accumulate(self.lengths.tolist())]  # where each sentence starts
+        cols = np.append(self.starts, self.idx.size)[tokens].tolist()  # in entries of idx
         starts = self.starts - np.repeat(cols[:-1], self.lengths)
         tok_of = self.tok_of - np.repeat(tokens[:-1], np.diff(cols))
         return [
@@ -287,51 +281,47 @@ def _softmax(z: np.ndarray, axis: int, lone: Sequence[int] = ()) -> np.ndarray:
 
 
 # The elements (weight rows x columns) of the largest array that predicting a
-# block makes, or of one sentence's if that is larger: a cut's gather of weight
-# columns, and a decode run's probabilities, a column per token.  0.5 MB: 550
-# columns of a 119-row model (a ~100-tag tagset) and 13 of one with the bundled
-# 5,019 tags, so that such a model gathers and decodes a sentence at a time.  A
-# constant, not a setting.
+# block makes: a run's gather of weight columns, or one token's if that is
+# larger, and a decode run's probabilities, a column per token, or one
+# sentence's if that is larger.  0.5 MB: 550 columns of a 119-row model (a
+# ~100-tag tagset) and 13 of one with the bundled 5,019 tags.  Not a setting.
 _ARRAY_ELEMENTS = 1 << 16
 
 
-def _cuts(enc: EncodedBlock, rows: int) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The forward pass's cuts of a block: runs of whole sentences whose gather
-    of ``rows`` weight rows holds at most ``_ARRAY_ELEMENTS`` elements, or one
-    sentence that holds more, as (first token, end token, the cut's ``idx``,
-    its ``starts``)."""
-    if len(enc.lengths) == 1:
-        return [(0, enc.n_tokens, enc.idx, enc.starts)]
-    width = max(1, _ARRAY_ELEMENTS // rows)
-    tokens, cols = enc.bounds()
-    cuts, k = [], 0
-    while k < len(enc.lengths):
-        e = max(k + 1, bisect_right(cols, cols[k] + width) - 1)
-        a, b = tokens[k], tokens[e]
-        if a < b:
-            cuts.append((a, b, enc.idx[cols[k] : cols[e]], enc.starts[a:b] - cols[k]))
-        k = e
-    return cuts
+def _runs(ends: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """Runs of consecutive tokens, as (first, end) tokens, whose feature
+    entries number at most ``width``, or one token that has more; ``ends[t]`` is
+    the entry after token t's last."""
+    runs, a, first = [], 0, 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(ends, first + width, "right")))
+        runs.append((a, b))
+        a, first = b, int(ends[b - 1])
+    return runs
 
 
 def _probs(model: MultiHeadModel, enc: EncodedBlock) -> np.ndarray:
     """Per-head probabilities of every token of a block: (weight rows, tokens).
-    Each cut's logits (every row of the weights for every token of the cut)
-    are one gather and one ``reduceat``; its correction block is normalised
-    along its slow axis, where NumPy sums in row order (see ``_sums``)."""
+    A token's logits are its own ``reduceat`` segment of gathered weight columns,
+    gathered in ``_runs`` of tokens; each head is normalised once, the correction
+    block along its slow axis, where NumPy sums in row order (see ``_sums``)."""
     W = model.weights
     top = int(enc.idx.max()) if enc.idx.size else -1
     if top >= W.shape[1]:
         raise ValueError(f"feature index {top} out of range for weights of dimension {W.shape[1]}")
-    n, lone, cuts = len(model.tagset), enc.lone(), _cuts(enc, W.shape[0])
-    z = None if len(cuts) == 1 else np.empty((W.shape[0], enc.n_tokens))
-    for a, b, idx, starts in cuts:
-        zc = np.add.reduceat(W[:, idx], starts, axis=1)
-        _softmax(zc[:n], 0, [t - a for t in lone if a <= t < b])
-        _softmax(zc[n:].reshape(len(model.aux_heads), 2, b - a), 1)
-        if z is None:  # one cut: its array is the block's, with no copy
-            return zc
-        z[:, a:b] = zc
+    width = max(1, _ARRAY_ELEMENTS // W.shape[0])
+    if enc.idx.size <= width:  # one run: its sums are the array, with no copy
+        z = np.add.reduceat(W[:, enc.idx], enc.starts, axis=1)
+    else:
+        z = np.empty((W.shape[0], enc.n_tokens))
+        ends = np.append(enc.starts[1:], enc.idx.size)
+        for a, b in _runs(ends, width):
+            first = enc.starts[a]
+            idx = enc.idx[first : ends[b - 1]]  # W[:, idx] stays a temporary: one gather at a time
+            z[:, a:b] = np.add.reduceat(W[:, idx], enc.starts[a:b] - first, axis=1)
+    n = len(model.tagset)
+    _softmax(z[:n], 0, enc.lone())
+    _softmax(z[n:].reshape(len(model.aux_heads), 2, enc.n_tokens), 1)
     return z
 
 
@@ -641,9 +631,10 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
 
     Raises ``ValueError`` when the header lacks a key or holds a value of the
     wrong type, when its arrays are not the heads and shapes of the model it
-    describes, or when weight data is missing or follows the last array.  When
-    the path is a regular file, missing data is found from its size before the
-    weights are allocated; a pipe is read until it ends.
+    describes, when weight data is missing or follows the last array, or when a
+    weight is not finite.  When the path is a regular file, missing data is
+    found from its size before the weights are allocated; a pipe is read until
+    it ends.
     """
     with open(path, "rb") as fp:
         info = os.fstat(fp.fileno())
@@ -699,7 +690,12 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
             raw = fp.read((b - a) * encoder.dim * 8)
             if len(raw) != (b - a) * encoder.dim * 8:
                 raise ValueError(truncated)
-            model.weights[a:b] = np.frombuffer(raw, dtype="<f8").reshape(b - a, encoder.dim)
+            block = np.frombuffer(raw, dtype="<f8").reshape(b - a, encoder.dim)
+            if not np.isfinite(block).all():
+                row = a + int(np.isfinite(block).all(axis=1).argmin())
+                name = next(k for k, r in model.split(np.arange(rows)).items() if row in r)
+                raise ValueError(f"{path}: weight array {name!r} holds a non-finite weight")
+            model.weights[a:b] = block
         if fp.read(1):
             raise ValueError(f"{path}: trailing bytes after the last weight array")
     return model

@@ -562,6 +562,14 @@ def _predict_bogus_header_tag(d):
     return argv
 
 
+def _predict_nan_weight(d):
+    argv = _predict()(d)
+    model = MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16))
+    model.weights[0, 0] = np.nan
+    save_model(model, d / "model.bin")
+    return argv
+
+
 def _apply_edits(edits):
     return lambda d: ["apply", "--src", _write(d / "s.txt", "a b\n"),
                       "--edits", _write(d / "e.txt", edits), "--out", str(d / "o.txt")]
@@ -632,6 +640,8 @@ def _noise_edit_dict(d):
         (_train(_LABEL + "\n", "--lr", "-1"), 1, "argument --lr: must be greater than 0"),
         (_train(_LABEL + "\n", "--lr", "0"), 1, "argument --lr: must be greater than 0"),
         (_train(_LABEL + "\n", "--dim", "1"), 1, "argument --dim: must be at least 2, got 1"),
+        # the data is malformed, so exit 1 shows it is not read
+        (_train("[1, 2]\n", "--seed", "-1"), 1, "argument --seed: must be at least 0, got -1"),
         # 38 x 10**14 float64 weights exceed any address space, so nothing is allocated
         (_train(_LABEL + "\n", "--dim", str(10**14)), 2,
          f"--dim {10**14}: cannot allocate the 38 x {10**14} weight matrix"),
@@ -642,6 +652,7 @@ def _noise_edit_dict(d):
          "p.profile:2: edit_dict 'nowhere.tsv' is not a file"),
         (_predict_bogus_header_tag, 2,
          "model.bin: model header 'tags':4: unknown tag family in '$BOGUS_x'"),
+        (_predict_nan_weight, 2, "model.bin: weight array 'correction' holds a non-finite weight"),
         (_predict(), 2, "model.bin:1: not a model file"),
         (_predict("\xff\n"), 2, "model.bin:1: not a model file"),
         (_predict("x", "--iters", "0"), 1, "argument --iters: must be at least 1"),
@@ -668,9 +679,11 @@ def _noise_edit_dict(d):
          "train-token-with-space", "train-empty-token", "train-diverges",
          "train-optimizer-removed", "train-epochs-0",
          "train-lr-nan", "train-lambda-inf", "train-lambda-above-1", "train-lambda-negative",
-         "train-lr-negative", "train-lr-zero", "train-dim-1", "train-dim-unallocatable",
+         "train-lr-negative", "train-lr-zero", "train-dim-1", "train-seed-negative",
+         "train-dim-unallocatable",
          "noise-edit-dict-line", "noise-token-dict-without-dictionary", "noise-edit-dict-missing",
-         "predict-header-tag", "predict-not-model", "predict-not-utf8", "predict-iters-0",
+         "predict-header-tag", "predict-nan-weight", "predict-not-model", "predict-not-utf8",
+         "predict-iters-0",
          "predict-keep-bias-nan", "predict-keep-bias-minus-1", "predict-keep-bias-minus-2",
          "predict-min-error-prob-inf", "predict-min-error-prob-above-1",
          "predict-min-error-prob-negative", "score-empty-source", "score-empty-source-f05",
@@ -834,9 +847,10 @@ def test_each_command_state_survives_pickling(workdir, trained_model, monkeypatc
 
     monkeypatch.setattr(cli, "_map_ordered", record)
     pairs, src = str(workdir / "pairs.tsv"), workdir / "src.txt"
-    src.write_text("".join(line.split("\t")[0] + "\n" for line in open(pairs)))
+    sources = [line.split("\t")[0] for line in Path(pairs).read_text().splitlines()]
+    src.write_text("".join(s + "\n" for s in sources))
     edits = workdir / "edits.txt"
-    edits.write_text("".join(" ".join(["$KEEP"] * len(line.split())) + "\n" for line in open(src)))
+    edits.write_text("".join(" ".join(["$KEEP"] * len(s.split())) + "\n" for s in sources))
     tail = ["--workers", "2"]
     for argv in (
         ["tag", "--src-tgt", pairs, "--tagset", str(workdir / "small.tagset"),
@@ -954,7 +968,7 @@ def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, 
 def _three_block_inputs(workdir):
     """Source, edits, hypothesis and reference files of 360 lines, three ``_CHUNK``
     blocks, from the trained model's labeled corpus."""
-    records = [json.loads(line) for line in open(workdir / "labels.jsonl")] * 3
+    records = [json.loads(line) for line in (workdir / "labels.jsonl").read_text().splitlines()] * 3
     targets = [line.split("\t")[1] for line in (workdir / "pairs.tsv").read_text().splitlines()] * 3
     assert 2 * cli._CHUNK < len(records) <= 3 * cli._CHUNK
     sources = [" ".join(r["tokens"]) for r in records]
@@ -1028,7 +1042,8 @@ def test_predict_memo_stays_within_its_bound(workdir, trained_model, monkeypatch
     ``_CHUNK`` lines, where it empties inside an encode call, and in blocks of
     one line, where it is sampled after every sentence's pass as well."""
     # a token of its own on each line, so the input's vocabulary outgrows the bound
-    sources = [" ".join(json.loads(line)["tokens"]) for line in open(workdir / "labels.jsonl")] * 3
+    labels = (workdir / "labels.jsonl").read_text().splitlines()
+    sources = [" ".join(json.loads(line)["tokens"]) for line in labels] * 3
     src = _write(workdir / "src3.txt", "".join(f"{s} line{n}\n" for n, s in enumerate(sources)))
     argv = ["predict", "--model", str(trained_model), "--in", src, "--workers", "1"]
     assert main([*argv, "--out", str(workdir / "unbounded.txt")]) == 0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -695,7 +696,7 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("cut", [1, 3, 40, None, 10**9])
     def test_block_probs_and_tags_equal_each_sentence_alone(self, monkeypatch, cut):
-        """``cut`` is the gathered columns per cut and the tokens per decode run
+        """``cut`` is the gathered columns per run and the tokens per decode run
         (None: the module's bound)."""
         model = block_model()
         weights = {name: W.copy() for name, W in model.W.items()}
@@ -718,25 +719,50 @@ class TestBlockPath:
         assert any(gated) and not all(gated)
 
     @pytest.mark.parametrize("rows", [1, 119, 5031])
-    def test_cuts_bound_the_gathered_elements(self, rows):
-        """The cuts cover the block in order; each is a run of whole sentences
-        whose gather of ``rows`` weight rows stays within ``_ARRAY_ELEMENTS``, or
-        one sentence."""
+    def test_runs_bound_the_gathered_elements(self, rows):
+        """The runs cover the block's tokens in order, across sentence bounds;
+        each gathers at most ``_ARRAY_ELEMENTS`` elements of ``rows`` weight rows,
+        or one token, and would not with the next token too."""
+        enc = block_model().encoder.encode([line.split() for line in block_lines()])
+        ends = np.append(enc.starts[1:], enc.idx.size)
+        runs = tagger._runs(ends, max(1, tagger._ARRAY_ELEMENTS // rows))
+        assert [a for a, _ in runs] == [0, *(b for _, b in runs[:-1])]
+        assert runs[-1][1] == enc.n_tokens
+        for a, b in runs:
+            assert (ends[b - 1] - enc.starts[a]) * rows <= tagger._ARRAY_ELEMENTS or b - a == 1
+            if b < enc.n_tokens:
+                assert (ends[b] - enc.starts[a]) * rows > tagger._ARRAY_ELEMENTS
+        if rows == 1:
+            assert runs == [(0, enc.n_tokens)]
+        else:  # some run ends inside a sentence
+            assert {b for _, b in runs} - set(np.cumsum(enc.lengths).tolist())
+
+    @pytest.mark.parametrize("cut", [1, 3, 40])
+    def test_one_long_sentence_is_gathered_in_runs(self, monkeypatch, cut):
+        """``cut`` is the gathered columns per run."""
         model = block_model()
-        enc = model.encoder.encode([line.split() for line in block_lines()])
-        tokens, _ = enc.bounds()
-        sentences = set(zip(tokens, tokens[1:]))
-        entry = np.append(enc.starts, enc.idx.size)  # each token's first entry of idx
-        cuts = tagger._cuts(enc, rows)
-        assert [a for a, *_ in cuts] == [0, *(b for _, b, *_ in cuts[:-1])]
-        assert cuts[-1][1] == enc.n_tokens
-        for a, b, idx, starts in cuts:
-            assert a in tokens and b in tokens
-            assert idx.size * rows <= tagger._ARRAY_ELEMENTS or (a, b) in sentences
-            assert idx.tobytes() == enc.idx[entry[a] : entry[b]].tobytes()
-            assert starts.tobytes() == (enc.starts[a:b] - entry[a]).tobytes()
-        if rows == 5031:  # a bundled-tagset model gathers one sentence per cut
-            assert len(cuts) == np.count_nonzero(enc.lengths)
+        words = ["He", "lives", "at", "the", "city", "She", "works", "in", "a", "err", "zap"]
+        tokens = np.random.default_rng(3).choice(words, size=90).tolist()
+        enc = model.encoder.encode([tokens])
+        monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", 10**9)
+        whole = tagger._probs(model, enc)
+        monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", cut * model.weights.shape[0])
+        assert tagger._probs(model, enc).tobytes() == whole.tobytes()
+
+    def test_long_sentence_peak_memory_is_bounded(self):
+        """A long sentence's forward pass holds its probabilities and at most
+        one run's gather and sums beside them."""
+        tags = ["$KEEP", "$DELETE", "$UNKNOWN", *(f"$APPEND_w{k}" for k in range(985))]
+        model = seeded_model(TagSet(tags), dim=64)
+        assert model.weights.shape[0] == 1000
+        enc = model.encoder.encode([[f"w{k % 50}" for k in range(300)]])
+        tracemalloc.start()
+        try:
+            probs = tagger._probs(model, enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes + 2 * tagger._ARRAY_ELEMENTS * 8
 
     @pytest.mark.parametrize("tokens", [1, 5, 40, None])
     def test_decode_runs_bound_the_probabilities(self, monkeypatch, tokens):
@@ -873,6 +899,19 @@ class TestLoadModelValidation:
         rewrite_model(saved, tail=b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing bytes"):
             load_model(saved)
+
+    @pytest.mark.parametrize("head, row, col", [("correction", None, None), ("detection", 1, 5)])
+    def test_non_finite_weight_rejected(self, small_tagset, tmp_path, head, row, col):
+        """All weights NaN, or one ``inf``: the error names the file and the array."""
+        model = seeded_model(small_tagset, dim=16)
+        if row is None:
+            model.weights[...] = np.nan
+        else:
+            model.W[head][row, col] = np.inf
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=f"m.bin: weight array '{head}' holds a non-finite"):
+            load_model(path)
 
     def test_truncated_weights_rejected(self, saved):
         saved.write_bytes(saved.read_bytes()[:-8])

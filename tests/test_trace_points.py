@@ -58,7 +58,7 @@ def test_traced_pipeline_records_every_span(tmp_path, monkeypatch):
 
         run("noise", "--in", str(tmp_path / "clean.txt"), "--profile", str(tmp_path / "p.profile"),
             "--out", pairs, *flags["one"])
-        lines = [line.split("\t") for line in open(pairs, encoding="utf-8").read().splitlines()]
+        lines = [line.split("\t") for line in Path(pairs).read_text(encoding="utf-8").splitlines()]
         src.write_text("".join(s + "\n" for s, _ in lines))
         ref.write_text("".join(t + "\n" for _, t in lines))
         run("tag", "--src-tgt", pairs, "--out", str(tmp_path / "labels.jsonl"), *flags["tagset"],
