@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -463,17 +463,30 @@ class Noiser:
         n = self._ngram_sizes(rng, len(st.tokens))
         if n is None:
             return False
-        windows = [st.tokens[p : p + n] for p in range(len(st.tokens) - n + 1)]
-        pairs = [
-            (p, q)
-            for p, here in enumerate(windows)
-            if st.window_free(p, n)
-            for q, there in enumerate(windows)
-            if abs(p - q) >= n and here != there
-        ]
-        if not pairs:
+        # The pairs (p, q) are every free window p and every window q at least n
+        # away that differs from it, in (p, q) order.  They are counted per p,
+        # not listed, and drawn with the call ``rng.choice(pairs)`` would make.
+        m = len(st.tokens) - n + 1
+        windows = [tuple(st.tokens[p : p + n]) for p in range(m)]
+        at: dict[tuple[str, ...], list[int]] = {}  # each window -> its positions, ascending
+        for p, window in enumerate(windows):
+            at.setdefault(window, []).append(p)
+        free = [p for p in range(m) if st.window_free(p, n)]
+        counts = []
+        for p in free:
+            same = at[windows[p]]
+            far = max(0, p - n + 1) + max(0, m - p - n)  # the q at distance >= n
+            equal = bisect_right(same, p - n) + len(same) - bisect_left(same, p + n)  # and equal
+            counts.append(far - equal)
+        cumulative = list(accumulate(counts))
+        if not cumulative or not cumulative[-1]:
             return False
-        p, q = rng.choice(pairs)
+        k = rng.randrange(cumulative[-1])
+        i = bisect_right(cumulative, k)
+        p = free[i]
+        k -= cumulative[i] - counts[i]  # the pair's rank among p's
+        pairs = (q for q in range(m) if abs(p - q) >= n and windows[q] != windows[p])
+        q = next(islice(pairs, k, None))
         st.replace_span(p, windows[q])
         return True
 

@@ -17,7 +17,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
@@ -180,20 +180,21 @@ class EncodedBlock:
     def n_tokens(self) -> int:
         return len(self.starts)
 
-    def sentences(self) -> list["EncodedBlock"]:
-        """Each sentence's own record, over views of this block's arrays."""
-        tokens = [0, *accumulate(self.lengths.tolist())]  # where each sentence starts
+    def split(self, runs: Sequence[tuple[int, int]]) -> list["EncodedBlock"]:
+        """Each run's record, viewing this block's arrays; ``runs`` cover its sentences in order."""
+        edges = [0, *(b for _, b in runs)]
+        tokens = np.append(0, np.cumsum(self.lengths))[edges].tolist()  # where each run starts
         cols = np.append(self.starts, self.idx.size)[tokens].tolist()  # in entries of idx
-        starts = self.starts - np.repeat(cols[:-1], self.lengths)
+        starts = self.starts - np.repeat(cols[:-1], np.diff(tokens))
         tok_of = self.tok_of - np.repeat(tokens[:-1], np.diff(cols))
         return [
             EncodedBlock(
                 self.idx[cols[k] : cols[k + 1]],
                 starts[tokens[k] : tokens[k + 1]],
                 tok_of[cols[k] : cols[k + 1]],
-                self.lengths[k : k + 1],
+                self.lengths[a:b],
             )
-            for k in range(len(self.lengths))
+            for k, (a, b) in enumerate(runs)
         ]
 
     def lone(self) -> list[int]:
@@ -281,17 +282,17 @@ def _softmax(z: np.ndarray, axis: int, lone: Sequence[int] = ()) -> np.ndarray:
 
 
 # The elements (weight rows x columns) of the largest array that predicting a
-# block makes: a run's gather of weight columns, or one token's if that is
-# larger, and a decode run's probabilities, a column per token, or one
+# block or its loss makes: a run's gather of weight columns, or one token's if
+# that is larger, and a run's probabilities, a column per token, or one
 # sentence's if that is larger.  0.5 MB: 550 columns of a 119-row model (a
 # ~100-tag tagset) and 13 of one with the bundled 5,019 tags.  Not a setting.
 _ARRAY_ELEMENTS = 1 << 16
 
 
 def _runs(ends: np.ndarray, width: int) -> list[tuple[int, int]]:
-    """Runs of consecutive tokens, as (first, end) tokens, whose feature
-    entries number at most ``width``, or one token that has more; ``ends[t]`` is
-    the entry after token t's last."""
+    """Runs of consecutive items, as (first, end) items, whose entries number at
+    most ``width``, or one item that has more; ``ends[i]`` is the entry after item
+    i's last.  Items are tokens with feature entries, or sentences with tokens."""
     runs, a, first = [], 0, 0
     while a < len(ends):
         b = max(a + 1, int(np.searchsorted(ends, first + width, "right")))
@@ -323,6 +324,13 @@ def _probs(model: MultiHeadModel, enc: EncodedBlock) -> np.ndarray:
     _softmax(z[:n], 0, enc.lone())
     _softmax(z[n:].reshape(len(model.aux_heads), 2, enc.n_tokens), 1)
     return z
+
+
+def _run_probs(model: MultiHeadModel, enc: EncodedBlock):
+    """Each run of a block's whole sentences, with its ``_probs`` (see ``_ARRAY_ELEMENTS``)."""
+    width = max(1, _ARRAY_ELEMENTS // model.weights.shape[0])
+    for run in enc.split(_runs(np.cumsum(enc.lengths), width)):
+        yield run, _probs(model, run)
 
 
 Batch = Sequence[tuple[Sequence[str], Sequence[EditTag]]]
@@ -378,7 +386,7 @@ class ScatterPlan:
         return out
 
 
-Encoded = list[tuple[EncodedBlock, np.ndarray, ScatterPlan]]
+Encoded = tuple[list[EncodedBlock], list[tuple[EncodedBlock, np.ndarray, ScatterPlan]]]
 
 
 # Sentences per ``encode`` call when a dataset is encoded, which bounds the
@@ -387,36 +395,41 @@ _ENCODE_SENTENCES = 128
 
 
 def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
-    """Encode each sentence, with the weight row of each head's gold label per
-    token and the plan that scatters its gradient."""
+    """Each encoded block's record, and each sentence's with the weight row of
+    each head's gold label per token and the plan that scatters its gradient."""
+    n = len(model.tagset)
+    binary = streams(list(model.tagset))
+    rows = np.asarray([range(n), *(binary[name] for name in model.aux_heads)], dtype=np.int64)
+    rows[1:] += n + 2 * np.arange(len(model.aux_heads))[:, None]  # each head's gold row per tag
     golds = []
     for tokens, tags in batch:
         if len(tags) != len(tokens):
             raise ValueError("labels and tokens are misaligned")
-        gold = [[model.tagset.id_of(t) for t in tags]]
-        binary = streams(tags)
-        for j, name in enumerate(model.aux_heads):
-            gold.append([len(model.tagset) + 2 * j + y for y in binary[name]])
-        golds.append(np.asarray(gold, dtype=np.int64))
-    encs = []
-    for k in range(0, len(batch), _ENCODE_SENTENCES):
-        block = [tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]]
-        encs += model.encoder.encode(block).sentences()
-    return list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
+        ids = np.fromiter(map(model.tagset.id_of, tags), np.int64)
+        golds.append(rows.take(ids, axis=1))  # C order: an F-order pick sums its rows otherwise
+    blocks = [
+        model.encoder.encode([tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]])
+        for k in range(0, len(batch), _ENCODE_SENTENCES)
+    ]
+    encs = [enc for b in blocks for enc in b.split([(s, s + 1) for s in range(len(b.lengths))])]
+    return blocks, list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
 
 
 def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[str, float]:
     """Mean token-level cross-entropy per head over the whole batch."""
-    if encoded is None:
-        encoded = _encode_batch(model, batch)
-    if not encoded:
+    blocks, sentences = _encode_batch(model, batch) if encoded is None else encoded
+    if not sentences:
         raise ValueError("empty batch")
+    golds = (gold for _, gold, _ in sentences)
     sums = np.zeros(len(model.head_names))
     total = 0
-    for enc, gold, _ in encoded:
-        total += enc.n_tokens
-        picked = _probs(model, enc)[gold, np.arange(enc.n_tokens)]
-        sums += (-np.log(np.clip(picked, _CLIP, None))).sum(axis=1)
+    for block in blocks:
+        for run, probs in _run_probs(model, block):
+            ends = np.cumsum(run.lengths).tolist()
+            for a, b in zip([0, *ends], ends):  # a sentence at a time: a run's sum rounds otherwise
+                picked = probs[next(golds), np.arange(a, b)]
+                sums += (-np.log(np.clip(picked, _CLIP, None))).sum(axis=1)
+            total += run.n_tokens
     if total == 0:
         raise ValueError("batch contains no tokens")
     return {name: float(s) / total for name, s in zip(model.head_names, sums)}
@@ -452,13 +465,13 @@ def _sentence_grad(
 
 def grad_total_loss(model: MultiHeadModel, batch: Batch) -> np.ndarray:
     """Analytic gradient of total_loss, laid out like ``weights``."""
-    encoded = _encode_batch(model, batch)
-    if not encoded:
+    _, sentences = _encode_batch(model, batch)
+    if not sentences:
         raise ValueError("empty batch")
-    total = sum(enc.n_tokens for enc, _, _ in encoded)
+    total = sum(enc.n_tokens for enc, _, _ in sentences)
     scale = _row_weights(model) / total
     grad = np.zeros_like(model.weights)
-    for enc, gold, plan in encoded:
+    for enc, gold, plan in sentences:
         grad[:, plan.cols] += _sentence_grad(model, enc, gold, plan, scale)
     return grad
 
@@ -477,13 +490,13 @@ def train(
     """
     if not dataset:
         raise ValueError("empty dataset")
-    encoded = _encode_batch(model, dataset)
-    if any(enc.n_tokens == 0 for enc, _, _ in encoded):
+    _, sentences = encoded = _encode_batch(model, dataset)
+    if any(enc.n_tokens == 0 for enc, _, _ in sentences):
         raise ValueError("every training example needs at least one token")
     accum = np.zeros_like(model.weights)
     row_weights = _row_weights(model)
     rng = np.random.default_rng(seed)
-    order = np.arange(len(encoded))
+    order = np.arange(len(sentences))
     history: list[float] = []
     step = 0
     # A divergence overflows before the epoch-end loss reads NaN: report it once.
@@ -491,7 +504,7 @@ def train(
         for epoch in range(1, epochs + 1):
             rng.shuffle(order)
             for si in order:
-                enc, gold, plan = encoded[si]
+                enc, gold, plan = sentences[si]
                 step += 1
                 grad = _sentence_grad(model, enc, gold, plan, row_weights / enc.n_tokens)
                 cols = plan.cols
@@ -513,8 +526,7 @@ def predict_tags(
     min_error_prob: float = 0.0,
 ) -> list[list[EditTag]]:
     """Decode a block of sentences with the inference tweaks, from one encode
-    and one forward pass over each run of whole sentences whose probabilities
-    hold at most ``_ARRAY_ELEMENTS`` elements (or one sentence that holds more).
+    and the ``_run_probs`` of its runs of whole sentences.
 
     ``keep_bias`` (above -1) is added to the KEEP probability (post-softmax,
     then renormalized); if no token of a sentence has a detection-head error
@@ -523,29 +535,22 @@ def predict_tags(
     """
     if not keep_bias > -1.0:
         raise ValueError(f"keep_bias must be greater than -1, got {keep_bias}")
-    width = max(1, _ARRAY_ELEMENTS // model.weights.shape[0])
-    tags, run, size = [], [], 0
-    for tokens in sentences:
-        if run and size + len(tokens) > width:
-            tags += _decode(model, run, keep_bias, min_error_prob)
-            run, size = [], 0
-        run.append(tokens)
-        size += len(tokens)
-    return tags + _decode(model, run, keep_bias, min_error_prob)
+    tags = []
+    for run, probs in _run_probs(model, model.encoder.encode(sentences)):
+        tags += _decode(model, run, probs, keep_bias, min_error_prob)
+    return tags
 
 
 def _decode(
     model: MultiHeadModel,
-    sentences: Sequence[Sequence[str]],
+    enc: EncodedBlock,
+    probs: np.ndarray,
     keep_bias: float,
     min_error_prob: float,
 ) -> list[list[EditTag]]:
-    """``predict_tags`` over one run of sentences, all of its tokens at once."""
-    enc = model.encoder.encode(sentences)
-    if not enc.n_tokens:
-        return [[] for _ in sentences]
+    """The tags of one run's sentences, from its record and its ``_probs``."""
     keep_id = model.tagset.keep_id
-    head_probs = model.split(_probs(model, enc))
+    head_probs = model.split(probs)
     probs = head_probs["correction"]
     probs[keep_id] += keep_bias
     probs /= _sums(probs, 0, enc.lone())

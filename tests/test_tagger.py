@@ -158,7 +158,8 @@ class TestEncoderMemo:
         """One encoder over blocks of several sentences, in any order and
         repeated, with its memo bound so low that the memo empties mid-run,
         gives each position the sorted distinct hashes of its feature
-        strings, and each sentence's own record the arrays it has alone."""
+        strings, and each run of sentences that ``split`` cuts, runs that
+        cover the block in order, the arrays those sentences have alone."""
         encoder = FeatureEncoder(dim=dim)
         sentences = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=9), max_size=6))
         order = data.draw(st.permutations(sentences + sentences))
@@ -173,8 +174,12 @@ class TestEncoderMemo:
                 assert not flat or flat[-1] in encoder._memo
                 rows = [_feature_rows(encoder, tokens) for tokens in group]
                 _assert_encodes(enc, [r for rs in rows for r in rs], [len(t) for t in group])
-                for tokens, one, own in zip(group, enc.sentences(), rows, strict=True):
-                    _assert_encodes(one, own, [len(tokens)])
+                cut = data.draw(st.lists(st.booleans(), min_size=len(group) - 1, max_size=len(group) - 1))
+                ends = [k + 1 for k, c in enumerate(cut) if c] + [len(group)]
+                runs = list(zip([0, *ends], ends))
+                for (a, b), one in zip(runs, enc.split(runs), strict=True):
+                    own = [r for rs in rows[a:b] for r in rs]
+                    _assert_encodes(one, own, [len(tokens) for tokens in group[a:b]])
 
     def test_memo_empties_when_a_new_token_finds_it_full(self):
         encoder = FeatureEncoder(dim=64)
@@ -538,6 +543,41 @@ class TestMatchesPerHeadReference:
             save_model(model, tmp_path / "m.bin")
             assert (tmp_path / "m.bin").read_bytes() == reference_dump(model, weights)
 
+    @pytest.mark.parametrize("cut, block", [(1, None), (3, None), (40, None), (None, 3)])
+    def test_loss_runs_equal_the_per_sentence_reference(self, lexicon, patterns, monkeypatch, cut, block):
+        """Training and the loss give the per-sentence reference's bits for
+        any runs of sentences: ``cut`` is the probabilities' columns per run,
+        ``block`` the sentences per ``encode`` call.  The loss calls ``_probs``
+        once per run."""
+        ts = training_tagset(lexicon, patterns)
+        data = mixed_dataset(lexicon, ts, 1)
+        model = MultiHeadModel(ts, FeatureEncoder(dim=256), lam=0.3, heads=7)
+        weights = {name: np.zeros_like(W) for name, W in model.W.items()}
+        if cut is not None:
+            monkeypatch.setattr(tagger, "_ARRAY_ELEMENTS", cut * model.weights.shape[0])
+        if block is not None:
+            monkeypatch.setattr(tagger, "_ENCODE_SENTENCES", block)
+        history = train(model, data, epochs=2, lr=0.5, seed=1)
+        assert history == reference_train(model, weights, data, 2, 0.5, 1)
+        runs, real_probs = [], tagger._probs
+
+        def probs(m, enc):
+            runs.append(enc.lengths.tolist())
+            return real_probs(m, enc)
+
+        monkeypatch.setattr(tagger, "_probs", probs)
+        assert head_losses(model, data) == reference_head_losses(model, weights, data)
+        lengths = [len(tokens) for tokens, _ in data]
+        assert [n for run in runs for n in run] == lengths
+        width = max(1, tagger._ARRAY_ELEMENTS // model.weights.shape[0])
+        step = tagger._ENCODE_SENTENCES
+        blocks = [np.cumsum(lengths[k : k + step]) for k in range(0, len(lengths), step)]
+        assert len(runs) == sum(len(tagger._runs(ends, width)) for ends in blocks)
+        if cut == 1:
+            assert len(runs) == len(data)
+        elif cut is None:
+            assert len(runs) == len(blocks) < len(data)
+
     @pytest.mark.parametrize("heads", [5, 7])
     def test_predict_identical(self, lexicon, patterns, heads):
         ts = training_tagset(lexicon, patterns)
@@ -764,11 +804,28 @@ class TestBlockPath:
             tracemalloc.stop()
         assert peak < probs.nbytes + 2 * tagger._ARRAY_ELEMENTS * 8
 
+    @settings(max_examples=300, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 12), max_size=30), width=st.integers(1, 20))
+    def test_sentence_runs_are_the_greedy_cut(self, lengths, width):
+        """``_runs`` over sentence ends cuts a list of sentences as a greedy
+        loop does: a sentence joins the run unless the run holds a sentence and
+        would then hold more than ``width`` tokens."""
+        runs, run, size = [], [], 0
+        for k, n in enumerate(lengths):
+            if run and size + n > width:
+                runs.append((run[0], k))
+                run, size = [], 0
+            run.append(k)
+            size += n
+        if run:
+            runs.append((run[0], len(lengths)))
+        assert tagger._runs(np.cumsum(lengths, dtype=np.int64), width) == runs
+
     @pytest.mark.parametrize("tokens", [1, 5, 40, None])
     def test_decode_runs_bound_the_probabilities(self, monkeypatch, tokens):
-        """``predict_tags`` decodes runs of whole sentences of at most
-        ``_ARRAY_ELEMENTS`` probabilities, or one longer sentence, and each
-        sentence gets the tags it has alone."""
+        """``predict_tags`` encodes its sentences once and decodes runs of whole
+        sentences of at most ``_ARRAY_ELEMENTS`` probabilities, or one longer
+        sentence, and each sentence gets the tags it has alone."""
         model = block_model()
         weights = {name: W.copy() for name, W in model.W.items()}
         sentences = [line.split() for line in block_lines()]
@@ -779,17 +836,25 @@ class TestBlockPath:
             reference_predict_tags(model, weights, s, self.KEEP_BIAS, self.MIN_ERROR_PROB)
             for s in sentences
         ]
-        runs = []
-        encode = model.encoder.encode
-        monkeypatch.setattr(model.encoder, "encode", lambda run: runs.append(run) or encode(run))
+        blocks, runs = [], []
+        encode, decode = model.encoder.encode, tagger._decode
+        monkeypatch.setattr(model.encoder, "encode", lambda block: blocks.append(block) or encode(block))
+
+        def record(m, enc, probs, *args):
+            runs.append((enc, probs))
+            return decode(m, enc, probs, *args)
+
+        monkeypatch.setattr(tagger, "_decode", record)
         assert predict_tags(model, sentences, self.KEEP_BIAS, self.MIN_ERROR_PROB) == expected
-        assert [s for run in runs for s in run] == sentences
-        for run in runs:
-            assert sum(map(len, run)) * rows <= tagger._ARRAY_ELEMENTS or sum(map(bool, run)) == 1
+        assert blocks == [sentences]
+        assert [n for enc, _ in runs for n in enc.lengths.tolist()] == list(map(len, sentences))
+        for enc, probs in runs:
+            assert probs.shape == (rows, enc.n_tokens)
+            assert probs.size <= tagger._ARRAY_ELEMENTS or np.count_nonzero(enc.lengths) == 1
         if tokens is None:  # the default bound decodes a 128-line block of this model at once
             assert len(runs) == 1
         elif tokens == 1:
-            assert all(sum(map(bool, run)) <= 1 for run in runs)
+            assert all(np.count_nonzero(enc.lengths) <= 1 for enc, _ in runs)
 
     @pytest.mark.parametrize("cut", [1, 3, None])
     @pytest.mark.parametrize("iters", [1, 4])
