@@ -7,9 +7,11 @@ output is byte-identical for any worker count).  Each command loads and
 checks its shared inputs (tagset, lexicon, profile, model) before any worker
 starts, so a bad file fails the command once instead of inside every worker.
 
-``tag``, ``noise``, ``train-toy`` and ``score`` each print one JSON summary
-line on standard output: ``tag`` its tag-family histogram and UNKNOWN rate,
-``noise`` its realized operation counts.
+A line command's workers return ``(line, counts)`` per input line, and
+``_write_out`` writes the lines to ``--out`` in order and sums the counts.  A
+command returns its summary, which ``main`` prints as one sorted-keys JSON line
+on standard output (``tag`` its tag-family histogram and UNKNOWN rate,
+``noise`` its realized operation counts); ``apply`` and ``predict`` have none.
 
 Exit codes: 0 success; 1 usage error (a bad flag or flag value); 2 data
 error, with ``file:line`` in the message where the fault has a line; 3
@@ -150,6 +152,18 @@ def _each(func, block):
     return [func(item) for item in block]
 
 
+def _write_out(path, results) -> tuple[int, Counter]:
+    """Write the line of each ``(line, counts)`` result to ``path``, in order;
+    the number of lines and the sum of their counts."""
+    lines, counts = 0, Counter()
+    with open(path, "w", encoding="utf-8") as out:
+        for line, line_counts in results:
+            out.write(line + "\n")
+            counts.update(line_counts)
+            lines += 1
+    return lines, counts
+
+
 def _numbered_lines(path):
     for lineno, line in enumerate(text_lines(path), start=1):
         yield lineno, line.rstrip("\n")
@@ -171,24 +185,18 @@ def _tag_line(item):
     return to_json_line(src, derive_labels(src, edits)), [tag.family.value for tag in edits]
 
 
-def _cmd_tag(args) -> int:
+def _cmd_tag(args) -> dict:
     state = {
         "path": str(args.src_tgt),
         "tagset": load_tagset(args.tagset),
         "lexicon": load_lexicon(args.lexicon, args.plurals),
     }
     items = _numbered_lines(args.src_tgt)
-    families: Counter = Counter()
-    pairs = 0
-    with open(args.out, "w", encoding="utf-8") as out:
-        lines = _map_ordered(partial(_each, _tag_line), items, args.workers, state)
-        for line, line_families in lines:
-            out.write(line + "\n")
-            families.update(line_families)
-            pairs += 1
+    lines = _map_ordered(partial(_each, _tag_line), items, args.workers, state)
+    pairs, families = _write_out(args.out, lines)
     tokens = sum(families.values())
     edited = tokens - families["KEEP"]
-    report = {
+    return {
         "pairs": pairs,
         "tokens": tokens,
         "edited": edited,
@@ -196,8 +204,6 @@ def _cmd_tag(args) -> int:
         "unknown_rate": (families["UNKNOWN"] / edited) if edited else 0.0,
         "families": {fam.value: families[fam.value] for fam in TagFamily},
     }
-    print(json.dumps(report, sort_keys=True))
-    return EXIT_OK
 
 
 # -- apply -------------------------------------------------------------------
@@ -210,7 +216,7 @@ def _apply_line(item):
         out = edit2seq(tokenize(src_line), edits, _G["lexicon"])
     except ValueError as exc:
         raise DataError(f"{_G['edits_path']}:{lineno}: {exc}") from None
-    return detokenize(out)
+    return detokenize(out), ()
 
 
 def _paired_lines(src_path, edits_path):
@@ -222,13 +228,10 @@ def _paired_lines(src_path, edits_path):
         yield lineno, s.rstrip("\n"), e.rstrip("\n")
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> None:
     state = {"edits_path": str(args.edits), "lexicon": load_lexicon(args.lexicon, args.plurals)}
     items = _paired_lines(args.src, args.edits)
-    with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(partial(_each, _apply_line), items, args.workers, state):
-            out.write(line + "\n")
-    return EXIT_OK
+    _write_out(args.out, _map_ordered(partial(_each, _apply_line), items, args.workers, state))
 
 
 # -- noise -------------------------------------------------------------------
@@ -239,7 +242,7 @@ def _noise_line(item):
     return format_pair_line(corrupted, tokens), dict(counts)
 
 
-def _cmd_noise(args) -> int:
+def _cmd_noise(args) -> dict:
     profile = load_profile(args.profile)
     if args.seed is not None:
         profile.rng_seed = args.seed
@@ -258,22 +261,14 @@ def _cmd_noise(args) -> int:
             else:
                 blank[0] += 1
 
-    realized: Counter = Counter()
-    sentences = 0
-    with open(args.out, "w", encoding="utf-8") as out:
-        pairs = _map_ordered(partial(_each, _noise_line), items(), args.workers, state)
-        for pair_line, counts in pairs:
-            out.write(pair_line + "\n")
-            realized.update(counts)
-            sentences += 1
-    stats = {
+    pairs = _map_ordered(partial(_each, _noise_line), items(), args.workers, state)
+    sentences, realized = _write_out(args.out, pairs)
+    return {
         "sentences": sentences,
         "skipped_blank": blank[0],
         "errors_total": sum(realized.values()),
         "operations": {name: realized[name] for name in OPERATIONS},
     }
-    print(json.dumps(stats, sort_keys=True))
-    return EXIT_OK
 
 
 # -- train-toy ---------------------------------------------------------------
@@ -288,7 +283,7 @@ def _memory_bytes() -> int | None:
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _cmd_train_toy(args) -> int:
+def _cmd_train_toy(args) -> dict:
     tagset = load_tagset(args.tagset)
     dataset = []
     for lineno, line in _numbered_lines(args.data):
@@ -330,29 +325,23 @@ def _cmd_train_toy(args) -> int:
         seed=args.seed,
     )
     save_model(model, args.out)
-    print(
-        json.dumps(
-            {"examples": len(dataset), "epochs": args.epochs, "final_loss": history[-1]},
-            sort_keys=True,
-        )
-    )
-    return EXIT_OK
+    return {"examples": len(dataset), "epochs": args.epochs, "final_loss": history[-1]}
 
 
 # -- predict -----------------------------------------------------------------
 
 def _predict_block(lines):
-    """The corrected text of a block of lines, refined in lockstep."""
+    """The corrected text of a block of lines, refined in lockstep, each with no counts."""
     model = _G["model"]
 
     def predictor(sentences):
         return predict_tags(model, sentences, _G["keep_bias"], _G["min_error_prob"])
 
     outs, _passes = refine(list(map(tokenize, lines)), predictor, _G["iters"], _G["lexicon"])
-    return list(map(detokenize, outs))
+    return [(detokenize(out), ()) for out in outs]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     state = {
         "model": load_model(args.model),
         "lexicon": load_lexicon(args.lexicon, args.plurals),
@@ -360,10 +349,7 @@ def _cmd_predict(args) -> int:
         "keep_bias": args.keep_bias,
         "min_error_prob": args.min_error_prob,
     }
-    with open(args.out, "w", encoding="utf-8") as out:
-        for line in _map_ordered(_predict_block, text_lines(args.inp), args.workers, state):
-            out.write(line + "\n")
-    return EXIT_OK
+    _write_out(args.out, _map_ordered(_predict_block, text_lines(args.inp), args.workers, state))
 
 
 # -- score -------------------------------------------------------------------
@@ -373,7 +359,7 @@ def _score_line(item):
     return extract_spans(src, tokenize(hyp_line)), extract_spans(src, tokenize(ref_line))
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> dict:
     src_lines = read_lines(args.src)
     hyp_lines = read_lines(args.hyp)
     ref_files = [read_lines(r) for r in args.ref]
@@ -402,8 +388,7 @@ def _cmd_score(args) -> int:
         hyps = [tokenize(h) for h in hyp_lines]
         refs = [[tokenize(r[i]) for r in ref_files] for i in range(len(src_lines))]
         report["GLEU"] = gleu(sources, hyps, refs, seed=args.seed)
-    print(json.dumps(report, sort_keys=True))
-    return EXIT_OK
+    return report
 
 
 # -- parser ------------------------------------------------------------------
@@ -590,13 +575,16 @@ def main(argv=None) -> int:
         )
         return EXIT_USAGE
     try:
-        return args.func(args)
+        summary = args.func(args)  # printed only when the whole command succeeds
+        if summary is not None:
+            print(json.dumps(summary, sort_keys=True))
     except (ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"gecedit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive
         print(f"gecedit: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ letter_patterns.tsv     pattern<TAB>replacement, in inventory order
 vowel_combinations.txt  one two-letter combination per line
 similar_sound.tsv       letter<TAB>comma-separated substitutes
 verb_types.txt          one verb-type name per line
-pos_types.txt           one POS name per line
 adjectives.txt          one adjective per line
 manifest.json           {"files": {name: sha256-hex}}
 """
@@ -124,7 +123,6 @@ PATTERN_FILES = (
     "vowel_combinations.txt",
     "similar_sound.tsv",
     "verb_types.txt",
-    "pos_types.txt",
     "adjectives.txt",
 )
 
@@ -139,7 +137,6 @@ class PatternInventories:
     vowel_combinations: tuple[str, ...]
     similar_sound: tuple[tuple[str, tuple[str, ...]], ...]
     verb_types: tuple[str, ...]
-    pos_types: tuple[str, ...]
     adjectives: frozenset[str]
 
 
@@ -182,7 +179,6 @@ def load_patterns(directory: Union[str, Path, None] = None) -> PatternInventorie
             for k, _, v in (ln.partition("\t") for ln in entries("similar_sound.tsv"))
         ),
         verb_types=tuple(entries("verb_types.txt")),
-        pos_types=tuple(entries("pos_types.txt")),
         adjectives=frozenset(entries("adjectives.txt")),
     )
 

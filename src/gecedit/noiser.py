@@ -270,7 +270,6 @@ class Noiser:
             "type_preposition": self.patterns.prepositions,
             "type_determiner": self.patterns.determiners,
             "type_verbform": self.patterns.verb_types,
-            "type_pos": self.patterns.pos_types,
             "char_pattern": self.patterns.letter_patterns,
             "vowel_swap": self.patterns.vowel_combinations,
             "similar_sound": self.patterns.similar_sound,

@@ -389,8 +389,8 @@ class ScatterPlan:
 Encoded = tuple[list[EncodedBlock], list[tuple[EncodedBlock, np.ndarray, ScatterPlan]]]
 
 
-# Sentences per ``encode`` call when a dataset is encoded, which bounds the
-# block's key arrays.
+# Sentences per ``encode`` call when a dataset or a list to predict is
+# encoded, which bounds the block's key arrays and its scatter plans.
 _ENCODE_SENTENCES = 128
 
 
@@ -407,12 +407,13 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
             raise ValueError("labels and tokens are misaligned")
         ids = np.fromiter(map(model.tagset.id_of, tags), np.int64)
         golds.append(rows.take(ids, axis=1))  # C order: an F-order pick sums its rows otherwise
-    blocks = [
-        model.encoder.encode([tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]])
-        for k in range(0, len(batch), _ENCODE_SENTENCES)
-    ]
-    encs = [enc for b in blocks for enc in b.split([(s, s + 1) for s in range(len(b.lengths))])]
-    return blocks, list(zip(encs, golds, ScatterPlan.of_sentences(encs)))
+    blocks, sentences = [], []
+    for k in range(0, len(batch), _ENCODE_SENTENCES):
+        block = model.encoder.encode([tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]])
+        encs = block.split([(s, s + 1) for s in range(len(block.lengths))])
+        blocks.append(block)
+        sentences += zip(encs, golds[k : k + _ENCODE_SENTENCES], ScatterPlan.of_sentences(encs))
+    return blocks, sentences
 
 
 def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[str, float]:
@@ -525,8 +526,9 @@ def predict_tags(
     keep_bias: float = 0.0,
     min_error_prob: float = 0.0,
 ) -> list[list[EditTag]]:
-    """Decode a block of sentences with the inference tweaks, from one encode
-    and the ``_run_probs`` of its runs of whole sentences.
+    """Decode sentences with the inference tweaks, from one encode per
+    ``_ENCODE_SENTENCES`` of them and the ``_run_probs`` of its runs of whole
+    sentences.
 
     ``keep_bias`` (above -1) is added to the KEEP probability (post-softmax,
     then renormalized); if no token of a sentence has a detection-head error
@@ -536,8 +538,10 @@ def predict_tags(
     if not keep_bias > -1.0:
         raise ValueError(f"keep_bias must be greater than -1, got {keep_bias}")
     tags = []
-    for run, probs in _run_probs(model, model.encoder.encode(sentences)):
-        tags += _decode(model, run, probs, keep_bias, min_error_prob)
+    for k in range(0, len(sentences), _ENCODE_SENTENCES):
+        block = model.encoder.encode(sentences[k : k + _ENCODE_SENTENCES])
+        for run, probs in _run_probs(model, block):
+            tags += _decode(model, run, probs, keep_bias, min_error_prob)
     return tags
 
 

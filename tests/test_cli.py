@@ -1122,3 +1122,45 @@ def test_main_reuses_its_parser_and_carries_nothing_between_calls(workdir, capsy
     assert [proc.returncode for proc in fresh] == [0] * len(argvs)
     assert ([proc.stdout for proc in fresh], [path.read_bytes() for path in files]) == first
     assert first[0][-1] != first[0][-2]  # the three references did move GLEU
+
+
+# -- one command shape -----------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["tag", "apply", "noise", "train-toy", "predict", "score"])
+def test_main_prints_the_summary_a_command_returns(workdir, trained_model, capsys, command):
+    """``tag``, ``noise``, ``train-toy`` and ``score`` print one sorted-keys
+    JSON line, ``apply`` and ``predict`` print nothing, and a command that
+    fails on line 2 of an input prints nothing on standard output."""
+    d = workdir
+    src = _write(d / "src.txt", "a b\nc\n")
+    (d / "not-utf8.txt").write_bytes(b"a b\n\xff\n")
+    first_label = (d / "labels.jsonl").read_text().splitlines()[0]
+    tagset, model = str(d / "small.tagset"), str(trained_model)
+    good, bad = {
+        "tag": (["--src-tgt", str(d / "pairs.tsv"), "--tagset", tagset],
+                ["--src-tgt", _write(d / "bad.tsv", "a b\ta c\nno tab\n"), "--tagset", tagset]),
+        "apply": (["--src", src, "--edits", _write(d / "e.txt", "$KEEP $KEEP\n$KEEP\n")],
+                  ["--src", src, "--edits", _write(d / "bad-edits.txt", "$KEEP $KEEP\n$BOGUS\n")]),
+        "noise": (["--in", str(d / "clean.txt"), "--profile", str(d / "profile.txt")],
+                  ["--in", str(d / "not-utf8.txt"), "--profile", str(d / "profile.txt")]),
+        "train-toy": (["--data", str(d / "labels.jsonl"), "--tagset", tagset, "--dim", "64"],
+                      ["--data", _write(d / "bad.jsonl", f"{first_label}\nnot json\n"),
+                       "--tagset", tagset, "--dim", "64"]),
+        "predict": (["--model", model, "--in", src],
+                    ["--model", model, "--in", str(d / "not-utf8.txt")]),
+        "score": (["--src", src, "--hyp", src, "--ref", src],
+                  ["--src", _write(d / "bad-src.txt", "a b\n\n"), "--hyp", src, "--ref", src]),
+    }[command]
+    out = [] if command == "score" else ["--out", str(d / "out")]
+    tail = ["--epochs", "1"] if command == "train-toy" else ["--workers", "1"]
+    capsys.readouterr()
+    assert main([command, *good, *out, *tail]) == 0
+    printed = capsys.readouterr().out
+    if command in ("apply", "predict"):
+        assert printed == ""
+    else:
+        line, = printed.splitlines()
+        assert printed == json.dumps(json.loads(line), sort_keys=True) + "\n"
+    assert main([command, *bad, *out, *tail]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and ":2: " in stderr

@@ -823,9 +823,10 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("tokens", [1, 5, 40, None])
     def test_decode_runs_bound_the_probabilities(self, monkeypatch, tokens):
-        """``predict_tags`` encodes its sentences once and decodes runs of whole
-        sentences of at most ``_ARRAY_ELEMENTS`` probabilities, or one longer
-        sentence, and each sentence gets the tags it has alone."""
+        """``predict_tags`` encodes its sentences once per ``_ENCODE_SENTENCES``
+        of them and decodes runs of whole sentences of at most
+        ``_ARRAY_ELEMENTS`` probabilities, or one longer sentence, and each
+        sentence gets the tags it has alone."""
         model = block_model()
         weights = {name: W.copy() for name, W in model.W.items()}
         sentences = [line.split() for line in block_lines()]
@@ -846,15 +847,56 @@ class TestBlockPath:
 
         monkeypatch.setattr(tagger, "_decode", record)
         assert predict_tags(model, sentences, self.KEEP_BIAS, self.MIN_ERROR_PROB) == expected
-        assert blocks == [sentences]
+        n = tagger._ENCODE_SENTENCES
+        assert blocks == [sentences[k : k + n] for k in range(0, len(sentences), n)]
         assert [n for enc, _ in runs for n in enc.lengths.tolist()] == list(map(len, sentences))
         for enc, probs in runs:
             assert probs.shape == (rows, enc.n_tokens)
             assert probs.size <= tagger._ARRAY_ELEMENTS or np.count_nonzero(enc.lengths) == 1
         if tokens is None:  # the default bound decodes a 128-line block of this model at once
-            assert len(runs) == 1
+            assert len(runs) == len(blocks) == 2
         elif tokens == 1:
             assert all(np.count_nonzero(enc.lengths) <= 1 for enc, _ in runs)
+
+    def test_encode_and_plans_take_one_slice_of_sentences_at_a_time(self, monkeypatch):
+        """Training and ``predict_tags`` encode, and training builds the
+        scatter plans of, at most ``_ENCODE_SENTENCES`` sentences per call, so
+        their temporary arrays do not grow with the input."""
+        model = block_model()
+        sentences = [line.split() for line in block_lines() if line] * 3
+        assert len(sentences) > 2 * tagger._ENCODE_SENTENCES
+        encoded, planned = [], []
+        encode, of_sentences = model.encoder.encode, ScatterPlan.of_sentences
+        monkeypatch.setattr(
+            model.encoder, "encode", lambda block: encoded.append(len(block)) or encode(block)
+        )
+        monkeypatch.setattr(ScatterPlan, "of_sentences", classmethod(
+            lambda cls, encs: planned.append(len(encs)) or of_sentences(encs)
+        ))
+        train(model, [(s, ["$KEEP"] * len(s)) for s in sentences], epochs=1)
+        assert predict_tags(model, sentences) and sum(planned) == len(sentences)
+        assert sum(encoded) == 2 * len(sentences)
+        assert max(encoded + planned) <= tagger._ENCODE_SENTENCES
+
+    def test_predict_tags_holds_one_slice_however_many_sentences(self):
+        """Beyond the tags it returns, ``predict_tags`` over a few thousand
+        sentences holds about what it holds for one ``_ENCODE_SENTENCES`` slice."""
+        model = block_model()
+        lines = [line.split() for line in block_lines() if line]
+
+        def transient(n):
+            sentences = (lines * (n // len(lines) + 1))[:n]
+            predict_tags(model, sentences)  # fills the encoder memo beforehand
+            tracemalloc.start()
+            try:
+                tags = predict_tags(model, sentences)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(tags) == n
+            return peak - current
+
+        assert transient(3000) < 2 * transient(tagger._ENCODE_SENTENCES)
 
     @pytest.mark.parametrize("cut", [1, 3, None])
     @pytest.mark.parametrize("iters", [1, 4])
