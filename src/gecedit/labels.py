@@ -59,11 +59,14 @@ def to_json_line(tokens: Sequence[str], tags: Sequence[EditTag]) -> str:
 
 def from_json_line(line: str) -> tuple[list[str], tuple[EditTag, ...]]:
     """Parse one record into its tokens and correction tags; raises
-    ``ValueError`` for any malformed record, including one with an empty token
-    or a token holding whitespace, and one whose binary streams hold anything
-    but integers (JSON ``true`` and ``1.0`` included) or are not those of its
-    correction tags."""
-    obj = json.loads(line)
+    ``ValueError`` for any malformed record, including JSON nested too deeply
+    to parse, one with an empty token or a token holding whitespace, and one
+    whose binary streams hold anything but integers (JSON ``true`` and ``1.0``
+    included) or are not those of its correction tags."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     for key in ("tokens", "correction", *BINARY_STREAMS):

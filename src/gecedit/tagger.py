@@ -284,8 +284,10 @@ def _softmax(z: np.ndarray, axis: int, lone: Sequence[int] = ()) -> np.ndarray:
 # The elements (weight rows x columns) of the largest array that predicting a
 # block or its loss makes: a run's gather of weight columns, or one token's if
 # that is larger, and a run's probabilities, a column per token, or one
-# sentence's if that is larger.  0.5 MB: 550 columns of a 119-row model (a
-# ~100-tag tagset) and 13 of one with the bundled 5,019 tags.  Not a setting.
+# sentence's if that is larger; and of the values a training step's scatter
+# adds at once, a block of rows per feature entry, or one row's.  0.5 MB: 550
+# columns of a 119-row model (a ~100-tag tagset) and 13 of one with the
+# bundled 5,019 tags.  Not a setting.
 _ARRAY_ELEMENTS = 1 << 16
 
 
@@ -336,67 +338,32 @@ def _run_probs(model: MultiHeadModel, enc: EncodedBlock):
 Batch = Sequence[tuple[Sequence[str], Sequence[EditTag]]]
 
 
-@dataclass
-class ScatterPlan:
-    """How one sentence's per-token gradients add up onto its feature columns.
-
-    ``cols`` are the sentence's distinct feature columns, ascending.  Layer r
-    of ``layers`` holds the r-th occurrence, in ``idx`` order, of each column
-    as (position in ``cols``, token) arrays.  A layer names each column at most
-    once, so adding the layers in turn with a fancy-index ``+=`` gives every
-    element the additions that ``np.add.at`` makes, in the same order.
-    (``np.add.reduceat`` would not: it does not sum long segments in order.)
-    """
-
-    cols: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def of_sentences(cls, encs: Sequence[EncodedBlock]) -> list["ScatterPlan"]:
-        """The plan of each sentence, built for all of them in one set of array
-        operations: entries are sorted by (sentence, column), then by (sentence,
-        rank), and the result is cut into each sentence's columns and layers."""
-        sizes = np.fromiter((e.idx.size for e in encs), dtype=np.int64, count=len(encs))
-        sent = np.repeat(np.arange(len(encs), dtype=np.int64), sizes)
-        idx = np.concatenate([e.idx for e in encs] or [np.empty(0, np.int64)])
-        tok = np.concatenate([e.tok_of for e in encs] or [np.empty(0, np.int64)])
-        by_col = np.lexsort((idx, sent))  # stable: each column's entries in idx order
-        sent, idx, tok = sent[by_col], idx[by_col], tok[by_col]
-        first = np.ones(idx.size, dtype=bool)
-        first[1:] = (idx[1:] != idx[:-1]) | (sent[1:] != sent[:-1])
-        col = np.cumsum(first) - 1  # the entry's column, numbered over all sentences
-        rank = np.arange(idx.size) - np.flatnonzero(first)[col]
-        ncols = np.bincount(sent[first], minlength=len(encs))
-        pos = col - (np.cumsum(ncols) - ncols)[sent]
-        by_rank = np.lexsort((rank, sent))  # stable: each layer's columns stay ascending
-        sent, pos, tok, rank = sent[by_rank], pos[by_rank], tok[by_rank], rank[by_rank]
-        cuts = np.flatnonzero((np.diff(sent) != 0) | (np.diff(rank) != 0)) + 1
-        starts = [0, *cuts.tolist()] if idx.size else []
-        layers: list[list] = [[] for _ in encs]
-        for a, b, s in zip(starts, [*starts[1:], idx.size], sent[starts].tolist()):
-            layers[s].append((pos[a:b], tok[a:b]))
-        cols = np.split(idx[first], np.cumsum(ncols)[:-1])
-        return [cls(c, tuple(ls)) for c, ls in zip(cols, layers)]
-
-    def scatter(self, delta: np.ndarray) -> np.ndarray:
-        """Sum the token columns of ``delta`` onto ``cols``: (rows, len(cols))."""
-        out = np.zeros((delta.shape[0], self.cols.size), order="F")
-        for pos, tok in self.layers:
-            out[:, pos] += delta[:, tok]
-        return out
-
-
-Encoded = tuple[list[EncodedBlock], list[tuple[EncodedBlock, np.ndarray, ScatterPlan]]]
+Encoded = tuple[list[EncodedBlock], list[tuple[EncodedBlock, np.ndarray, np.ndarray, np.ndarray]]]
 
 
 # Sentences per ``encode`` call when a dataset or a list to predict is
-# encoded, which bounds the block's key arrays and its scatter plans.
+# encoded, which bounds the block's key arrays and its column index.
 _ENCODE_SENTENCES = 128
+
+
+def _columns(block: EncodedBlock, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each sentence of a block, its distinct feature columns, ascending,
+    and the position among them of each of its entries of ``idx``: from one
+    ``np.unique`` of the block's (sentence, column) keys."""
+    count = len(block.lengths)
+    sentence = np.repeat(np.arange(count), block.lengths)[block.tok_of]  # each entry's
+    keys, inv = np.unique(sentence * dim + block.idx, return_inverse=True)
+    entries = np.bincount(sentence, minlength=count).cumsum().tolist()
+    cols = np.bincount(keys // dim, minlength=count).cumsum().tolist()
+    return [
+        (keys[c0:c1] - s * dim, inv[e0:e1] - c0)
+        for s, (c0, c1, e0, e1) in enumerate(zip([0, *cols], cols, [0, *entries], entries))
+    ]
 
 
 def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
     """Each encoded block's record, and each sentence's with the weight row of
-    each head's gold label per token and the plan that scatters its gradient."""
+    each head's gold label per token and its ``_columns``."""
     n = len(model.tagset)
     binary = streams(list(model.tagset))
     rows = np.asarray([range(n), *(binary[name] for name in model.aux_heads)], dtype=np.int64)
@@ -412,7 +379,8 @@ def _encode_batch(model: MultiHeadModel, batch: Batch) -> Encoded:
         block = model.encoder.encode([tokens for tokens, _ in batch[k : k + _ENCODE_SENTENCES]])
         encs = block.split([(s, s + 1) for s in range(len(block.lengths))])
         blocks.append(block)
-        sentences += zip(encs, golds[k : k + _ENCODE_SENTENCES], ScatterPlan.of_sentences(encs))
+        columns = _columns(block, model.encoder.dim)
+        sentences += [(e, g, *c) for e, g, c in zip(encs, golds[k : k + _ENCODE_SENTENCES], columns)]
     return blocks, sentences
 
 
@@ -421,7 +389,7 @@ def head_losses(model: MultiHeadModel, batch: Batch, *, encoded=None) -> dict[st
     blocks, sentences = _encode_batch(model, batch) if encoded is None else encoded
     if not sentences:
         raise ValueError("empty batch")
-    golds = (gold for _, gold, _ in sentences)
+    golds = (gold for _, gold, _, _ in sentences)
     sums = np.zeros(len(model.head_names))
     total = 0
     for block in blocks:
@@ -449,19 +417,40 @@ def _row_weights(model: MultiHeadModel) -> np.ndarray:
     return np.repeat([1.0, model.lam], [len(model.tagset), 2 * len(model.aux_heads)])
 
 
+def _scatter(delta: np.ndarray, tok_of: np.ndarray, inv: np.ndarray, ncols: int) -> np.ndarray:
+    """Sum the token columns of ``delta`` onto ``ncols`` columns, entry e's
+    token ``tok_of[e]`` onto column ``inv[e]``: (rows, ncols), feature-major.
+    ``np.bincount`` adds each element's entries in turn, the additions that
+    ``np.add.at`` makes, over blocks of rows that give it at most
+    ``_ARRAY_ELEMENTS`` values to add, or one row."""
+    rows = delta.shape[0]
+    step = max(1, _ARRAY_ELEMENTS // max(1, inv.size))
+    grad = None if step >= rows else np.empty((rows, ncols), order="F")
+    for a in range(0, rows, step):
+        n = min(step, rows - a)
+        bins = (inv[:, None] * n + np.arange(n)).ravel()
+        values = delta[a : a + n].T.take(tok_of, axis=0).ravel()  # each entry's n rows
+        sums = np.bincount(bins, weights=values, minlength=ncols * n)
+        if grad is None:  # one block: its sums are the gradient, with no copy
+            return sums.reshape(ncols, n).T
+        grad[a : a + n] = sums.reshape(ncols, n).T
+    return grad
+
+
 def _sentence_grad(
     model: MultiHeadModel,
     enc: EncodedBlock,
     gold: np.ndarray,
-    plan: ScatterPlan,
+    inv: np.ndarray,
+    ncols: int,
     scale: np.ndarray,
 ) -> np.ndarray:
     """Gradient of one sentence's loss, with row ``r`` scaled by ``scale[r]``, on
-    the plan's columns: a (weight rows, columns) block."""
+    its ``_columns``: a (weight rows, ncols) block."""
     delta = _probs(model, enc)
     delta[gold, np.arange(enc.n_tokens)] -= 1.0
     delta *= scale[:, None]
-    return plan.scatter(delta)
+    return _scatter(delta, enc.tok_of, inv, ncols)
 
 
 def grad_total_loss(model: MultiHeadModel, batch: Batch) -> np.ndarray:
@@ -469,11 +458,11 @@ def grad_total_loss(model: MultiHeadModel, batch: Batch) -> np.ndarray:
     _, sentences = _encode_batch(model, batch)
     if not sentences:
         raise ValueError("empty batch")
-    total = sum(enc.n_tokens for enc, _, _ in sentences)
+    total = sum(enc.n_tokens for enc, _, _, _ in sentences)
     scale = _row_weights(model) / total
     grad = np.zeros_like(model.weights)
-    for enc, gold, plan in sentences:
-        grad[:, plan.cols] += _sentence_grad(model, enc, gold, plan, scale)
+    for enc, gold, cols, inv in sentences:
+        grad[:, cols] += _sentence_grad(model, enc, gold, inv, cols.size, scale)
     return grad
 
 
@@ -492,7 +481,7 @@ def train(
     if not dataset:
         raise ValueError("empty dataset")
     _, sentences = encoded = _encode_batch(model, dataset)
-    if any(enc.n_tokens == 0 for enc, _, _ in sentences):
+    if any(enc.n_tokens == 0 for enc, _, _, _ in sentences):
         raise ValueError("every training example needs at least one token")
     accum = np.zeros_like(model.weights)
     row_weights = _row_weights(model)
@@ -505,10 +494,9 @@ def train(
         for epoch in range(1, epochs + 1):
             rng.shuffle(order)
             for si in order:
-                enc, gold, plan = sentences[si]
+                enc, gold, cols, inv = sentences[si]
                 step += 1
-                grad = _sentence_grad(model, enc, gold, plan, row_weights / enc.n_tokens)
-                cols = plan.cols
+                grad = _sentence_grad(model, enc, gold, inv, cols.size, row_weights / enc.n_tokens)
                 acc = accum[:, cols]
                 acc += grad * grad
                 accum[:, cols] = acc
@@ -650,7 +638,7 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         line = fp.readline()
         try:
             header = json.loads(line.decode("utf-8"))
-        except ValueError:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deeply
             header = None
         if (
             not isinstance(header, dict)

@@ -378,17 +378,21 @@ def _huge_dim(header):
         (_set_header("templates", ["x"]), "model.bin: model header: unsupported template set"),
         (_set_header("lambda", 2.0), "model.bin: lambda must be in [0, 1]"),
         (_set_header("lambda", float("nan")), "model.bin: lambda must be in [0, 1]"),
+        (lambda header: b"[" * 200_000, "model.bin:1: not a model file"),
     ],
     ids=["dim-str", "dim-bool", "heads-float", "lambda-str", "lambda-bool", "tags-int",
          "tags-item-int", "templates-int", "dim-huge", "dim-huge-arrays", "header-list",
-         "heads-6", "dim-1", "templates-unknown", "lambda-above-1", "lambda-nan"],
+         "heads-6", "dim-1", "templates-unknown", "lambda-above-1", "lambda-nan",
+         "header-nested-too-deeply"],
 )
 def test_predict_rejects_malformed_model_header(workdir, capsys, edit, message):
     model_path = workdir / "model.bin"
     save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), model_path)
     head, _, body = model_path.read_bytes().partition(b"\n")
     header = edit(json.loads(head))
-    model_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    model_path.write_bytes(header + b"\n" + body)
     src = workdir / "in.txt"
     src.write_text("He lives in the city .\n")
     assert main([
@@ -613,6 +617,7 @@ def _noise_edit_dict(d):
         (_noise("# a\x0cb\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
         (_noise("# a\u2028b\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
         (_train("[1, 2]\n"), 2, "labels.jsonl:1: expected a JSON object"),
+        (_train(_LABEL + "\n" + "[" * 200_000 + "\n"), 2, "labels.jsonl:2: JSON nested too deeply"),
         (_train(_LABEL + "\n" + _LABEL.replace('"deletion"', '"del"') + "\n"), 2,
          "labels.jsonl:2: key 'deletion' must hold a list"),
         (_train(_label("$APPEND_zzz", "insertion") + "\n"), 2,
@@ -674,6 +679,7 @@ def _noise_edit_dict(d):
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
          "noise-expected-inf", "noise-negative-weight",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
+         "train-nested-too-deeply",
          "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
          "train-deletion-bool", "train-detection-float", "train-no-tokens",
          "train-token-with-space", "train-empty-token", "train-diverges",

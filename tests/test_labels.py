@@ -143,11 +143,12 @@ def _with(key, value):
         (_with("tokens", ["a\n"]), r"token 0 'a\\n' is empty or holds whitespace"),
         (_with("tokens", ["a\u00a0b"]), r"token 0 'a\\xa0b' is empty or holds whitespace"),
         ("{", "Expecting"),
+        ("[" * 200_000, "JSON nested too deeply"),
     ],
     ids=["list", "number", "no-stream", "no-tokens", "stream-int", "token-int",
          "tag-null", "token-count", "stream-contradicts-tags", "stream-bool", "stream-float",
          "stream-false", "token-empty", "token-space", "token-newline", "token-no-break-space",
-         "not-json"],
+         "not-json", "nested-too-deeply"],
 )
 def test_malformed_record_is_a_value_error(line, message):
     with pytest.raises(ValueError, match=message):

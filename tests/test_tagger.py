@@ -23,7 +23,6 @@ from gecedit.tagger import (
     EncodedBlock,
     FeatureEncoder,
     MultiHeadModel,
-    ScatterPlan,
     TrainingDivergedError,
     _hash_feature,
     gradient_check,
@@ -198,19 +197,6 @@ class TestEncoderMemo:
         ]
 
 
-def reference_scatter_plan(enc):
-    """The plan of one sentence, built on its own as ``tagger`` once did."""
-    by_col = np.argsort(enc.idx, kind="stable")  # each column's entries in idx order
-    sorted_idx = enc.idx[by_col]
-    first = np.diff(sorted_idx, prepend=-1) != 0
-    pos = np.cumsum(first) - 1
-    rank = np.arange(pos.size) - np.flatnonzero(first)[pos]
-    by_rank = np.argsort(rank, kind="stable")
-    pos, tok, rank = pos[by_rank], enc.tok_of[by_col[by_rank]], rank[by_rank]
-    cuts = [0, *(np.flatnonzero(np.diff(rank)) + 1).tolist(), rank.size]
-    return ScatterPlan(sorted_idx[first], tuple((pos[a:b], tok[a:b]) for a, b in zip(cuts, cuts[1:])))
-
-
 @st.composite
 def _sentence_features(draw, dim):
     """One sentence whose tokens name a few columns many times."""
@@ -235,36 +221,37 @@ def _scatter_cases(draw):
     return enc, np.asarray(delta, dtype=float).reshape(rows, enc.n_tokens)
 
 
-class TestScatterPlan:
+class TestScatter:
     @settings(max_examples=500, deadline=None)
-    @given(case=_scatter_cases())
-    def test_layers_add_like_add_at(self, case):
+    @given(case=_scatter_cases(), elements=st.integers(1, 40))
+    def test_scatter_adds_like_add_at(self, case, elements):
+        """``elements`` patches ``_ARRAY_ELEMENTS``, so that rows go in blocks."""
         enc, delta = case
         cols, inv = np.unique(enc.idx, return_inverse=True)
         want = np.zeros((delta.shape[0], cols.size))
         np.add.at(want, (slice(None), inv), delta[:, enc.tok_of])
-        [plan] = ScatterPlan.of_sentences([enc])
-        got = plan.scatter(delta)
-        assert np.array_equal(plan.cols, cols)
+        with mock.patch.object(tagger, "_ARRAY_ELEMENTS", elements):
+            got = tagger._scatter(delta, enc.tok_of, inv, cols.size)
+        assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 6))
-    def test_dataset_plans_equal_the_per_sentence_plans(self, data, dim):
-        encs = data.draw(st.lists(_sentence_features(dim), max_size=8))
-        plans = ScatterPlan.of_sentences(encs)
-        assert len(plans) == len(encs)
-        for enc, plan in zip(encs, plans):
-            want = reference_scatter_plan(enc)
-            assert plan.cols.dtype == want.cols.dtype and np.array_equal(plan.cols, want.cols)
-            if not enc.idx.size:  # the per-sentence plan had one empty layer here
-                assert all(not p.size and not t.size for p, t in (*plan.layers, *want.layers))
-                continue
-            assert len(plan.layers) == len(want.layers)
-            for (pos, tok), (want_pos, want_tok) in zip(plan.layers, want.layers):
-                assert pos.dtype == want_pos.dtype and np.array_equal(pos, want_pos)
-                assert tok.dtype == want_tok.dtype and np.array_equal(tok, want_tok)
+    @given(
+        sentences=st.lists(st.lists(st.sampled_from(["a", "b", "Ab", "c"]), max_size=6), max_size=8),
+        dim=st.integers(2, 40),
+    )
+    def test_block_columns_are_each_sentences_unique(self, sentences, dim):
+        """A block's ``_columns`` are, sentence by sentence, what ``np.unique``
+        gives the sentence's own entries (a small ``dim`` makes columns collide)."""
+        block = FeatureEncoder(dim=dim).encode(sentences)
+        columns = tagger._columns(block, dim)
+        encs = block.split([(s, s + 1) for s in range(len(sentences))])
+        assert len(columns) == len(encs) == len(sentences)
+        for enc, (cols, inv) in zip(encs, columns):
+            want_cols, want_inv = np.unique(enc.idx, return_inverse=True)
+            assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols)
+            assert inv.dtype == want_inv.dtype and np.array_equal(inv, want_inv)
 
 
 class TestLoss:
@@ -804,6 +791,26 @@ class TestBlockPath:
             tracemalloc.stop()
         assert peak < probs.nbytes + 2 * tagger._ARRAY_ELEMENTS * 8
 
+    def test_long_sentence_training_step_memory_is_bounded(self):
+        """A long sentence's training step holds its probabilities and its
+        gradient, and beside them at most a few arrays of one block of rows
+        that the scatter adds at once (see ``_ARRAY_ELEMENTS``)."""
+        tags = ["$KEEP", "$DELETE", "$UNKNOWN", *(f"$APPEND_w{k}" for k in range(985))]
+        model = seeded_model(TagSet(tags), dim=64)
+        assert model.weights.shape[0] == 1000
+        tokens = [f"w{k % 50}" for k in range(300)]
+        _, [(enc, gold, cols, inv)] = tagger._encode_batch(model, [(tokens, ["$KEEP"] * 300)])
+        scale = tagger._row_weights(model) / enc.n_tokens
+        tracemalloc.start()
+        try:
+            grad = tagger._sentence_grad(model, enc, gold, inv, cols.size, scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grad.shape == (1000, cols.size) and inv.size * 1000 > 30 * tagger._ARRAY_ELEMENTS
+        probs_bytes = 1000 * enc.n_tokens * 8
+        assert peak < probs_bytes + grad.nbytes + 4 * tagger._ARRAY_ELEMENTS * 8
+
     @settings(max_examples=300, deadline=None)
     @given(lengths=st.lists(st.integers(0, 12), max_size=30), width=st.integers(1, 20))
     def test_sentence_runs_are_the_greedy_cut(self, lengths, width):
@@ -859,20 +866,22 @@ class TestBlockPath:
             assert all(np.count_nonzero(enc.lengths) <= 1 for enc, _ in runs)
 
     def test_encode_and_plans_take_one_slice_of_sentences_at_a_time(self, monkeypatch):
-        """Training and ``predict_tags`` encode, and training builds the
-        scatter plans of, at most ``_ENCODE_SENTENCES`` sentences per call, so
-        their temporary arrays do not grow with the input."""
+        """Training and ``predict_tags`` encode, and training indexes the
+        columns of, at most ``_ENCODE_SENTENCES`` sentences per call, so their
+        temporary arrays do not grow with the input."""
         model = block_model()
         sentences = [line.split() for line in block_lines() if line] * 3
         assert len(sentences) > 2 * tagger._ENCODE_SENTENCES
         encoded, planned = [], []
-        encode, of_sentences = model.encoder.encode, ScatterPlan.of_sentences
+        encode, columns = model.encoder.encode, tagger._columns
         monkeypatch.setattr(
             model.encoder, "encode", lambda block: encoded.append(len(block)) or encode(block)
         )
-        monkeypatch.setattr(ScatterPlan, "of_sentences", classmethod(
-            lambda cls, encs: planned.append(len(encs)) or of_sentences(encs)
-        ))
+        monkeypatch.setattr(
+            tagger,
+            "_columns",
+            lambda block, dim: planned.append(len(block.lengths)) or columns(block, dim),
+        )
         train(model, [(s, ["$KEEP"] * len(s)) for s in sentences], epochs=1)
         assert predict_tags(model, sentences) and sum(planned) == len(sentences)
         assert sum(encoded) == 2 * len(sentences)
