@@ -244,6 +244,8 @@ def _noise_line(item):
 
 def _cmd_noise(args) -> dict:
     profile = load_profile(args.profile)
+    _check_out(args.out, profile.edit_dict_path,
+               f"the edit_dict {profile.edit_dict_path} named by --profile {args.profile}")
     if args.seed is not None:
         profile.rng_seed = args.seed
     lexicon = load_lexicon(args.lexicon, args.plurals)
@@ -422,23 +424,19 @@ def _input(sub, flag, **kwargs):
     sub.set_defaults(inputs=(*(sub.get_default("inputs") or ()), (flag, action.dest)))
 
 
-def _out_input(args):
-    """The flag and path of an input that ``--out`` names, if any: the same
-    file, by device and inode, which opening ``--out`` would empty."""
-    if not hasattr(args, "out"):  # score writes to standard output
-        return None
+class _OutIsInput(Exception):
+    """``--out`` names an input of the command: a usage error."""
+
+
+def _check_out(out, path, what: str) -> None:
+    """Refuse an ``--out`` that is the input ``path``, described by ``what``:
+    the same file, by device and inode, which opening ``--out`` would empty."""
     try:
-        out = os.stat(args.out)
-    except OSError:  # --out is not there yet
-        return None
-    for flag, dest in args.inputs:
-        path = getattr(args, dest)
-        try:
-            if path is not None and os.path.samestat(os.stat(path), out):
-                return flag, path
-        except OSError:  # the command reports an unreadable input itself
-            continue
-    return None
+        same = path is not None and os.path.samestat(os.stat(out), os.stat(path))
+    except OSError:  # --out is not there yet, or the command reports an unreadable input
+        return
+    if same:
+        raise _OutIsInput(f"--out {out} is the same file as {what}")
 
 
 def _add_common(sub, lexicon_flag=True):
@@ -566,18 +564,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    clash = _out_input(args)
-    if clash is not None:
-        print(
-            f"gecedit {args.command}: error: --out {args.out} is the same file as "
-            f"{clash[0]} {clash[1]}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
+        if hasattr(args, "out"):  # score writes to standard output
+            for flag, dest in args.inputs:
+                path = getattr(args, dest)
+                _check_out(args.out, path, f"{flag} {path}")
         summary = args.func(args)  # printed only when the whole command succeeds
         if summary is not None:
             print(json.dumps(summary, sort_keys=True))
+    except _OutIsInput as exc:
+        print(f"gecedit {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:  # every data error is a ValueError
         print(f"gecedit: error: {exc}", file=sys.stderr)
         return EXIT_DATA

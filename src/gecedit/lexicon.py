@@ -10,7 +10,6 @@ determiners.txt         same as prepositions.txt
 letter_patterns.tsv     pattern<TAB>replacement, in inventory order
 vowel_combinations.txt  one two-letter combination per line
 similar_sound.tsv       letter<TAB>comma-separated substitutes
-verb_types.txt          one verb-type name per line
 adjectives.txt          one adjective per line
 manifest.json           {"files": {name: sha256-hex}}
 """
@@ -122,7 +121,6 @@ PATTERN_FILES = (
     "letter_patterns.tsv",
     "vowel_combinations.txt",
     "similar_sound.tsv",
-    "verb_types.txt",
     "adjectives.txt",
 )
 
@@ -136,7 +134,6 @@ class PatternInventories:
     letter_patterns: tuple[tuple[str, str], ...]
     vowel_combinations: tuple[str, ...]
     similar_sound: tuple[tuple[str, tuple[str, ...]], ...]
-    verb_types: tuple[str, ...]
     adjectives: frozenset[str]
 
 
@@ -178,7 +175,6 @@ def load_patterns(directory: Union[str, Path, None] = None) -> PatternInventorie
             (k, tuple(v.split(",")))
             for k, _, v in (ln.partition("\t") for ln in entries("similar_sound.tsv"))
         ),
-        verb_types=tuple(entries("verb_types.txt")),
         adjectives=frozenset(entries("adjectives.txt")),
     )
 

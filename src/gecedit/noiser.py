@@ -41,7 +41,9 @@ OPERATIONS = (
     "adjective_adverb",
 )
 
-# Verb types from the error-pattern inventory mapped onto lexicon form names.
+# The verb types that type_verbform draws among, in draw order, each mapped
+# onto its lexicon form name.  Several types share a form, so a form is drawn
+# in proportion to its number of types.
 VERB_TYPE_FORMS = {
     "inf": "VB",
     "1sg": "VB",
@@ -58,6 +60,10 @@ VERB_TYPE_FORMS = {
 }
 
 MAX_RETRIES = 10
+
+# The largest expected_errors: the Poisson sampler compares a running product
+# with exp(-expected_errors), which stays a normal double up to about 708.
+MAX_EXPECTED_ERRORS = 700.0
 
 
 def literal_suffix_safe(adjective: str) -> bool:
@@ -79,7 +85,7 @@ class ProfileError(ValueError):
     """Malformed noise-profile file or inconsistent configuration."""
 
 
-def _checked(what: str, value: float, upper: float = math.inf) -> float:
+def _checked(what: str, value: float, upper: float) -> float:
     """``value`` if it is finite and in ``[0, upper]``; a NaN would hang the
     Poisson sampler, which stops only when a running product falls below
     ``exp(-expected_errors)``."""
@@ -102,15 +108,17 @@ class NoiseProfile:
             if name not in OPERATIONS:
                 raise ProfileError(f"unknown operation {name!r}")
             _checked(f"weight for {name}", value, 1.0)
-        _checked("expected_errors", self.expected_errors)
+        _checked("expected_errors", self.expected_errors, MAX_EXPECTED_ERRORS)
 
     def active_operations(self) -> list[tuple[str, float]]:
         return [(name, w) for name, w in self.weights.items() if w > 0.0]
 
 
 def load_profile(path: Union[str, Path]) -> NoiseProfile:
-    """Parse a key=value profile file ('#' starts a comment)."""
+    """Parse a key=value profile file ('#' starts a comment); each key may
+    be set once."""
     path = Path(path)
+    first_set: dict[str, int] = {}  # each key -> the line that set it
     weights: dict[str, float] = {}
     expected = 1.0
     seed = 0
@@ -124,8 +132,11 @@ def load_profile(path: Union[str, Path]) -> NoiseProfile:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
+            if key in first_set:
+                raise ProfileError(f"duplicate key {key!r} (first set on line {first_set[key]})")
+            first_set[key] = lineno
             if key == "expected_errors":
-                expected = _checked(key, float(value))
+                expected = _checked(key, float(value), MAX_EXPECTED_ERRORS)
             elif key == "rng_seed":
                 seed = int(value)
             elif key == "edit_dict":
@@ -195,31 +206,26 @@ def _poisson(rng: random.Random, lam: float) -> int:
 
 
 class _SentenceState:
-    """Working token list plus the set of already-edited (locked) positions."""
+    """Working token list plus one flag per token: whether an operation has
+    edited it.  The two lists change by the same slice operations."""
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
-        self.locked: set[int] = set()
+        self.edited = [False] * len(tokens)
 
-    def unlocked(self) -> list[int]:
-        return [i for i in range(len(self.tokens)) if i not in self.locked]
+    def unedited(self) -> list[int]:
+        return [i for i, edited in enumerate(self.edited) if not edited]
 
     def window_free(self, p: int, n: int) -> bool:
-        return all(p + k not in self.locked for k in range(n))
-
-    def replace(self, i: int, new: str) -> None:
-        self.tokens[i] = new
-        self.locked.add(i)
+        return not any(self.edited[p : p + n])
 
     def replace_span(self, p: int, new: Sequence[str]) -> None:
-        self.tokens[p : p + len(new)] = list(new)
-        self.locked.update(range(p, p + len(new)))
+        self.tokens[p : p + len(new)] = new
+        self.edited[p : p + len(new)] = [True] * len(new)
 
     def insert_span(self, p: int, new: Sequence[str]) -> None:
-        n = len(new)
-        self.tokens[p:p] = list(new)
-        self.locked = {(k if k < p else k + n) for k in self.locked}
-        self.locked.update(range(p, p + n))
+        self.tokens[p:p] = new
+        self.edited[p:p] = [True] * len(new)
 
     @staticmethod
     def _restore_site(p: int, n: int) -> int:
@@ -232,16 +238,16 @@ class _SentenceState:
         they nor their restore site has been edited yet."""
         return (
             n < len(self.tokens)
-            and self._restore_site(p, n) not in self.locked
+            and not self.edited[self._restore_site(p, n)]
             and self.window_free(p, n)
         )
 
     def delete_span(self, p: int, n: int) -> None:
-        """Delete ``n`` tokens at ``p``, as ``can_delete`` allowed, and lock
-        the token that restores them."""
-        self.locked.add(self._restore_site(p, n))
+        """Delete ``n`` tokens at ``p``, as ``can_delete`` allowed, and mark
+        the token that restores them as edited."""
+        self.edited[self._restore_site(p, n)] = True
         del self.tokens[p : p + n]
-        self.locked = {(k if k < p else k - n) for k in self.locked}
+        del self.edited[p : p + n]
 
 
 class Noiser:
@@ -266,22 +272,10 @@ class Noiser:
         self._op_weights = [w for _, w in active]
         if "token_dict" in self._op_names and not self.edit_dict:
             raise ProfileError("token_dict has weight > 0 but no edit dictionary is loaded")
-        required = {
-            "type_preposition": self.patterns.prepositions,
-            "type_determiner": self.patterns.determiners,
-            "type_verbform": self.patterns.verb_types,
-            "char_pattern": self.patterns.letter_patterns,
-            "vowel_swap": self.patterns.vowel_combinations,
-            "similar_sound": self.patterns.similar_sound,
-            "adjective_adverb": self.patterns.adjectives,
-        }
-        for name in self._op_names:
-            inventory = required.get(name)
-            if inventory is not None and not inventory:
-                raise ProfileError(f"{name} has weight > 0 but its inventory is empty")
 
         self._prep_set = frozenset(p for p in self.patterns.prepositions if p)
         self._det_set = frozenset(d for d in self.patterns.determiners if d)
+        self._vowel_swaps = tuple((c, c[::-1]) for c in self.patterns.vowel_combinations)
 
     # -- public API ---------------------------------------------------------
 
@@ -317,12 +311,22 @@ class Noiser:
         new = rewrite(st.tokens[i], detail, rng)
         if not new or new == st.tokens[i]:
             return False
-        st.replace(i, new)
+        st.replace_span(i, [new])
         return True
+
+    def _rewrite_substring(self, st: _SentenceState, rng: random.Random, table, pick) -> bool:
+        """Rewrite one token through ``_rewrite_one``: a candidate is a
+        ``(key, detail)`` entry of ``table`` whose key occurs in an unedited
+        token, and the first occurrence of that key becomes
+        ``pick(detail, rng)``."""
+        cands = [(i, entry) for i in st.unedited() for entry in table if entry[0] in st.tokens[i]]
+        return self._rewrite_one(
+            st, rng, cands, lambda tok, kv, rng_: tok.replace(kv[0], pick(kv[1], rng_), 1)
+        )
 
     def _op_token_dict(self, st: _SentenceState, rng: random.Random) -> bool:
         d = self.edit_dict
-        cands = [(i, d[st.tokens[i]]) for i in st.unlocked() if st.tokens[i] in d]
+        cands = [(i, d[st.tokens[i]]) for i in st.unedited() if st.tokens[i] in d]
         return self._rewrite_one(
             st, rng, cands, lambda _tok, variants, rng_: _draw_variant(variants, rng_)
         )
@@ -330,7 +334,7 @@ class Noiser:
     def _swap_from_inventory(
         self, st: _SentenceState, rng: random.Random, inventory: Sequence[str], members: frozenset
     ) -> bool:
-        cands = [i for i in st.unlocked() if st.tokens[i] in members]
+        cands = [i for i in st.unedited() if st.tokens[i] in members]
         if not cands:
             return False
         i = rng.choice(cands)
@@ -341,7 +345,7 @@ class Noiser:
                 return False
             st.delete_span(i, 1)
         else:
-            st.replace(i, new)
+            st.replace_span(i, [new])
         return True
 
     def _op_type_preposition(self, st, rng) -> bool:
@@ -356,13 +360,12 @@ class Noiser:
         def rewrite(token, lemma, rng_):
             forms = [
                 form
-                for t in self.patterns.verb_types
-                if t in VERB_TYPE_FORMS
-                and (form := lex.form(lemma, VERB_TYPE_FORMS[t])) not in (None, token)
+                for name in VERB_TYPE_FORMS.values()
+                if (form := lex.form(lemma, name)) not in (None, token)
             ]
             return rng_.choice(forms) if forms else None
 
-        cands = [(i, forms[0][0]) for i in st.unlocked() if (forms := lex.forms_of(st.tokens[i]))]
+        cands = [(i, forms[0][0]) for i in st.unedited() if (forms := lex.forms_of(st.tokens[i]))]
         return self._rewrite_one(st, rng, cands, rewrite)
 
     def _noun_flip(self, token: str) -> Optional[str]:
@@ -387,7 +390,7 @@ class Noiser:
 
     def _op_type_noun_number(self, st, rng) -> bool:
         cands = [
-            (i, flip) for i in st.unlocked() if (flip := self._noun_flip(st.tokens[i])) is not None
+            (i, flip) for i in st.unedited() if (flip := self._noun_flip(st.tokens[i])) is not None
         ]
         return self._rewrite_one(st, rng, cands, lambda _tok, flip, _rng: flip)
 
@@ -414,7 +417,7 @@ class Noiser:
         return out
 
     def _op_type_pos(self, st, rng) -> bool:
-        cands = [(i, conv) for i in st.unlocked() if (conv := self._pos_conversions(st.tokens[i]))]
+        cands = [(i, conv) for i in st.unedited() if (conv := self._pos_conversions(st.tokens[i]))]
         return self._rewrite_one(st, rng, cands, lambda _tok, conv, rng_: rng_.choice(conv))
 
     def _ngram_sizes(self, rng, limit: int) -> Optional[int]:
@@ -490,38 +493,22 @@ class Noiser:
         return True
 
     def _op_char_pattern(self, st, rng) -> bool:
-        cands = [
-            (i, pattern)
-            for i in st.unlocked()
-            for pattern in self.patterns.letter_patterns
-            if pattern[0] in st.tokens[i]
-        ]
-        return self._rewrite_one(st, rng, cands, lambda tok, kv, _rng: tok.replace(*kv, 1))
+        return self._rewrite_substring(
+            st, rng, self.patterns.letter_patterns, lambda new, _rng: new
+        )
 
     def _op_vowel_swap(self, st, rng) -> bool:
-        cands = [
-            (i, combo)
-            for i in st.unlocked()
-            for combo in self.patterns.vowel_combinations
-            if combo in st.tokens[i]
-        ]
-        return self._rewrite_one(st, rng, cands, lambda tok, c, _rng: tok.replace(c, c[::-1], 1))
+        return self._rewrite_substring(st, rng, self._vowel_swaps, lambda new, _rng: new)
 
     def _op_similar_sound(self, st, rng) -> bool:
-        cands = [
-            (i, entry)
-            for i in st.unlocked()
-            for entry in self.patterns.similar_sound
-            if entry[0] in st.tokens[i]
-        ]
-        return self._rewrite_one(
-            st, rng, cands, lambda tok, kv, rng_: tok.replace(kv[0], rng_.choice(kv[1]), 1)
+        return self._rewrite_substring(
+            st, rng, self.patterns.similar_sound, lambda subs, rng_: rng_.choice(subs)
         )
 
     def _op_adjective_adverb(self, st, rng) -> bool:
         adj = self.patterns.adjectives
         cands = []
-        for i in st.unlocked():
+        for i in st.unedited():
             tok = st.tokens[i]
             if tok in adj and not tok.endswith("ly"):
                 cands.append((i, tok + "ly"))

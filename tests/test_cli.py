@@ -613,6 +613,10 @@ def _noise_edit_dict(d):
         (_noise("expected_errors = x\n"), 2, "p.profile:1: could not convert"),
         (_noise("rng_seed = 2\nexpected_errors = inf\n"), 2, "p.profile:2: expected_errors"),
         (_noise("type_preposition = -1\n"), 2, "p.profile:1: weight for type_preposition"),
+        (_noise("expected_errors = 701\n"), 2,
+         "p.profile:1: expected_errors must be a finite number in [0, 700], got 701.0"),
+        (_noise("type_preposition = 1.0\nrng_seed = 2\ntype_preposition = 0.0\n"), 2,
+         "p.profile:3: duplicate key 'type_preposition' (first set on line 1)"),
         # a form feed or a line separator does not end a line
         (_noise("# a\x0cb\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
         (_noise("# a\u2028b\nexpected_errors = x\n"), 2, "p.profile:2: could not convert"),
@@ -677,7 +681,8 @@ def _noise_edit_dict(d):
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
          "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-empty-source",
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
-         "noise-expected-inf", "noise-negative-weight",
+         "noise-expected-inf", "noise-negative-weight", "noise-expected-above-bound",
+         "noise-duplicate-key",
          "noise-profile-form-feed", "noise-profile-line-separator", "train-not-object",
          "train-nested-too-deeply",
          "train-missing-stream", "train-tag-not-in-tagset", "train-detection-contradicts-tags",
@@ -930,6 +935,8 @@ def test_line_state_is_dropped_when_the_map_ends(workdir, trained_model, capsys,
         ("train-toy", "--tagset", True),
         ("apply", "--lexicon", False),
         ("predict", "--plurals", True),
+        ("noise", "edit_dict", False),
+        ("noise", "edit_dict", True),
     ],
 )
 def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, capsys,
@@ -938,11 +945,11 @@ def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, 
     usage error that names both flags; the input is not opened for writing.
     ``--lexicon`` and ``--plurals`` are left at their bundled defaults, here
     copies in a data directory of the test's own, read by a parser built after
-    the redirect."""
+    the redirect.  ``edit_dict`` is the input that ``--profile`` names."""
     data = workdir / "data"
     data.mkdir()
-    for name in ("verbs.tsv", "irregular_plurals.tsv"):
-        (data / name).write_bytes((data_dir() / name).read_bytes())
+    for path in data_dir().iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
     monkeypatch.setattr("gecedit.lexicon.data_dir", lambda: data)
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
     defaults = {"--lexicon": str(data / "verbs.tsv"), "--plurals": str(data / "irregular_plurals.tsv")}
@@ -955,7 +962,13 @@ def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, 
         "train-toy": {"--data": str(workdir / "labels.jsonl"),
                       "--tagset": str(workdir / "small.tagset")},
     }[command]
-    target = Path(inputs[flag] if flag in inputs else defaults[flag])
+    if flag == "edit_dict":
+        inputs["--profile"] = _write(workdir / "ed.profile", "edit_dict = ed.tsv\ntoken_dict = 1.0\n")
+        target = Path(_write(workdir / "ed.tsv", "in\tat\n")).resolve()
+        what = f"the edit_dict {target} named by --profile {inputs['--profile']}"
+    else:
+        target = Path(inputs[flag] if flag in inputs else defaults[flag])
+        what = f"{flag} {target}"
     before = target.read_bytes()
     out = target
     if link:
@@ -965,7 +978,7 @@ def test_out_that_names_an_input_exits_one_and_keeps_it(workdir, trained_model, 
     argv = [command, *(arg for pair in inputs.items() for arg in pair), "--out", str(out)]
     assert main([*argv, "--workers", "1"] if command != "train-toy" else argv) == 1
     err = capsys.readouterr().err
-    assert err == f"gecedit {command}: error: --out {out} is the same file as {flag} {target}\n"
+    assert err == f"gecedit {command}: error: --out {out} is the same file as {what}\n"
     assert target.read_bytes() == before
 
 

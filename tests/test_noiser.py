@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from gecedit.alignment import align
 from gecedit.cli import main
 from gecedit.edit2seq import edit2seq
 from gecedit.noiser import (
+    MAX_EXPECTED_ERRORS,
     MAX_RETRIES,
     OPERATIONS,
     VERB_TYPE_FORMS,
@@ -57,6 +59,7 @@ class TestProfile:
             "expected_errors = nan",
             "expected_errors = inf",
             "expected_errors = -1",
+            "expected_errors = 701",
             "type_preposition = nan",
             "type_preposition = -inf",
             "type_preposition = -0.5",
@@ -68,12 +71,35 @@ class TestProfile:
         with pytest.raises(ProfileError, match=rf"^{p}:2: .* must be a finite number"):
             load_profile(p)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 701.0])
     def test_non_finite_values_rejected_by_the_profile_itself(self, value):
         with pytest.raises(ProfileError, match="expected_errors"):
             NoiseProfile(expected_errors=value)
         with pytest.raises(ProfileError, match="type_preposition"):
             NoiseProfile({"type_preposition": value})
+
+    def test_expected_errors_bound_is_accepted(self, tmp_path):
+        assert MAX_EXPECTED_ERRORS == 700.0
+        p = tmp_path / "p.profile"
+        p.write_text("expected_errors = 700\n")
+        assert load_profile(p).expected_errors == 700.0
+        assert NoiseProfile(expected_errors=700.0).expected_errors == 700.0
+
+    def test_poisson_is_not_capped_at_the_bound(self):
+        # exp(-lam) underflows past about 708, where the running product
+        # reached 0 after about 745 factors and so capped every draw there.
+        rng = random.Random(1)
+        draws = [_poisson(rng, MAX_EXPECTED_ERRORS) for _ in range(200)]
+        assert abs(sum(draws) / len(draws) - 700) < 8  # 4 standard errors
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "p.profile"
+        p.write_text("type_preposition = 1.0\nrng_seed = 2\ntype_preposition = 0.0\n")
+        with pytest.raises(
+            ProfileError,
+            match=rf"^{p}:3: duplicate key 'type_preposition' \(first set on line 1\)$",
+        ):
+            load_profile(p)
 
     def test_token_dict_requires_dictionary(self, lexicon):
         with pytest.raises(ProfileError, match="dictionary"):
@@ -316,6 +342,10 @@ def test_reversibility_unknown_rate(lexicon, default_tagset):
     assert unknown / edited <= 0.05
 
 
+def _edited_positions(st_):
+    return {i for i, edited in enumerate(st_.edited) if edited}
+
+
 class TestDeletionRestoreSite:
     """A deletion's restore edit lands on the token before the deleted ones,
     or at the sentence start on the token after them; that token must not
@@ -327,9 +357,10 @@ class TestDeletionRestoreSite:
         clean = [f"t{k}" for k in range(6)]
         for seed in range(100):
             st_ = _SentenceState(list(clean))
-            st_.locked = {n}
+            st_.edited[n] = True
             if noiser._op_ngram_delete(st_, random.Random(seed)) and st_.tokens[0] != "t0":
                 assert len(clean) - len(st_.tokens) != n, (seed, st_.tokens)
+            assert len(st_.edited) == len(st_.tokens)
 
     def test_empty_inventory_entry_spares_a_locked_token_after_the_start(self, lexicon):
         noiser = Noiser(NoiseProfile({}), lexicon=lexicon)
@@ -337,18 +368,21 @@ class TestDeletionRestoreSite:
         refused = 0
         for seed in range(100):
             st_ = _SentenceState(["in", "t1", "t2"])
-            st_.locked = {1}
+            st_.edited[1] = True
             if noiser._op_type_preposition(st_, random.Random(seed)):
                 assert len(st_.tokens) == 3, (seed, st_.tokens)
             else:
                 refused += 1  # drew the empty entry, i.e. a deletion
+            assert len(st_.edited) == len(st_.tokens)
         assert refused > 0
 
     @pytest.mark.parametrize("p, tokens, locked", [(0, ["c", "d"], {0}), (2, ["a", "b"], {1})])
     def test_delete_span_locks_the_restore_site(self, p, tokens, locked):
+        """``locked`` is the set of positions marked edited afterwards."""
         st_ = _SentenceState(["a", "b", "c", "d"])
         st_.delete_span(p, 2)
-        assert st_.tokens == tokens and st_.locked == locked
+        assert st_.tokens == tokens and _edited_positions(st_) == locked
+        assert len(st_.edited) == len(st_.tokens)
 
 
 # -- reference operations -------------------------------------------------------
@@ -359,6 +393,59 @@ class TestDeletionRestoreSite:
 # after the deleted ones.  ngram_replace compares the slices of every (p, q)
 # pair, as written before the Noiser built each window once, so the test pins
 # its candidate order.  ngram_swap and ngram_insert are the Noiser's own.
+# All of them run on ReferenceState, the sentence state as it was before it
+# kept one edited flag per token, so the Noiser's state is checked against an
+# independent one.
+
+
+class ReferenceState:
+    """Working token list plus the set of already-edited (locked) positions."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.locked: set[int] = set()
+
+    def unlocked(self) -> list[int]:
+        return [i for i in range(len(self.tokens)) if i not in self.locked]
+
+    def window_free(self, p: int, n: int) -> bool:
+        return all(p + k not in self.locked for k in range(n))
+
+    def replace(self, i: int, new: str) -> None:
+        self.tokens[i] = new
+        self.locked.add(i)
+
+    def replace_span(self, p: int, new: Sequence[str]) -> None:
+        self.tokens[p : p + len(new)] = list(new)
+        self.locked.update(range(p, p + len(new)))
+
+    def insert_span(self, p: int, new: Sequence[str]) -> None:
+        n = len(new)
+        self.tokens[p:p] = list(new)
+        self.locked = {(k if k < p else k + n) for k in self.locked}
+        self.locked.update(range(p, p + n))
+
+    @staticmethod
+    def _restore_site(p: int, n: int) -> int:
+        """The token whose edit restores deleted tokens ``p .. p+n-1``: the
+        one before them, or at the sentence start the one after."""
+        return p - 1 if p > 0 else p + n
+
+    def can_delete(self, p: int, n: int) -> bool:
+        """Whether deleting ``n`` tokens at ``p`` leaves a token, and neither
+        they nor their restore site has been edited yet."""
+        return (
+            n < len(self.tokens)
+            and self._restore_site(p, n) not in self.locked
+            and self.window_free(p, n)
+        )
+
+    def delete_span(self, p: int, n: int) -> None:
+        """Delete ``n`` tokens at ``p``, as ``can_delete`` allowed, and lock
+        the token that restores them."""
+        self.locked.add(self._restore_site(p, n))
+        del self.tokens[p : p + n]
+        self.locked = {(k if k < p else k - n) for k in self.locked}
 
 
 def reference_delete_span(st_, p, n):
@@ -424,11 +511,7 @@ def reference_type_verbform(nz, st_, rng):
     i = rng.choice(cands)
     token = st_.tokens[i]
     lemma, _ = lex.forms_of(token)[0]
-    types = [
-        t
-        for t in nz.patterns.verb_types
-        if t in VERB_TYPE_FORMS and lex.form(lemma, VERB_TYPE_FORMS[t]) not in (None, token)
-    ]
+    types = [t for t in VERB_TYPE_FORMS if lex.form(lemma, VERB_TYPE_FORMS[t]) not in (None, token)]
     if not types:
         return False
     chosen = rng.choice(types)
@@ -562,7 +645,7 @@ REFERENCE_OPERATIONS = {
 def reference_corrupt(nz, clean, line_seed):
     rng = _line_rng(nz.profile.rng_seed, line_seed)
     n_errors = _poisson(rng, nz.profile.expected_errors)
-    state = _SentenceState(list(clean))
+    state = ReferenceState(list(clean))
     realized = Counter()
     active = nz.profile.active_operations()
     if not active:
@@ -655,11 +738,12 @@ class TestNgramReplaceCounts:
         draw = random.Random(seed)
         tokens = [f"w{draw.randrange(vocab)}" for _ in range(length)]
         taken = {k for k in range(length) if draw.random() < locked}
-        ours, ref = _SentenceState(list(tokens)), _SentenceState(list(tokens))
-        ours.locked, ref.locked = set(taken), set(taken)
+        ours, ref = _SentenceState(list(tokens)), ReferenceState(list(tokens))
+        ours.edited, ref.locked = [k in taken for k in range(length)], set(taken)
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert noiser._op_ngram_replace(ours, rng) == reference_ngram_replace(noiser, ref, ref_rng)
-        assert (ours.tokens, ours.locked) == (ref.tokens, ref.locked)
+        assert (ours.tokens, _edited_positions(ours)) == (ref.tokens, ref.locked)
+        assert len(ours.edited) == len(ours.tokens)
         assert rng.getstate() == ref_rng.getstate()
 
     def test_a_long_line_is_drawn_in_bounded_memory(self, lexicon):

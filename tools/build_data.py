@@ -548,8 +548,6 @@ SIMILAR_SOUND = [
     ("y", ["i"]),
 ]
 
-VERB_TYPES = ["inf", "1sg", "2sg", "3sg", "pl", "part", "p", "1sgp", "2sgp", "3sgp", "ppl", "ppart"]
-
 APPEND_COUNT = 1193
 REPLACE_COUNT = 3725
 
@@ -615,7 +613,6 @@ def main() -> None:
     write_lines(DATA / "letter_patterns.tsv", (f"{k}\t{v}" for k, v in LETTER_PATTERNS))
     write_lines(DATA / "vowel_combinations.txt", VOWEL_COMBINATIONS)
     write_lines(DATA / "similar_sound.tsv", (f"{k}\t{','.join(v)}" for k, v in SIMILAR_SOUND))
-    write_lines(DATA / "verb_types.txt", VERB_TYPES)
     write_lines(DATA / "adjectives.txt", ADJECTIVES)
 
     wordlist = build_wordlist(verbs)
