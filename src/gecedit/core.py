@@ -63,6 +63,11 @@ def text_lines(path: Union[str, Path]) -> Iterator[str]:
         raise _not_utf8(path, exc) from None
 
 
+def is_token(text: str) -> bool:
+    """Whether ``text`` is a token: non-empty and free of whitespace."""
+    return text.split() == [text]
+
+
 def tokenize(line: str) -> list[str]:
     """Split a pre-tokenized line on whitespace; empty line gives []."""
     return line.split()

@@ -7,7 +7,7 @@ from typing import Callable, Optional, Sequence
 
 from gecedit.lexicon import Lexicon
 from gecedit.tags import EditTag, TagFamily
-from gecedit.transforms import apply_suffix, apply_transform
+from gecedit.transforms import MERGE_JOINERS, apply_suffix, apply_transform
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ def apply_tag(
     if fam is TagFamily.MERGE:
         if next_token is None:
             raise TagApplicationError(tag, "no next token to merge with")
-        joiner = "-" if tag.payload == "HYPHEN" else ""
-        return [token + joiner + next_token], True
+        return [token + MERGE_JOINERS[tag.payload] + next_token], True
     if fam is TagFamily.TRANSFORM:
         out = apply_transform(tag.payload, token, lexicon)
         if out is None:

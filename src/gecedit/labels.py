@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from gecedit.tags import EditTag, TagFamily, _is_token
+from gecedit.core import is_token
+from gecedit.tags import EditTag, TagFamily
 
 BINARY_STREAMS = ("deletion", "insertion", "substitution", "merge", "transformation", "detection")
 
@@ -76,7 +77,7 @@ def from_json_line(line: str) -> tuple[list[str], tuple[EditTag, ...]]:
         raise ValueError("tokens and correction tags must be strings")
     tokens = list(obj["tokens"])
     for i, tok in enumerate(tokens):
-        if not _is_token(tok):
+        if not is_token(tok):
             raise ValueError(f"token {i} {tok!r} is empty or holds whitespace")
     tags = tuple(EditTag.parse(t) for t in obj["correction"])
     if len(tokens) != len(tags):

@@ -12,6 +12,10 @@ vowel_combinations.txt  one two-letter combination per line
 similar_sound.tsv       letter<TAB>comma-separated substitutes
 adjectives.txt          one adjective per line
 manifest.json           {"files": {name: sha256-hex}}
+
+Every non-empty column of verbs.tsv and irregular_plurals.tsv must be a token,
+so that a verb or agreement rewrite yields one token, and a lemma, a singular
+or a plural may appear on one line only.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from gecedit.core import read_lines, read_text
+from gecedit.core import is_token, read_lines, read_text
 
 VERB_FORM_NAMES = ("VB", "VBD", "VBG", "VBN", "VBZ")
 
@@ -75,6 +79,13 @@ class Lexicon:
         return surface in self._by_surface
 
 
+def _check_tokens(path: Path, lineno: int, cols: list[str]) -> None:
+    """Every non-empty column of a lexicon line must be a token."""
+    for col in cols:
+        if col and not is_token(col):
+            raise LexiconError(f"{path}:{lineno}: {col!r} is not a token")
+
+
 def load_lexicon(
     verbs_path: Union[str, Path, None] = None,
     plurals_path: Union[str, Path, None] = None,
@@ -90,27 +101,37 @@ def load_lexicon(
         cols = line.split("\t")
         if len(cols) != 5:
             raise LexiconError(f"{verbs_path}:{lineno}: expected 5 columns, got {len(cols)}")
+        _check_tokens(verbs_path, lineno, cols)
         lemma = cols[0]
         if not lemma or lemma != lemma.lower():
             raise LexiconError(f"{verbs_path}:{lineno}: lemma must be non-empty lowercase")
         if lemma in verb_forms:
             raise LexiconError(f"{verbs_path}:{lineno}: duplicate lemma {lemma!r}")
         forms = {"VB": lemma}
-        for name, surface in zip(("VBD", "VBG", "VBN", "VBZ"), cols[1:]):
+        for name, surface in zip(VERB_FORM_NAMES[1:], cols[1:]):
             if surface:
                 forms[name] = surface
         verb_forms[lemma] = forms
 
     plural_of: dict[str, str] = {}
     singular_of: dict[str, str] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(read_lines(plurals_path), start=1):
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) != 2 or not cols[0] or not cols[1]:
             raise LexiconError(f"{plurals_path}:{lineno}: expected singular<TAB>plural")
-        plural_of[cols[0]] = cols[1]
-        singular_of[cols[1]] = cols[0]
+        _check_tokens(plurals_path, lineno, cols)
+        singular, plural = cols
+        for column, word in (("singular", singular), ("plural", plural)):
+            first = first_line.setdefault((column, word), lineno)
+            if first != lineno:
+                raise LexiconError(
+                    f"{plurals_path}:{lineno}: duplicate {column} {word!r} (first on line {first})"
+                )
+        plural_of[singular] = plural
+        singular_of[plural] = singular
 
     return Lexicon(verb_forms, plural_of, singular_of)
 

@@ -16,27 +16,25 @@ from gecedit.lexicon import Lexicon
 from gecedit.tags import (
     DELETE_TAG,
     KEEP_TAG,
-    MERGE_HYPHEN_TAG,
-    MERGE_SPACE_TAG,
     UNKNOWN_TAG,
     EditTag,
     TagFamily,
     TagSet,
 )
-from gecedit.transforms import SUFFIX_RULES, VERB_RULES, apply_suffix, apply_transform
+from gecedit.transforms import MERGE_JOINERS, SUFFIX_RULES, VERB_RULES, apply_suffix, apply_transform
 
 
 class _Rules:
-    """The transform and suffix rules of one tagset, indexed for ``classify_edit``.
+    """The merge, transform and suffix rules of one tagset, indexed for ``seq2edit``.
 
-    Only the rules the tagset contains are kept, in priority order.  Verb rules
-    carry their source form, so a token is tried only against the rules its
-    lexicon readings can satisfy.  Suffix rules are indexed by the
-    ``(old ending, new ending)`` pair they rewrite, so a (token, target) pair
-    looks up the few ways to split both after a shared stem instead of trying
-    every rule.  A rule found either way is still accepted only when applying
-    it reproduces the target.  The rules depend on the tagset alone; the
-    lexicon is read at classification time.
+    Only the rules the tagset contains are kept, in priority order.  Merge
+    rules carry their joiner.  Verb rules carry their source form, so a token
+    is tried only against the rules its lexicon readings can satisfy.  Suffix
+    rules are indexed by the ``(old ending, new ending)`` pair they rewrite,
+    so a (token, target) pair looks up the few ways to split both after a
+    shared stem instead of trying every rule.  A rule found either way is
+    still accepted only when applying it reproduces the target.  The rules
+    depend on the tagset alone; the lexicon is read at classification time.
     """
 
     def __init__(self, tagset: TagSet):
@@ -44,6 +42,8 @@ class _Rules:
             tags = ((name, EditTag(family, name)) for name in names)
             return tuple((name, tag) for name, tag in tags if tag in tagset)
 
+        merge = present(TagFamily.MERGE, MERGE_JOINERS)
+        self.merge = tuple((MERGE_JOINERS[name], tag) for name, tag in merge)
         transform = TagFamily.TRANSFORM
         self.case = present(transform, ("CASE_CAPITAL", "CASE_LOWER", "CASE_UPPER"))
         self.split = present(transform, ("SPLIT_HYPHEN",))
@@ -159,29 +159,25 @@ def seq2edit(
     n = len(source)
     tags: list[EditTag | None] = [None] * n
 
-    have_space = MERGE_SPACE_TAG in tagset
-    have_hyphen = MERGE_HYPHEN_TAG in tagset
-    if have_space or have_hyphen:
+    merges = _rules_of(tagset).merge
+    if merges:
         spans, target = pair.spans, pair.target
         i = 0
         while i < n - 1:
             # the spans of tokens i and i + 1 are adjacent: together target[start:end]
             start, end = spans[i][0], spans[i + 1][1]
+            step = 1
             if start < end:
                 head = target[start]
-                merged = None
-                if have_space and head == source[i] + source[i + 1]:
-                    merged = MERGE_SPACE_TAG
-                elif have_hyphen and head == source[i] + "-" + source[i + 1]:
-                    merged = MERGE_HYPHEN_TAG
-                if merged is not None:
-                    # The consumed token's tag is never applied, so a rest of
-                    # the span after the merged word cannot be encoded.
-                    tags[i] = merged
-                    tags[i + 1] = KEEP_TAG if start + 1 == end else UNKNOWN_TAG
-                    i += 2
-                    continue
-            i += 1
+                for joiner, tag in merges:
+                    if head == source[i] + joiner + source[i + 1]:
+                        # The consumed token's tag is never applied, so a rest of
+                        # the span after the merged word cannot be encoded.
+                        tags[i] = tag
+                        tags[i + 1] = KEEP_TAG if start + 1 == end else UNKNOWN_TAG
+                        step = 2
+                        break
+            i += step
 
     for i in range(n):
         if tags[i] is None:

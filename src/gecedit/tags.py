@@ -1,5 +1,8 @@
 """Edit-space primitives: tag families, tag parsing/rendering, and tagset files.
 
+The rule name a MERGE, TRANSFORM or SUFFIXTRANSFORM tag carries must be a key
+of the matching rule table in ``transforms``; ``MERGE_NAMES``,
+``TRANSFORM_NAMES`` and ``SUFFIX_NAMES`` list those keys in canonical order.
 A tagset file is plain UTF-8 text, one tag string per line; integer ids are
 assigned densely in file order.
 """
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from gecedit.core import read_lines
+from gecedit.core import is_token, read_lines
+from gecedit.transforms import MERGE_JOINERS, SUFFIX_NAMES, SUFFIX_RULES, TRANSFORMS
 
 
 class TagError(ValueError):
@@ -29,121 +33,10 @@ class TagFamily(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-MERGE_NAMES = ("HYPHEN", "SPACE")
+MERGE_NAMES = tuple(MERGE_JOINERS)
+TRANSFORM_NAMES = tuple(TRANSFORMS)
 
-# Case/split/agreement/verb rewrites, in canonical (id) order.
-TRANSFORM_NAMES = (
-    "AGREEMENT_PLURAL",
-    "AGREEMENT_SINGULAR",
-    "CASE_CAPITAL",
-    "CASE_LOWER",
-    "CASE_UPPER",
-    "SPLIT_HYPHEN",
-    "VERB_VBD_VB",
-    "VERB_VBD_VBG",
-    "VERB_VBD_VBN",
-    "VERB_VBD_VBZ",
-    "VERB_VBG_VB",
-    "VERB_VBG_VBD",
-    "VERB_VBG_VBN",
-    "VERB_VBG_VBZ",
-    "VERB_VBN_VB",
-    "VERB_VBN_VBD",
-    "VERB_VBN_VBG",
-    "VERB_VBN_VBZ",
-    "VERB_VBZ_VB",
-    "VERB_VBZ_VBD",
-    "VERB_VBZ_VBG",
-    "VERB_VBZ_VBN",
-    "VERB_VB_VBD",
-    "VERB_VB_VBG",
-    "VERB_VB_VBN",
-    "VERB_VB_VBZ",
-)
-
-# Literal suffix edits, in canonical (id) order.  X_TO_Y rewrites suffix x to y,
-# REMOVE_x strips x, APPEND_x concatenates x; all operate on lowercase suffixes.
-SUFFIX_NAMES = (
-    "AL_TO_E",
-    "APPEND_able",
-    "APPEND_age",
-    "APPEND_al",
-    "APPEND_ation",
-    "APPEND_d",
-    "APPEND_ed",
-    "APPEND_er",
-    "APPEND_es",
-    "APPEND_est",
-    "APPEND_ful",
-    "APPEND_ing",
-    "APPEND_ist",
-    "APPEND_ive",
-    "APPEND_ly",
-    "APPEND_n",
-    "APPEND_ness",
-    "APPEND_ship",
-    "APPEND_wise",
-    "APPEND_y",
-    "ATION_TO_ING",
-    "CE_TO_T",
-    "D_TO_S",
-    "D_TO_T",
-    "ED_TO_ING",
-    "ED_TO_S",
-    "ER_TO_EST",
-    "EST_TO_ER",
-    "E_TO_AL",
-    "E_TO_ING",
-    "ICAL_TO_Y",
-    "IC_TO_Y",
-    "IES_TO_Y",
-    "ILY_TO_Y",
-    "ING_TO_ATION",
-    "ING_TO_E",
-    "ING_TO_ED",
-    "ING_TO_ION",
-    "ING_TO_S",
-    "ION_TO_ING",
-    "N_TO_ING",
-    "REMOVE_able",
-    "REMOVE_age",
-    "REMOVE_al",
-    "REMOVE_ation",
-    "REMOVE_d",
-    "REMOVE_ed",
-    "REMOVE_er",
-    "REMOVE_es",
-    "REMOVE_est",
-    "REMOVE_ful",
-    "REMOVE_ing",
-    "REMOVE_ive",
-    "REMOVE_less",
-    "REMOVE_ly",
-    "REMOVE_n",
-    "REMOVE_ness",
-    "REMOVE_y",
-    "S_TO_D",
-    "S_TO_ED",
-    "S_TO_ING",
-    "S_TO_T",
-    "T_TO_CE",
-    "T_TO_D",
-    "T_TO_S",
-    "Y_TO_IC",
-    "Y_TO_ICAL",
-    "Y_TO_IED",
-    "Y_TO_IES",
-    "Y_TO_ILY",
-)
-
-_TRANSFORM_SET = frozenset(TRANSFORM_NAMES)
-_SUFFIX_SET = frozenset(SUFFIX_NAMES)
 _PAYLOADLESS = frozenset((TagFamily.KEEP, TagFamily.DELETE, TagFamily.UNKNOWN))
-
-
-def _is_token(text: str) -> bool:
-    """Non-empty and free of whitespace."""
-    return text.split() == [text]
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,16 +52,16 @@ class EditTag:
             if pay is not None:
                 raise TagError(f"{fam.value} takes no payload, got {pay!r}")
         elif fam in (TagFamily.APPEND, TagFamily.REPLACE):
-            if pay is None or not _is_token(pay):
+            if pay is None or not is_token(pay):
                 raise TagError(f"{fam.value} payload must be a non-empty token, got {pay!r}")
         elif fam is TagFamily.MERGE:
-            if pay not in MERGE_NAMES:
+            if pay not in MERGE_JOINERS:
                 raise TagError(f"MERGE payload must be one of {MERGE_NAMES}, got {pay!r}")
         elif fam is TagFamily.TRANSFORM:
-            if pay not in _TRANSFORM_SET:
+            if pay not in TRANSFORMS:
                 raise TagError(f"unknown TRANSFORM name {pay!r}")
         elif fam is TagFamily.SUFFIXTRANSFORM:
-            if pay not in _SUFFIX_SET:
+            if pay not in SUFFIX_RULES:
                 raise TagError(f"unknown SUFFIXTRANSFORM name {pay!r}")
 
     def render(self) -> str:
@@ -198,8 +91,6 @@ class EditTag:
 KEEP_TAG = EditTag(TagFamily.KEEP)
 DELETE_TAG = EditTag(TagFamily.DELETE)
 UNKNOWN_TAG = EditTag(TagFamily.UNKNOWN)
-MERGE_SPACE_TAG = EditTag(TagFamily.MERGE, "SPACE")
-MERGE_HYPHEN_TAG = EditTag(TagFamily.MERGE, "HYPHEN")
 
 
 class TagSet:
@@ -220,7 +111,7 @@ class TagSet:
             # Nearly every line of a large tagset is an APPEND or REPLACE tag,
             # valid when its payload is a token; EditTag.parse checks the rest.
             head, _, payload = name.partition("_")
-            if not (head in ("$APPEND", "$REPLACE") and _is_token(payload)):
+            if not (head in ("$APPEND", "$REPLACE") and is_token(payload)):
                 try:
                     EditTag.parse(name)
                 except TagError as exc:

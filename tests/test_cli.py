@@ -579,6 +579,12 @@ def _apply_edits(edits):
                       "--edits", _write(d / "e.txt", edits), "--out", str(d / "o.txt")]
 
 
+def _apply_lexicon(verbs):
+    return lambda d: ["apply", "--src", _write(d / "s.txt", "I go home\n"),
+                      "--edits", _write(d / "e.txt", "$KEEP $TRANSFORM_VERB_VB_VBD $KEEP\n"),
+                      "--lexicon", _write(d / "verbs.tsv", verbs), "--out", str(d / "o.txt")]
+
+
 def _score_empty_source(*flags):
     return lambda d: ["score", "--src", _write(d / "src.txt", "a\n\n"),
                       "--hyp", _write(d / "hyp.txt", "a\nb\n"),
@@ -606,6 +612,15 @@ def _noise_edit_dict(d):
         (_tag(lexicon="go\twent\tgoing\tgone\tgoes\n\n\ngo\n"), 2,
          "lexicon.tsv:4: expected 5 columns"),
         (_tag(plurals="child\tchildren\n\nfoot\n"), 2, "plurals.tsv:3: expected singular<TAB>plural"),
+        (_tag(plurals="person\tpeople\nperson\tpersons\n"), 2,
+         "plurals.tsv:2: duplicate singular 'person' (first on line 1)"),
+        (_tag(plurals="person\tpeople\n\nhuman\tpeople\n"), 2,
+         "plurals.tsv:3: duplicate plural 'people' (first on line 1)"),
+        (_tag(plurals="child\tlittle ones\n"), 2, "plurals.tsv:1: 'little ones' is not a token"),
+        (_tag(lexicon="do\tdid\tdoing\tdone\tdoes\ngo\twent up\tgoing\tgone\tgoes\n"), 2,
+         "lexicon.tsv:2: 'went up' is not a token"),
+        (_apply_lexicon("go\twent\tgoing\tgone\tgoes\u00a0\n"), 2,
+         "verbs.tsv:1: 'goes\\xa0' is not a token"),
         (_tag("\tb\n"), 2, "pairs.tsv:1: empty source sentence"),
         (_apply_edits("$KEEP $NOPE\n"), 2, "e.txt:1: "),
         (_apply_edits("$KEEP\n"), 2, "e.txt:1: edit sequence length 1 != source length 2"),
@@ -679,7 +694,9 @@ def _noise_edit_dict(d):
         (_score_no_sentences("--metric", "gleu"), 2, "src.txt: no sentences"),
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
-         "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-empty-source",
+         "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-plurals-duplicate-singular",
+         "tag-plurals-duplicate-plural", "tag-plurals-not-token", "tag-lexicon-not-token",
+         "apply-lexicon-not-token", "tag-empty-source",
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
          "noise-expected-inf", "noise-negative-weight", "noise-expected-above-bound",
          "noise-duplicate-key",

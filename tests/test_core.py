@@ -4,9 +4,19 @@ from gecedit.core import (
     CorpusFormatError,
     detokenize,
     format_pair_line,
+    is_token,
     parse_pair_line,
     tokenize,
 )
+
+
+def test_is_token_matches_isspace_on_every_code_point():
+    for cp in range(0x110000):
+        ch = chr(cp)
+        old = not ch.isspace()
+        assert is_token(ch) is old, hex(cp)
+        assert is_token("a" + ch + "b") is old, hex(cp)
+    assert not is_token("")
 
 
 def test_tokenize_whitespace_split():

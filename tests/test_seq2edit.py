@@ -21,7 +21,15 @@ from gecedit.tags import (
     TagSet,
     load_tagset,
 )
-from gecedit.transforms import SUFFIX_RULES, VERB_RULES, apply_suffix, apply_transform
+from gecedit.transforms import (
+    SUFFIX_RULES,
+    TRANSFORMS,
+    VERB_RULES,
+    apply_suffix,
+    apply_transform,
+    pluralize,
+    singularize,
+)
 
 from corpus_util import make_corpus
 
@@ -106,11 +114,79 @@ def reference_suffix_ends(name):
     return old.lower(), new.lower()
 
 
+# -- reference transform rules --------------------------------------------------
+# The transform rules before the rule table: a literal of the names, in
+# canonical (id) order, and an if-chain that dispatches on them.
+
+REFERENCE_TRANSFORM_NAMES = (
+    "AGREEMENT_PLURAL",
+    "AGREEMENT_SINGULAR",
+    "CASE_CAPITAL",
+    "CASE_LOWER",
+    "CASE_UPPER",
+    "SPLIT_HYPHEN",
+    "VERB_VBD_VB",
+    "VERB_VBD_VBG",
+    "VERB_VBD_VBN",
+    "VERB_VBD_VBZ",
+    "VERB_VBG_VB",
+    "VERB_VBG_VBD",
+    "VERB_VBG_VBN",
+    "VERB_VBG_VBZ",
+    "VERB_VBN_VB",
+    "VERB_VBN_VBD",
+    "VERB_VBN_VBG",
+    "VERB_VBN_VBZ",
+    "VERB_VBZ_VB",
+    "VERB_VBZ_VBD",
+    "VERB_VBZ_VBG",
+    "VERB_VBZ_VBN",
+    "VERB_VB_VBD",
+    "VERB_VB_VBG",
+    "VERB_VB_VBN",
+    "VERB_VB_VBZ",
+)
+
+
+def reference_apply_transform(name, token, lexicon):
+    if name.startswith("CASE_"):
+        if name == "CASE_CAPITAL":
+            return [token[0].upper() + token[1:]]
+        if name == "CASE_LOWER":
+            return [token.lower()]
+        if name == "CASE_UPPER":
+            return [token.upper()]
+        return None
+    if name == "SPLIT_HYPHEN":
+        if "-" not in token:
+            return None
+        left, _, right = token.partition("-")
+        if not left or not right:
+            return None
+        return [left, right]
+    if name == "AGREEMENT_PLURAL":
+        return [pluralize(token, lexicon)]
+    if name == "AGREEMENT_SINGULAR":
+        out = singularize(token, lexicon)
+        return None if out is None else [out]
+    if name.startswith("VERB_"):
+        src_form, tgt_form = name.split("_")[1:]
+        for lemma, form in lexicon.forms_of(token):
+            if form != src_form:
+                continue
+            out = lexicon.form(lemma, tgt_form)
+            if out is not None:
+                return [out]
+    return None
+
+
 def test_rule_tables_cover_every_rule_name():
+    assert TRANSFORM_NAMES == REFERENCE_TRANSFORM_NAMES
+    assert list(TRANSFORMS) == list(REFERENCE_TRANSFORM_NAMES)
     assert list(SUFFIX_RULES) == list(SUFFIX_NAMES)
     for name in SUFFIX_NAMES:
         assert SUFFIX_RULES[name] == reference_suffix_ends(name), name
-    verb_names = [n for n in TRANSFORM_NAMES if n.startswith("VERB_")]
+    verb_names = [n for n in REFERENCE_TRANSFORM_NAMES if n.startswith("VERB_")]
     assert list(VERB_RULES) == verb_names
     for name in verb_names:
         assert VERB_RULES[name] == tuple(name.split("_")[1:]), name
@@ -146,7 +222,7 @@ _CHARS = "abeilnstyßSİIi\u0301-\U00010348"
 
 
 @st.composite
-def _classified_pairs(draw):
+def _tokens(draw):
     token = draw(st.one_of(
         st.sampled_from(_VERB_FORMS),
         st.sampled_from(_WORDS),
@@ -156,6 +232,27 @@ def _classified_pairs(draw):
     if draw(st.booleans()):  # a suffix variant of a word
         token = token[: len(token) - draw(st.integers(0, 2))] + draw(st.sampled_from(_ENDINGS))
         token = token or "x"
+    return token
+
+
+def test_transforms_match_reference_on_every_listed_word():
+    for token in _VERB_FORMS + _WORDS:
+        for name, rewrite in TRANSFORMS.items():
+            expected = reference_apply_transform(name, token, _LEXICON)
+            assert rewrite(token, _LEXICON) == expected, (name, token)
+            assert apply_transform(name, token, _LEXICON) == expected, (name, token)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(token=_tokens())
+def test_transforms_match_reference(token):
+    for name, rewrite in TRANSFORMS.items():
+        assert rewrite(token, _LEXICON) == reference_apply_transform(name, token, _LEXICON), name
+
+
+@st.composite
+def _classified_pairs(draw):
+    token = draw(_tokens())
     other = st.one_of(
         st.sampled_from(_VERB_FORMS + _WORDS), st.text(_CHARS, min_size=1, max_size=7)
     )

@@ -10,7 +10,6 @@ from gecedit.tags import (
     TagError,
     TagFamily,
     TagSet,
-    _is_token,
     load_tagset,
 )
 
@@ -95,15 +94,6 @@ def test_inventories(default_tagset):
     families = [tag.family for tag in default_tagset]
     assert families.count(TagFamily.APPEND) == 1193
     assert families.count(TagFamily.REPLACE) == 3725
-
-
-def test_is_token_matches_isspace_on_every_code_point():
-    for cp in range(0x110000):
-        ch = chr(cp)
-        old = not ch.isspace()
-        assert _is_token(ch) is old, hex(cp)
-        assert _is_token("a" + ch + "b") is old, hex(cp)
-    assert not _is_token("")
 
 
 def test_catalog_sizes():

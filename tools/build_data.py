@@ -594,7 +594,7 @@ def write_lines(path: Path, lines) -> None:
 
 
 def main() -> None:
-    from gecedit.tags import SUFFIX_NAMES, TRANSFORM_NAMES
+    from gecedit.tags import MERGE_NAMES, SUFFIX_NAMES, TRANSFORM_NAMES
 
     DATA.mkdir(parents=True, exist_ok=True)
 
@@ -620,7 +620,8 @@ def main() -> None:
         raise SystemExit(
             f"word pool too small: {len(wordlist)} < {REPLACE_COUNT}; extend the lists"
         )
-    tag_lines = ["$KEEP", "$DELETE", "$UNKNOWN", "$MERGE_HYPHEN", "$MERGE_SPACE"]
+    tag_lines = ["$KEEP", "$DELETE", "$UNKNOWN"]
+    tag_lines += [f"$MERGE_{n}" for n in MERGE_NAMES]
     tag_lines += [f"$TRANSFORM_{n}" for n in TRANSFORM_NAMES]
     tag_lines += [f"$SUFFIXTRANSFORM_{n}" for n in SUFFIX_NAMES]
     tag_lines += [f"$APPEND_{w}" for w in wordlist[:APPEND_COUNT]]
