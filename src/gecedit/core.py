@@ -35,10 +35,10 @@ def _not_utf8(path: Union[str, Path], exc: UnicodeDecodeError) -> CorpusFormatEr
 
 
 def read_text(path: Union[str, Path]) -> str:
-    """The whole of a UTF-8 text file, newlines translated as text mode does;
-    an undecodable byte is a ``path:line`` error."""
+    """The whole of a UTF-8 text file less any leading byte-order mark, newlines
+    translated as text mode does; an undecodable byte is a ``path:line`` error."""
     try:
-        with open(path, encoding="utf-8") as fp:
+        with open(path, encoding="utf-8-sig") as fp:
             return fp.read()
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
@@ -54,10 +54,10 @@ def read_lines(path: Union[str, Path]) -> list[str]:
 
 
 def text_lines(path: Union[str, Path]) -> Iterator[str]:
-    """The lines of a UTF-8 text file, each with its newline, as text mode reads
-    them; an undecodable byte is a ``path:line`` error."""
+    """The lines of a UTF-8 text file less any leading byte-order mark, each with
+    its newline, as text mode reads them; an undecodable byte is a ``path:line`` error."""
     try:
-        with open(path, encoding="utf-8") as fp:
+        with open(path, encoding="utf-8-sig") as fp:
             yield from fp
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None

@@ -13,23 +13,29 @@ similar_sound.tsv       letter<TAB>comma-separated substitutes
 adjectives.txt          one adjective per line
 manifest.json           {"files": {name: sha256-hex}}
 
-Every non-empty column of verbs.tsv and irregular_plurals.tsv must be a token,
-so that a verb or agreement rewrite yields one token, and a lemma, a singular
-or a plural may appear on one line only.
+verbs.tsv and irregular_plurals.tsv are read by one row rule: every non-empty
+column must be a token, so that a verb or agreement rewrite yields one token.
+A lemma, a singular or a plural may appear on one line only; a repeat is an
+error that names the line of its first use.  ``Lexicon(verb_forms, plural_of)``
+derives ``singular_of`` from ``plural_of``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from gecedit.core import is_token, read_lines, read_text
 
 VERB_FORM_NAMES = ("VB", "VBD", "VBG", "VBN", "VBZ")
+
+# whitespace that ``str.split`` splits at, the tab separator aside
+_SPACE_NOT_TAB = re.compile(r"[^\S\t]").search
 
 
 class LexiconError(ValueError):
@@ -54,10 +60,12 @@ class Lexicon:
 
     verb_forms: dict[str, dict[str, str]]
     plural_of: dict[str, str]
-    singular_of: dict[str, str]
+    singular_of: dict[str, str] = field(init=False, repr=False)
     _by_surface: dict[str, list[tuple[str, str]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # exact, since a plural appears on one line only
+        self.singular_of = {plural: singular for singular, plural in self.plural_of.items()}
         self._by_surface = {}
         for lemma, forms in self.verb_forms.items():
             for form_name in VERB_FORM_NAMES:
@@ -70,70 +78,60 @@ class Lexicon:
         return self._by_surface.get(surface, [])
 
     def form(self, lemma: str, form_name: str) -> Optional[str]:
-        forms = self.verb_forms.get(lemma)
-        if forms is None:
-            return None
-        return forms.get(form_name)
+        return self.verb_forms.get(lemma, {}).get(form_name)
 
     def is_verb(self, surface: str) -> bool:
         return surface in self._by_surface
 
 
-def _check_tokens(path: Path, lineno: int, cols: list[str]) -> None:
-    """Every non-empty column of a lexicon line must be a token."""
-    for col in cols:
-        if col and not is_token(col):
-            raise LexiconError(f"{path}:{lineno}: {col!r} is not a token")
+def _rows(path: Union[str, Path], width: int, shape: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) for each non-blank line of a tab-separated lexicon
+    file.  A line must have ``width`` columns and no whitespace but its tabs,
+    so that every non-empty column is a token."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != width:
+            raise LexiconError(f"{path}:{lineno}: expected {shape}, got {len(cols)}")
+        if _SPACE_NOT_TAB(line):
+            bad = next(col for col in cols if col and not is_token(col))
+            raise LexiconError(f"{path}:{lineno}: {bad!r} is not a token")
+        yield lineno, cols
 
 
 def load_lexicon(
     verbs_path: Union[str, Path, None] = None,
     plurals_path: Union[str, Path, None] = None,
 ) -> Lexicon:
-    """Load the verb lexicon and irregular-plural list (bundled by default)."""
-    verbs_path = Path(verbs_path) if verbs_path else default_verbs_path()
-    plurals_path = Path(plurals_path) if plurals_path else default_plurals_path()
+    """Load the verb lexicon and irregular-plural list (bundled when a path is None)."""
+    verbs_path = default_verbs_path() if verbs_path is None else verbs_path
+    plurals_path = default_plurals_path() if plurals_path is None else plurals_path
+    first_line: dict[tuple[str, str], int] = {}
+
+    def once(path: Union[str, Path], lineno: int, column: str, word: str) -> None:
+        first = first_line.setdefault((column, word), lineno)
+        if first != lineno:
+            raise LexiconError(
+                f"{path}:{lineno}: duplicate {column} {word!r} (first on line {first})"
+            )
 
     verb_forms: dict[str, dict[str, str]] = {}
-    for lineno, line in enumerate(read_lines(verbs_path), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 5:
-            raise LexiconError(f"{verbs_path}:{lineno}: expected 5 columns, got {len(cols)}")
-        _check_tokens(verbs_path, lineno, cols)
+    for lineno, cols in _rows(verbs_path, 5, "5 columns"):
         lemma = cols[0]
         if not lemma or lemma != lemma.lower():
             raise LexiconError(f"{verbs_path}:{lineno}: lemma must be non-empty lowercase")
-        if lemma in verb_forms:
-            raise LexiconError(f"{verbs_path}:{lineno}: duplicate lemma {lemma!r}")
-        forms = {"VB": lemma}
-        for name, surface in zip(VERB_FORM_NAMES[1:], cols[1:]):
-            if surface:
-                forms[name] = surface
-        verb_forms[lemma] = forms
+        once(verbs_path, lineno, "lemma", lemma)
+        verb_forms[lemma] = {name: word for name, word in zip(VERB_FORM_NAMES, cols) if word}
 
     plural_of: dict[str, str] = {}
-    singular_of: dict[str, str] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(read_lines(plurals_path), start=1):
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2 or not cols[0] or not cols[1]:
-            raise LexiconError(f"{plurals_path}:{lineno}: expected singular<TAB>plural")
-        _check_tokens(plurals_path, lineno, cols)
-        singular, plural = cols
-        for column, word in (("singular", singular), ("plural", plural)):
-            first = first_line.setdefault((column, word), lineno)
-            if first != lineno:
-                raise LexiconError(
-                    f"{plurals_path}:{lineno}: duplicate {column} {word!r} (first on line {first})"
-                )
+    for lineno, (singular, plural) in _rows(plurals_path, 2, "singular<TAB>plural (2 columns)"):
+        if not singular or not plural:
+            raise LexiconError(f"{plurals_path}:{lineno}: singular and plural must be non-empty")
+        once(plurals_path, lineno, "singular", singular)
+        once(plurals_path, lineno, "plural", plural)
         plural_of[singular] = plural
-        singular_of[plural] = singular
-
-    return Lexicon(verb_forms, plural_of, singular_of)
+    return Lexicon(verb_forms, plural_of)
 
 
 PATTERN_FILES = (

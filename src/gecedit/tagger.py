@@ -643,7 +643,8 @@ def load_model(path: Union[str, Path]) -> MultiHeadModel:
         if (
             not isinstance(header, dict)
             or header.get("format") != _MODEL_FORMAT
-            or header.get("version") != 1
+            or not _is_int(header.get("version"))
+            or header["version"] != 1
         ):
             raise ValueError(f"{path}:1: not a model file this version understands")
         for key in ("tags", "dim", "lambda", "heads", "templates", "arrays"):

@@ -616,11 +616,19 @@ def _noise_edit_dict(d):
          "plurals.tsv:2: duplicate singular 'person' (first on line 1)"),
         (_tag(plurals="person\tpeople\n\nhuman\tpeople\n"), 2,
          "plurals.tsv:3: duplicate plural 'people' (first on line 1)"),
+        (_tag(plurals="child\tchildren\nfoot\t\n"), 2,
+         "plurals.tsv:2: singular and plural must be non-empty"),
         (_tag(plurals="child\tlittle ones\n"), 2, "plurals.tsv:1: 'little ones' is not a token"),
         (_tag(lexicon="do\tdid\tdoing\tdone\tdoes\ngo\twent up\tgoing\tgone\tgoes\n"), 2,
          "lexicon.tsv:2: 'went up' is not a token"),
         (_apply_lexicon("go\twent\tgoing\tgone\tgoes\u00a0\n"), 2,
          "verbs.tsv:1: 'goes\\xa0' is not a token"),
+        (_tag(lexicon="go\twent\tgoing\tgone\tgoes\ngo\twent\tgoing\tgone\tgoes\n"), 2,
+         "lexicon.tsv:2: duplicate lemma 'go' (first on line 1)"),
+        (_tag(lexicon="\twent\tgoing\tgone\tgoes\n"), 2,
+         "lexicon.tsv:1: lemma must be non-empty lowercase"),
+        (lambda d: [*_tag()(d), "--lexicon", ""], 2, "No such file or directory: ''"),
+        (lambda d: [*_tag()(d), "--plurals", ""], 2, "No such file or directory: ''"),
         (_tag("\tb\n"), 2, "pairs.tsv:1: empty source sentence"),
         (_apply_edits("$KEEP $NOPE\n"), 2, "e.txt:1: "),
         (_apply_edits("$KEEP\n"), 2, "e.txt:1: edit sequence length 1 != source length 2"),
@@ -695,8 +703,10 @@ def _noise_edit_dict(d):
     ],
     ids=["tag-two-tabs", "tag-no-tab", "tag-bad-tag", "tag-no-unknown", "tag-lexicon",
          "tag-lexicon-blank-lines", "tag-plurals-blank-line", "tag-plurals-duplicate-singular",
-         "tag-plurals-duplicate-plural", "tag-plurals-not-token", "tag-lexicon-not-token",
-         "apply-lexicon-not-token", "tag-empty-source",
+         "tag-plurals-duplicate-plural", "tag-plurals-empty-column",
+         "tag-plurals-not-token", "tag-lexicon-not-token",
+         "apply-lexicon-not-token", "tag-lexicon-duplicate-lemma", "tag-lexicon-empty-lemma",
+         "tag-lexicon-empty-path", "tag-plurals-empty-path", "tag-empty-source",
          "apply-bad-tag", "apply-tag-count", "apply-inapplicable-tag", "noise-expected-x",
          "noise-expected-inf", "noise-negative-weight", "noise-expected-above-bound",
          "noise-duplicate-key",
@@ -805,6 +815,66 @@ def test_undecodable_input_exits_two_with_file_and_line(tmp_path, capsys, argv, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"gecedit: error: {path}:2: not valid UTF-8: invalid start byte 0xff\n"
+
+
+def _predict_zero_model(d):
+    argv = _predict()(d)
+    save_model(MultiHeadModel(TagSet(SMALL_TAGS), FeatureEncoder(dim=16)), d / "model.bin")
+    return argv
+
+
+def _score_pairs(d):
+    return ["score", "--src", _write(d / "src.txt", "I go to the home of my friend every day\n"),
+            "--hyp", _write(d / "hyp.txt", "I go to the house of my friends every day\n"),
+            "--ref", _write(d / "ref.txt", "I go to the house of my friend each day\n"),
+            "--metric", "both"]
+
+
+_AGREEMENT_TAGS = "".join(t + "\n" for t in [*SMALL_TAGS, "$TRANSFORM_AGREEMENT_PLURAL"])
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (_tag("I go home\tI went home\n", lexicon="go\twent\tgoing\tgone\tgoes\n"), "lexicon.tsv"),
+        (_tag("a child\ta children\n", _AGREEMENT_TAGS, plurals="child\tchildren\n"),
+         "plurals.tsv"),
+        (_tag("I go home\tI went home\n"), "x.tagset"),
+        (_tag("I go home\tI went home\n"), "pairs.tsv"),
+        (_noise("rng_seed = 2\n"), "p.profile"),
+        (_noise("rng_seed = 2\n"), "in.txt"),
+        (_train(_LABEL + "\n"), "labels.jsonl"),
+        (_apply, "s.txt"),
+        (_apply, "e.txt"),
+        (_predict_zero_model, "in.txt"),
+        (_score_pairs, "src.txt"),
+        (_score_pairs, "hyp.txt"),
+        (_score_pairs, "ref.txt"),
+    ],
+    ids=["tag-lexicon", "tag-plurals", "tag-tagset", "tag-pairs", "noise-profile", "noise-in",
+         "train-data", "apply-src", "apply-edits", "predict-in", "score-src", "score-hyp",
+         "score-ref"],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, argv, name):
+    """A UTF-8 byte-order mark before an input's first line changes nothing:
+    the exit code, standard output and ``--out`` bytes are the BOM-free file's."""
+    argv = argv(tmp_path)
+    if argv[0] != "train-toy":
+        argv += ["--workers", "1"]
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+
+    def run():
+        if out is not None and out.exists():
+            out.unlink()
+        code = main(argv)
+        written = out.read_bytes() if out is not None and out.exists() else None
+        return code, capsys.readouterr(), written
+
+    plain = run()
+    assert plain[0] == 0, plain[1].err
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run() == plain
 
 
 # -- shared inputs are loaded before any worker starts -------------------------

@@ -4,9 +4,13 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gecedit.core import is_token
 from gecedit.lexicon import (
     PATTERN_FILES,
+    Lexicon,
     LexiconError,
     PatternDataError,
     data_dir,
@@ -37,6 +41,10 @@ class TestLexicon:
         assert lexicon.plural_of["child"] == "children"
         assert lexicon.singular_of["people"] == "person"
 
+    def test_singular_of_inverts_plural_of(self, lexicon):
+        assert lexicon.singular_of == {p: s for s, p in lexicon.plural_of.items()}
+        assert Lexicon({}, {"child": "children"}).singular_of == {"children": "child"}
+
     def test_malformed_rows_rejected(self, tmp_path):
         bad = tmp_path / "verbs.tsv"
         bad.write_text("go\twent\tgoing\tgone\n")  # only 4 columns
@@ -48,6 +56,43 @@ class TestLexicon:
         bad.write_text("Go\twent\tgoing\tgone\tgoes\n")
         with pytest.raises(LexiconError, match="lowercase"):
             load_lexicon(bad, None)
+
+
+# whitespace that str.split splits at but a text-mode read does not end a line at
+_INLINE_SPACES = " \xa0\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u3000"
+
+
+def reference_bad_column(cols):
+    """The per-column token check the loader once made: the first non-empty
+    column that is not a token, or None."""
+    for col in cols:
+        if col and not is_token(col):
+            return col
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    plurals=st.booleans(),
+    cols=st.lists(st.text(alphabet="ab" + _INLINE_SPACES, max_size=3), min_size=5, max_size=5),
+)
+def test_row_rule_matches_the_per_column_token_check(tmp_path_factory, plurals, cols):
+    """One whitespace search per line rejects exactly the lines the per-column
+    check rejects, in both lexicon files, and names the same first bad column."""
+    cols = cols[:2] if plurals else cols
+    path = tmp_path_factory.getbasetemp() / "rows.tsv"
+    path.write_text("\t".join(cols) + "\n", encoding="utf-8")
+    paths = (None, path) if plurals else (path, None)
+    bad = reference_bad_column(cols)
+    if bad is not None:
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(*paths)
+        assert str(info.value) == f"{path}:1: {bad!r} is not a token"
+    else:
+        try:
+            load_lexicon(*paths)
+        except LexiconError as exc:  # an empty column where a word is needed
+            assert "not a token" not in str(exc)
 
 
 class TestPluralRules:

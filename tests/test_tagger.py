@@ -1011,6 +1011,15 @@ class TestLoadModelValidation:
         with pytest.raises(ValueError, match="weight arrays"):
             load_model(saved)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_integer_1(self, saved, version):
+        def set_version(header):
+            header["version"] = version
+
+        rewrite_model(saved, set_version)
+        with pytest.raises(ValueError, match="m.bin:1: not a model file this version understands"):
+            load_model(saved)
+
     def test_trailing_bytes_rejected(self, saved):
         rewrite_model(saved, tail=b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing bytes"):

@@ -554,11 +554,7 @@ REPLACE_COUNT = 3725
 
 def build_wordlist(verbs: dict) -> list[str]:
     """Frequency-ranked token pool for the append/replace inventories."""
-    lexicon = Lexicon(
-        verb_forms={},
-        plural_of=dict(IRREGULAR_PLURALS),
-        singular_of={p: s for s, p in IRREGULAR_PLURALS},
-    )
+    lexicon = Lexicon(verb_forms={}, plural_of=dict(IRREGULAR_PLURALS))
     seen: set[str] = set()
     ranked: list[str] = []
 
