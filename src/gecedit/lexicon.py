@@ -18,19 +18,25 @@ column must be a token, so that a verb or agreement rewrite yields one token.
 A lemma, a singular or a plural may appear on one line only; a repeat is an
 error that names the line of its first use.  ``Lexicon(verb_forms, plural_of)``
 derives ``singular_of`` from ``plural_of``.
+
+``load_lexicon`` and ``load_patterns`` parse through ``core.read_once``: files
+that hold the bytes of an earlier load in the process give that load's object
+again, which callers share and must not change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from gecedit.core import is_token, read_lines, read_text
+from gecedit.core import DataFile, is_token, read_once
 
 VERB_FORM_NAMES = ("VB", "VBD", "VBG", "VBN", "VBZ")
 
@@ -46,6 +52,7 @@ class PatternDataError(ValueError):
     """Missing pattern file or checksum mismatch."""
 
 
+@cache
 def data_dir() -> Path:
     """Directory holding the bundled data files."""
     return Path(resources.files("gecedit").joinpath("data"))
@@ -84,11 +91,12 @@ class Lexicon:
         return surface in self._by_surface
 
 
-def _rows(path: Union[str, Path], width: int, shape: str) -> Iterator[tuple[int, list[str]]]:
+def _rows(file: DataFile, width: int, shape: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, columns) for each non-blank line of a tab-separated lexicon
     file.  A line must have ``width`` columns and no whitespace but its tabs,
     so that every non-empty column is a token."""
-    for lineno, line in enumerate(read_lines(path), start=1):
+    path = file.path
+    for lineno, line in enumerate(file.lines(), start=1):
         if not line:
             continue
         cols = line.split("\t")
@@ -105,8 +113,14 @@ def load_lexicon(
     plurals_path: Union[str, Path, None] = None,
 ) -> Lexicon:
     """Load the verb lexicon and irregular-plural list (bundled when a path is None)."""
-    verbs_path = default_verbs_path() if verbs_path is None else verbs_path
-    plurals_path = default_plurals_path() if plurals_path is None else plurals_path
+    return read_once(
+        _parse_lexicon,
+        default_verbs_path() if verbs_path is None else verbs_path,
+        default_plurals_path() if plurals_path is None else plurals_path,
+    )
+
+
+def _parse_lexicon(verbs: DataFile, plurals: DataFile) -> Lexicon:
     first_line: dict[tuple[str, str], int] = {}
 
     def once(path: Union[str, Path], lineno: int, column: str, word: str) -> None:
@@ -117,19 +131,19 @@ def load_lexicon(
             )
 
     verb_forms: dict[str, dict[str, str]] = {}
-    for lineno, cols in _rows(verbs_path, 5, "5 columns"):
+    for lineno, cols in _rows(verbs, 5, "5 columns"):
         lemma = cols[0]
         if not lemma or lemma != lemma.lower():
-            raise LexiconError(f"{verbs_path}:{lineno}: lemma must be non-empty lowercase")
-        once(verbs_path, lineno, "lemma", lemma)
+            raise LexiconError(f"{verbs.path}:{lineno}: lemma must be non-empty lowercase")
+        once(verbs.path, lineno, "lemma", lemma)
         verb_forms[lemma] = {name: word for name, word in zip(VERB_FORM_NAMES, cols) if word}
 
     plural_of: dict[str, str] = {}
-    for lineno, (singular, plural) in _rows(plurals_path, 2, "singular<TAB>plural (2 columns)"):
+    for lineno, (singular, plural) in _rows(plurals, 2, "singular<TAB>plural (2 columns)"):
         if not singular or not plural:
-            raise LexiconError(f"{plurals_path}:{lineno}: singular and plural must be non-empty")
-        once(plurals_path, lineno, "singular", singular)
-        once(plurals_path, lineno, "plural", plural)
+            raise LexiconError(f"{plurals.path}:{lineno}: singular and plural must be non-empty")
+        once(plurals.path, lineno, "singular", singular)
+        once(plurals.path, lineno, "plural", plural)
         plural_of[singular] = plural
     return Lexicon(verb_forms, plural_of)
 
@@ -156,45 +170,61 @@ class PatternInventories:
     adjectives: frozenset[str]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def load_patterns(directory: Union[str, Path, None] = None) -> PatternInventories:
-    """Load and checksum-verify the pattern inventories."""
-    directory = Path(directory) if directory else data_dir()
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
+    """Load and checksum-verify the pattern inventories (bundled when ``directory``
+    is None)."""
+    directory = os.fspath(data_dir() if directory is None else directory)
+    if not directory:
+        raise PatternDataError("missing pattern directory: ''")
+    manifest_path = os.path.join(directory, "manifest.json")
+    if not os.path.exists(manifest_path):
         raise PatternDataError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(read_text(manifest_path))
-    expected = manifest.get("files", {})
-    for name in PATTERN_FILES:
-        path = directory / name
-        if not path.exists():
+    paths = [os.path.join(directory, name) for name in PATTERN_FILES]
+    for path in paths:
+        if not os.path.exists(path):
             raise PatternDataError(f"missing pattern file: {path}")
+    return read_once(_parse_patterns, manifest_path, *paths)
+
+
+def _parse_patterns(manifest_file: DataFile, *files: DataFile) -> PatternInventories:
+    """The inventories of ``files``, in ``PATTERN_FILES`` order, once each file's
+    bytes match the SHA-256 that ``manifest_file`` lists for it."""
+    text = manifest_file.text  # outside the try: a bad byte is already a file:line error
+    try:
+        manifest = json.loads(text)
+    except ValueError as exc:
+        raise PatternDataError(f"{manifest_file.path}: {exc}") from None
+    expected = manifest.get("files", {}) if isinstance(manifest, dict) else None
+    if not isinstance(expected, dict):
+        raise PatternDataError(
+            f'{manifest_file.path}: expected {{"files": {{name: sha256-hex}}}}'
+        )
+    for name, file in zip(PATTERN_FILES, files):
         if name not in expected:
             raise PatternDataError(f"{name} not listed in manifest")
-        digest = _sha256(path)
+        digest = hashlib.sha256(file.data).hexdigest()
         if digest != expected[name]:
             raise PatternDataError(
                 f"checksum mismatch for {name}: {digest} != {expected[name]}"
             )
+    (prepositions, determiners, letter_patterns, vowel_combinations, similar_sound,
+     adjectives) = (file.lines() for file in files)
 
-    def entries(name: str) -> list[str]:
-        return [line for line in read_lines(directory / name) if line]
+    def entries(lines: list[str]) -> list[str]:
+        return [line for line in lines if line]
 
     return PatternInventories(
-        prepositions=tuple(read_lines(directory / "prepositions.txt")),
-        determiners=tuple(read_lines(directory / "determiners.txt")),
+        prepositions=tuple(prepositions),
+        determiners=tuple(determiners),
         letter_patterns=tuple(
-            (k, v) for k, _, v in (ln.partition("\t") for ln in entries("letter_patterns.tsv"))
+            (k, v) for k, _, v in (ln.partition("\t") for ln in entries(letter_patterns))
         ),
-        vowel_combinations=tuple(entries("vowel_combinations.txt")),
+        vowel_combinations=tuple(entries(vowel_combinations)),
         similar_sound=tuple(
             (k, tuple(v.split(",")))
-            for k, _, v in (ln.partition("\t") for ln in entries("similar_sound.tsv"))
+            for k, _, v in (ln.partition("\t") for ln in entries(similar_sound))
         ),
-        adjectives=frozenset(entries("adjectives.txt")),
+        adjectives=frozenset(entries(adjectives)),
     )
 
 

@@ -269,7 +269,8 @@ class Noiser:
 
         active = profile.active_operations()
         self._op_names = [name for name, _ in active]
-        self._op_weights = [w for _, w in active]
+        # built once: choices(weights=...) would accumulate them on every draw
+        self._cum_weights = list(accumulate(w for _, w in active))
         if "token_dict" in self._op_names and not self.edit_dict:
             raise ProfileError("token_dict has weight > 0 but no edit dictionary is loaded")
 
@@ -291,7 +292,7 @@ class Noiser:
             return state.tokens, realized
         for _ in range(n_errors):
             for _attempt in range(MAX_RETRIES):
-                name = rng.choices(self._op_names, weights=self._op_weights, k=1)[0]
+                name = rng.choices(self._op_names, cum_weights=self._cum_weights, k=1)[0]
                 if _OPERATION_FUNCS[name](self, state, rng):
                     realized[name] += 1
                     break

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-from gecedit.core import is_token, read_lines
+from gecedit.core import DataFile, is_token, read_once
 from gecedit.transforms import MERGE_JOINERS, SUFFIX_NAMES, SUFFIX_RULES, TRANSFORMS
 
 
@@ -154,5 +154,11 @@ class TagSet:
 
 
 def load_tagset(path: Union[str, Path]) -> TagSet:
-    """Read a tagset file; rejects duplicates and malformed tag strings."""
-    return TagSet(read_lines(path), origin=str(path))
+    """Read a tagset file; rejects duplicates and malformed tag strings.  A file
+    that holds the bytes of an earlier load in the process gives that load's
+    ``TagSet`` again (``core.read_once``)."""
+    return read_once(_parse_tagset, path)
+
+
+def _parse_tagset(file: DataFile) -> TagSet:
+    return TagSet(file.lines(), origin=str(file.path))

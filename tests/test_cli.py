@@ -14,11 +14,17 @@ import pytest
 from gecedit import cli, tagger
 from gecedit.cli import _pool_size, _start_method, main
 from gecedit.labels import BINARY_STREAMS
-from gecedit.lexicon import data_dir, load_lexicon
-from gecedit.core import format_pair_line, tokenize
+from gecedit.lexicon import (
+    _parse_lexicon,
+    data_dir,
+    default_plurals_path,
+    default_verbs_path,
+    load_lexicon,
+)
+from gecedit.core import DataFile, format_pair_line, tokenize
 from gecedit.noiser import OPERATIONS, Noiser, load_profile
 from gecedit.tagger import FeatureEncoder, MultiHeadModel, save_model
-from gecedit.tags import TagSet
+from gecedit.tags import TagSet, load_tagset
 
 from corpus_util import make_corpus
 
@@ -1177,15 +1183,25 @@ def test_predict_memo_stays_within_its_bound(workdir, trained_model, monkeypatch
 # -- one parser for every call in a process -------------------------------------
 
 def _pipeline(d, run, refs):
-    """The argvs of noise -> tag -> train-toy -> predict -> score over ``d``'s
-    inputs, each writing ``run``-named files, and those files in order;
+    """The argvs of noise -> tag -> apply -> train-toy -> predict -> score over
+    ``d``'s inputs, each writing ``run``-named files, and those files in order;
+    ``apply`` puts each verb lemma of ``clean.txt`` in the past tense, and
     ``score`` runs with every reference in ``refs``, then with the first."""
-    pairs, labels, model, hyp = (d / f"{run}.{ext}" for ext in ("tsv", "jsonl", "bin", "txt"))
+    pairs, labels, applied, model, hyp = (
+        d / f"{run}.{ext}" for ext in ("tsv", "jsonl", "applied", "bin", "txt")
+    )
     tagset, clean = str(d / "small.tagset"), str(d / "clean.txt")
+    lexicon = _fresh_lexicon()
+    past = ("$KEEP", "$TRANSFORM_VERB_VB_VBD")
+    edits = _write(d / "past.edits", "".join(
+        " ".join(past[bool(lexicon.form(t, "VBD"))] for t in line.split()) + "\n"
+        for line in Path(clean).read_text().splitlines()
+    ))
     argvs = [
         ["noise", "--in", clean, "--profile", str(d / "profile.txt"), "--out", str(pairs),
          "--seed", "5", "--workers", "1"],
         ["tag", "--src-tgt", str(pairs), "--tagset", tagset, "--out", str(labels), "--workers", "1"],
+        ["apply", "--src", clean, "--edits", edits, "--out", str(applied), "--workers", "1"],
         ["train-toy", "--data", str(labels), "--tagset", tagset, "--out", str(model),
          "--epochs", "2", "--dim", "256"],
         ["predict", "--model", str(model), "--in", clean, "--out", str(hyp), "--workers", "1"],
@@ -1193,14 +1209,21 @@ def _pipeline(d, run, refs):
          "--workers", "1"],
         ["score", "--src", clean, "--hyp", str(hyp), "--ref", refs[0], "--workers", "1"],
     ]
-    return argvs, [pairs, labels, model, hyp]
+    return argvs, [pairs, labels, applied, model, hyp]
+
+
+def _fresh_lexicon():
+    """The bundled lexicon parsed anew, not the one this process shares."""
+    paths = (default_verbs_path(), default_plurals_path())
+    return _parse_lexicon(*(DataFile(path, path.read_bytes()) for path in paths))
 
 
 def test_main_reuses_its_parser_and_carries_nothing_between_calls(workdir, capsys):
     """The pipeline run twice through ``main`` in one process, with a usage
     error and a data error between, writes and prints what one run of fresh
     ``gecedit`` processes does; a one-reference ``score`` after a
-    three-reference one prints the fresh one-reference line."""
+    three-reference one prints the fresh one-reference line.  The lexicon
+    and tagset the commands shared still equal a fresh parse."""
     assert cli.build_parser() is cli.build_parser()
     lines = (workdir / "clean.txt").read_text().splitlines()
     ref = str(workdir / "clean.txt")
@@ -1228,6 +1251,70 @@ def test_main_reuses_its_parser_and_carries_nothing_between_calls(workdir, capsy
     assert [proc.returncode for proc in fresh] == [0] * len(argvs)
     assert ([proc.stdout for proc in fresh], [path.read_bytes() for path in files]) == first
     assert first[0][-1] != first[0][-2]  # the three references did move GLEU
+    assert first[1][2] != (workdir / "clean.txt").read_bytes()  # apply did rewrite verbs
+    # the commands shared one Lexicon and one TagSet, and none of them changed it
+    assert load_lexicon() is load_lexicon() and load_lexicon() == _fresh_lexicon()
+    small = workdir / "small.tagset"
+    assert load_tagset(small).names == TagSet(small.read_text().splitlines()).names
+    assert load_tagset(small).names == tuple(SMALL_TAGS)
+
+
+
+# -- data files parsed once per content ------------------------------------------
+
+def _rewrite(path, data):
+    """Give ``path`` the bytes ``data``, of its size, keeping its modification time."""
+    st = path.stat()
+    assert len(data) == st.st_size
+    path.write_bytes(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+@pytest.mark.parametrize("flag", ["--lexicon", "--tagset"])
+def test_a_data_file_rewritten_between_calls_is_parsed_again(workdir, capsys, flag):
+    """A ``--lexicon`` or ``--tagset`` file rewritten between ``main`` calls in
+    one process, at once and at its size and modification time, gives what a
+    fresh process gives for its new bytes.  In turn: good bytes, other good
+    bytes, malformed bytes (exit 2 with ``file:line``), the same malformed
+    bytes at another path (whose error names that path), the first bytes."""
+    d = workdir
+    if flag == "--lexicon":
+        command = ["apply", "--src", _write(d / "src.txt", "go\n"),
+                   "--edits", _write(d / "e.txt", "$TRANSFORM_VERB_VB_VBD\n")]
+        good, other, bad = (f"{lemma}\t{past}\tgoing\tgone\tgoes\n".encode()
+                            for lemma, past in (("go", "went"), ("go", "want"), ("Go", "went")))
+        error = ":1: lemma must be non-empty lowercase"
+    else:
+        command = ["tag", "--src-tgt", _write(d / "p.tsv", "in\tat\n")]
+        good, other, bad = (f"$KEEP\n$DELETE\n$UNKNOWN\n${tag}\n".encode()
+                            for tag in ("REPLACE_at", "REPLACE_on", "BOGUSXX_at"))
+        error = ":4: unknown tag family in '$BOGUSXX_at'"
+    out = d / "out"
+
+    def run(path):
+        argv = [*command, flag, str(path), "--out", str(out), "--workers", "1"]
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        mine = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr,
+                out.read_bytes() if out.exists() else None) == mine
+        return mine
+
+    target, copy = d / "data.txt", d / "copy.txt"
+    target.write_bytes(good)
+    copy.write_bytes(bad)
+    results = [run(target)]
+    for data, path in ((other, target), (bad, target), (bad, copy), (good, target)):
+        if path == target:
+            _rewrite(target, data)
+        results.append(run(path))
+    assert [r[0] for r in results] == [0, 0, 2, 2, 0]
+    assert results[1][3] != results[0][3] and results[4] == results[0]
+    assert results[2][2] == f"gecedit: error: {target}{error}\n"
+    assert results[3][2] == f"gecedit: error: {copy}{error}\n"
 
 
 # -- one command shape -----------------------------------------------------------

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import re
 import shutil
 from pathlib import Path
 
@@ -14,10 +16,12 @@ from gecedit.lexicon import (
     LexiconError,
     PatternDataError,
     data_dir,
+    default_tagset_path,
     load_lexicon,
     load_patterns,
 )
 from gecedit.noiser import VERB_TYPE_FORMS
+from gecedit.tags import load_tagset
 from gecedit.transforms import apply_suffix, apply_transform, pluralize, singularize
 
 
@@ -198,6 +202,58 @@ class TestPatterns:
 
     def test_loader_stable_across_runs(self):
         assert load_patterns() == load_patterns()
+
+    def test_a_changed_pattern_file_fails_its_checksum_after_a_good_load(self, tmp_path):
+        # the same size and modification time: only the bytes tell the change
+        work = tmp_path / "data"
+        shutil.copytree(data_dir(), work)
+        assert load_patterns(work) == load_patterns()
+        path = work / "prepositions.txt"
+        st, data = path.stat(), path.read_bytes()
+        path.write_bytes(data[1:2] + data[:1] + data[2:])
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.read_bytes() != data and path.stat().st_mtime_ns == st.st_mtime_ns
+        with pytest.raises(PatternDataError, match="checksum mismatch for prepositions.txt"):
+            load_patterns(work)
+
+    def test_only_none_selects_the_bundled_directory(self, tmp_path, monkeypatch):
+        # not even a pattern directory in the working directory makes '' a directory
+        shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        assert load_patterns(".") == load_patterns(None)
+        with pytest.raises(PatternDataError, match="missing pattern directory: ''"):
+            load_patterns("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "expected"),
+            ('"files"', "expected"),
+            ('{"files": ["prepositions.txt"]}', "expected"),
+            ('{"files": ', "Expecting value"),
+        ],
+    )
+    def test_a_bad_manifest_is_a_pattern_error_naming_it(self, tmp_path, text, message):
+        work = tmp_path / "data"
+        shutil.copytree(data_dir(), work)
+        manifest = work / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises(PatternDataError, match=f"^{re.escape(str(manifest))}: {message}"):
+            load_patterns(work)
+
+def test_one_parse_serves_a_pipelines_data_at_once(tmp_path):
+    """The bundled lexicon, the pattern inventories, the bundled tagset and a
+    compact one, loaded in turn, are each parsed once: every later load gives
+    the first load's object, and equal bytes at another path do too."""
+    compact = tmp_path / "compact.tagset"
+    compact.write_text("$KEEP\n$DELETE\n$UNKNOWN\n$APPEND_the\n")
+    loads = [load_lexicon, load_patterns, lambda: load_tagset(default_tagset_path()),
+             lambda: load_tagset(compact)]
+    first = [load() for load in loads]
+    for _ in range(3):
+        assert all(load() is obj for load, obj in zip(loads, first))
+    shutil.copyfile(compact, tmp_path / "copy.tagset")
+    assert load_tagset(tmp_path / "copy.tagset") is first[3]
 
 
 def test_build_data_reproduces_the_bundled_files(tmp_path, monkeypatch):

@@ -222,7 +222,8 @@ def test_load_tagset_parses_the_bundled_file_as_edit_tag_parse_does():
 
 
 def test_tag_of_parses_only_the_ids_asked_for():
-    tagset = load_tagset(default_tagset_path())
+    # a TagSet of its own: load_tagset shares one per file content
+    tagset = TagSet(load_tagset(default_tagset_path()).names)
     asked = [len(tagset) - 1, 0, 7, 0]
     assert [tagset.tag_of(i) for i in asked] == [EditTag.parse(tagset.names[i]) for i in asked]
     assert sorted(tagset._parsed) == [0, 7, len(tagset) - 1]
